@@ -32,22 +32,20 @@ from .equilibrium import (
 )
 from .linear_economy import (
     check_productive_indecomposable,
-    labor_values,
     load_economy,
     load_wage,
-    value_of_bundle,
+    value_system,
     wage_payload,
 )
 from .synthesis import (
     EqualOffPivot,
     PivotUniform,
-    build_region,
+    analyze_change,
     sample_constant_exploitation,
     sample_rising_exploitation,
     synthesize_culs_change,
 )
 from .technical_change import (
-    apply_change,
     check_properties,
     classify,
     load_tech_change,
@@ -78,8 +76,8 @@ def _residual_tol() -> float:
     if raw is None:
         return DEFAULT_RESIDUAL_TOL
     tol = float(raw)
-    if tol <= 0:
-        raise ValueError(f"OKISHIO_LAB_TOL must be positive, got {raw}")
+    if not 0.0 < tol < float("inf"):
+        raise ValueError(f"OKISHIO_LAB_TOL must be positive and finite, got {raw}")
     return tol
 
 
@@ -88,9 +86,8 @@ def cmd_analyze(args) -> int:
     tol = _residual_tol()
     diagnosis = check_productive_indecomposable(tech.inputs)
     equilibrium = uniform_profit_rate(tech, bundle, tol)
-    values = labor_values(tech)
-    bundle_value = value_of_bundle(values, bundle)
-    exploitation = (1.0 - bundle_value) / bundle_value
+    system = value_system(tech, bundle)
+    values, bundle_value = system.values, system.bundle_value
     flags = admissibility(equilibrium.prices, values, bundle_value)
     ratios = equilibrium.prices / values
     ceiling = max_profit_rate(tech)
@@ -103,7 +100,7 @@ def cmd_analyze(args) -> int:
                 "equilibrium": equilibrium.to_json_dict(),
                 "labor_values": [float(x) for x in values],
                 "bundle_value": bundle_value,
-                "exploitation": exploitation,
+                "exploitation": system.exploitation,
                 "price_value_ratios": [float(x) for x in ratios],
                 "max_ratio": flags.max_ratio,
                 "max_ratio_sector": flags.max_ratio_sector + 1,
@@ -121,7 +118,7 @@ def cmd_analyze(args) -> int:
     print(f"prices (bundle costs 1):  {_fmt_vec(equilibrium.prices)}")
     print(f"labor values:             {_fmt_vec(values)}")
     print(f"bundle value:             {_fmt(bundle_value)}")
-    print(f"exploitation rate:        {_fmt(exploitation)}")
+    print(f"exploitation rate:        {_fmt(system.exploitation)}")
     print(f"price/value ratios:       {_fmt_vec(ratios)}")
     # Full precision: downstream constructions are sensitive to this ratio.
     print(f"max ratio:                {flags.max_ratio!r} (sector {flags.max_ratio_sector + 1})")
@@ -139,7 +136,18 @@ def cmd_check_tc(args) -> int:
     change = load_tech_change(args.tc)
     tol = _residual_tol()
     equilibrium = uniform_profit_rate(tech, bundle, tol)
-    classification = classify(tech, equilibrium, change)
+    properties = None
+    if args.wage is None:
+        # Pricing alone: a patched technique that is not productive still classifies.
+        classification = classify(tech, equilibrium, change)
+    else:
+        new_bundle = load_wage(args.wage)
+        analysis = analyze_change(tech, bundle, equilibrium, change)
+        classification = analysis.classification
+        values, new_values = analysis.values.values, analysis.new_values
+        properties = check_properties(
+            tech, change, equilibrium, values, new_values, bundle, new_bundle
+        )
     payload = {
         "sector": change.sector + 1,
         "viable": classification.viable,
@@ -150,14 +158,7 @@ def cmd_check_tc(args) -> int:
         "saving_rate": classification.saving_rate,
         "break_even_wage": classification.break_even_wage,
     }
-    properties = None
-    if args.wage is not None:
-        new_bundle = load_wage(args.wage)
-        values = labor_values(tech)
-        new_values = labor_values(apply_change(tech, change))
-        properties = check_properties(
-            tech, change, equilibrium, values, new_values, bundle, new_bundle
-        )
+    if properties is not None:
         payload.update(
             {
                 "more_expensive": properties.more_expensive,
@@ -224,12 +225,9 @@ def cmd_synth_wage(args) -> int:
     change = load_tech_change(args.tc)
     tol = _residual_tol()
     equilibrium = uniform_profit_rate(tech, bundle, tol)
-    values = labor_values(tech)
-    new_values = labor_values(apply_change(tech, change))
-    classification = classify(tech, equilibrium, change)
-    region = build_region(
-        equilibrium, new_values, value_of_bundle(values, bundle), classification
-    )
+    region = analyze_change(tech, bundle, equilibrium, change).region
+    if region is None:
+        raise ValueError("wage region is only defined for a viable change")
     if args.strategy == "rising":
         sampled = sample_rising_exploitation(region, args.seed)
     elif args.strategy == "equal-off-pivot":
@@ -387,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, formats=("text", "json")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
         cmd.add_argument(
             "--format",
-            choices=("text", "json", "csv"),
+            choices=formats,
             default="text",
             help="output format (default text)",
         )
@@ -462,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative control: perturb the embedded data to force a mismatch",
     )
 
-    sweep = add("sweep", cmd_sweep, "run the random verification suite")
+    sweep = add(
+        "sweep", cmd_sweep, "run the random verification suite", ("text", "json", "csv")
+    )
     sweep.add_argument("--seed", type=int, default=1000)
     sweep.add_argument("--count", type=int, default=100)
     sweep.add_argument("--n-min", type=int, default=2, help="smallest economy size")

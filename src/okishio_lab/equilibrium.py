@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Decomposable, DegenerateNormalization, NoConvergence, NotProductive
+from .errors import DegenerateNormalization, NoConvergence
 from .linear_economy import (
     Technology,
     WageBundle,
@@ -32,8 +32,8 @@ from .linear_economy import (
 RQ_TOL = 1e-13
 ITERATION_CAP = 10_000
 DEFAULT_RESIDUAL_TOL = 1e-9
-# Strictness margin for the price-value ratio test.
-RATIO_MARGIN = 1e-12
+# Strictness margin for price-value ratio, cost and elementwise comparisons.
+STRICT_MARGIN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +161,7 @@ def uniform_profit_rate(
 def max_profit_rate(tech: Technology) -> float:
     """Profit rate at a zero wage: ``1/spectral_radius(inputs) - 1``."""
     diagnosis = check_productive_indecomposable(tech.inputs)
-    if not diagnosis.strongly_connected:
-        raise Decomposable("sector input graph is not strongly connected")
-    if diagnosis.spectral_radius >= 1.0 - 1e-12:
-        raise NotProductive(
-            f"input matrix is not productive: spectral radius "
-            f"{diagnosis.spectral_radius:.6f} is not below 1"
-        )
+    diagnosis.require_passed()
     if diagnosis.spectral_radius == 0.0:
         return float("inf")
     return 1.0 / diagnosis.spectral_radius - 1.0
@@ -181,7 +175,7 @@ def admissibility(
     sector = int(np.argmax(ratios))
     max_ratio = float(ratios[sector])
     surplus_ok = 0.0 < bundle_value <= 1.0
-    headroom = surplus_ok and max_ratio > 1.0 / bundle_value + RATIO_MARGIN
+    headroom = surplus_ok and max_ratio > 1.0 / bundle_value + STRICT_MARGIN
     return WageAdmissibility(surplus_ok, headroom, max_ratio, sector)
 
 

@@ -80,6 +80,18 @@ class ProductivityDiagnosis:
     strongly_connected: bool
     passed: bool
 
+    def require_passed(self) -> None:
+        """Raise Decomposable or NotProductive unless the screen passed."""
+        if not self.strongly_connected:
+            raise Decomposable(
+                "economy is decomposable: sector input graph is not strongly connected"
+            )
+        if not self.passed:
+            raise NotProductive(
+                "input matrix is not productive: spectral radius "
+                f"{self.spectral_radius:.6f} is not below 1"
+            )
+
 
 def check_productive_indecomposable(inputs) -> ProductivityDiagnosis:
     """Diagnose whether an input matrix describes an acceptable economy.
@@ -128,16 +140,7 @@ class Technology:
                 raise ValueError("input matrix must be nonnegative")
             if np.any(labor <= 0):
                 raise ValueError("labor vector must be strictly positive")
-            diagnosis = check_productive_indecomposable(inputs)
-            if not diagnosis.strongly_connected:
-                raise Decomposable(
-                    "economy is decomposable: sector input graph is not strongly connected"
-                )
-            if diagnosis.spectral_radius >= 1.0 - PRODUCTIVITY_MARGIN:
-                raise NotProductive(
-                    "input matrix is not productive: spectral radius "
-                    f"{diagnosis.spectral_radius:.6f} is not below 1"
-                )
+            check_productive_indecomposable(inputs).require_passed()
 
     @property
     def n(self) -> int:

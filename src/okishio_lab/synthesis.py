@@ -15,6 +15,9 @@ is the same as some sector's price to new-value ratio exceeding the
 product of the two markups (one plus exploitation, one plus saving
 rate). Both forms are computed; they must always agree.
 
+``analyze_change`` is the one place a candidate change is classified,
+applied, revalued and given its region.
+
 Samplers draw bundles from that region (or strictly inside the price
 side of it, for rising exploitation) by rejection with a fixed proposal
 budget. Everything is deterministic given a seed.
@@ -33,11 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidFraction, InvalidSector, NotInB, SamplingExhausted
-from .equilibrium import Equilibrium, admissibility
-from .linear_economy import Technology, WageBundle, labor_values, value_of_bundle
-from .technical_change import ChangeClassification, TechChange
+from .equilibrium import STRICT_MARGIN, Equilibrium, admissibility
+from .linear_economy import (
+    Technology, ValueSystem, WageBundle, labor_values, value_of_bundle, value_system
+)
+from .technical_change import ChangeClassification, TechChange, apply_change, classify
 
-STRICT_MARGIN = 1e-12
 ON_PLANE_TOL = 1e-10
 PROPOSAL_BUDGET = 10_000
 
@@ -103,6 +107,40 @@ def build_region(
         feasible_sectors=feasible_sectors,
         feasible=bool(feasible_sectors.any()),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class ChangeAnalysis:
+    """A change priced at the pre-change equilibrium, applied and revalued.
+
+    ``patched`` is the technique after the change and ``new_values`` its
+    labor values; ``region`` is None when the change is not viable.
+    """
+
+    values: ValueSystem
+    classification: ChangeClassification
+    patched: Technology
+    new_values: np.ndarray
+    region: WageRegion | None
+
+
+def analyze_change(
+    tech: Technology, bundle: WageBundle, equilibrium: Equilibrium, change: TechChange
+) -> ChangeAnalysis:
+    """Classify a change, apply it, revalue, and build its wage region.
+
+    ``equilibrium`` prices ``tech`` with ``bundle`` as numeraire. Raises
+    NotProductive or Decomposable if the patched technique is no longer
+    acceptable.
+    """
+    pre = value_system(tech, bundle)
+    classification = classify(tech, equilibrium, change)
+    patched = apply_change(tech, change)
+    new_values = labor_values(patched)
+    region = None
+    if classification.viable:
+        region = build_region(equilibrium, new_values, pre.bundle_value, classification)
+    return ChangeAnalysis(pre, classification, patched, new_values, region)
 
 
 def ratio_condition_sectors(region: WageRegion) -> np.ndarray:

@@ -17,11 +17,9 @@ import json
 import numpy as np
 
 from .errors import InvalidSector
-from .equilibrium import Equilibrium
+from .equilibrium import STRICT_MARGIN, Equilibrium
 from .linear_economy import Technology, WageBundle, _as_readonly
 
-# Strictness margin for cost and elementwise comparisons.
-STRICT_MARGIN = 1e-12
 # Sameness tolerance for the bundle-value comparison.
 VALUE_MATCH_TOL = 1e-9
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EconomyError, OracleLimit
-from .equilibrium import admissibility, uniform_profit_rate
+from .equilibrium import DEFAULT_RESIDUAL_TOL, admissibility, uniform_profit_rate
 from .linear_economy import (
     Technology,
     WageBundle,
@@ -33,17 +33,18 @@ from .linear_economy import (
 )
 from .synthesis import (
     WageRegion,
-    build_region,
+    analyze_change,
     ratio_condition_holds,
     sample_constant_exploitation,
     sample_rising_exploitation,
     synthesize_culs_change,
     SynthesizedChange,
 )
-from .technical_change import TechChange, apply_change, check_properties, classify
+from .technical_change import TechChange, check_properties
 
 PROFIT_FALL_MARGIN = 1e-12
 EXPLOITATION_MATCH_TOL = 1e-9
+CONTROL_SLACK = 1e-9
 
 
 class Verdict(enum.Enum):
@@ -103,74 +104,77 @@ def _verdict(
     return Verdict.INCONCLUSIVE
 
 
-def run_scenario(
+def run_scenarios(
     tech: Technology,
     bundle: WageBundle,
     change: TechChange,
-    new_bundle: WageBundle,
-    residual_tol: float = 1e-9,
-) -> ScenarioReport:
-    """Solve before and after a change, recording flags and a verdict.
+    new_bundles: tuple,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+) -> list[ScenarioReport]:
+    """Solve before a change once, then after it under each new bundle.
 
-    Everything is recomputed from the four inputs; no intermediate state
-    is shared with whatever produced the change or the bundle. Module
+    Everything is recomputed from the raw inputs; no intermediate state
+    is shared with whatever produced the change or the bundles. Module
     errors propagate with scenario context prepended.
     """
     try:
-        pre_values = labor_values(tech)
-        pre_bundle_value = value_of_bundle(pre_values, bundle)
-        pre_exploit = exploitation_rate(pre_bundle_value)
         pre_eq = uniform_profit_rate(tech, bundle, residual_tol)
-        flags_pre = admissibility(pre_eq.prices, pre_values, pre_bundle_value)
-        classification = classify(tech, pre_eq, change)
-        patched = apply_change(tech, change)
-        post_values = labor_values(patched)
-        post_eq = uniform_profit_rate(patched, new_bundle, residual_tol)
-        post_bundle_value = value_of_bundle(post_values, new_bundle)
-        post_exploit = exploitation_rate(post_bundle_value)
-        properties = check_properties(
-            tech, change, pre_eq, pre_values, post_values, bundle, new_bundle
-        )
-        if classification.viable:
-            region = build_region(
-                pre_eq, post_values, pre_bundle_value, classification
+        analysis = analyze_change(tech, bundle, pre_eq, change)
+        pre, new_values = analysis.values, analysis.new_values
+        flags_pre = admissibility(pre_eq.prices, pre.values, pre.bundle_value)
+        posts = []
+        for new_bundle in new_bundles:
+            post_eq = uniform_profit_rate(analysis.patched, new_bundle, residual_tol)
+            post_exploit = exploitation_rate(value_of_bundle(new_values, new_bundle))
+            properties = check_properties(
+                tech, change, pre_eq, pre.values, new_values, bundle, new_bundle
             )
-            region_feasible = region.feasible
-            ratio_condition = ratio_condition_holds(region)
-        else:
-            region_feasible = False
-            ratio_condition = False
+            posts.append((post_eq, post_exploit, properties))
     except EconomyError as err:
         context = f"scenario with {tech.n} sectors, change in sector {change.sector + 1}"
         if hasattr(err, "add_note"):
             err.add_note(context)
             raise
         raise type(err)(f"{err} ({context})") from err
-    flags = ScenarioFlags(
-        viable=classification.viable,
-        culs=classification.culs,
-        more_expensive=properties.more_expensive,
-        value_constant=properties.value_constant,
-        saving_bounded=properties.saving_bounded,
-        admissible_pre=flags_pre.admissible,
-        surplus_ok_post=properties.surplus_ok_post,
-        region_feasible=region_feasible,
-        ratio_condition=ratio_condition,
-    )
-    return ScenarioReport(
-        pre_profit=pre_eq.profit_rate,
-        pre_prices=pre_eq.prices,
-        pre_values=pre_values,
-        pre_exploitation=pre_exploit,
-        post_profit=post_eq.profit_rate,
-        post_prices=post_eq.prices,
-        post_values=post_values,
-        post_exploitation=post_exploit,
-        flags=flags,
-        verdict=_verdict(
-            pre_eq.profit_rate, post_eq.profit_rate, pre_exploit, post_exploit
-        ),
-    )
+    classification, region = analysis.classification, analysis.region
+    return [
+        ScenarioReport(
+            pre_profit=pre_eq.profit_rate,
+            pre_prices=pre_eq.prices,
+            pre_values=pre.values,
+            pre_exploitation=pre.exploitation,
+            post_profit=post_eq.profit_rate,
+            post_prices=post_eq.prices,
+            post_values=new_values,
+            post_exploitation=post_exploit,
+            flags=ScenarioFlags(
+                viable=classification.viable,
+                culs=classification.culs,
+                more_expensive=properties.more_expensive,
+                value_constant=properties.value_constant,
+                saving_bounded=properties.saving_bounded,
+                admissible_pre=flags_pre.admissible,
+                surplus_ok_post=properties.surplus_ok_post,
+                region_feasible=region is not None and region.feasible,
+                ratio_condition=region is not None and ratio_condition_holds(region),
+            ),
+            verdict=_verdict(
+                pre_eq.profit_rate, post_eq.profit_rate, pre.exploitation, post_exploit
+            ),
+        )
+        for post_eq, post_exploit, properties in posts
+    ]
+
+
+def run_scenario(
+    tech: Technology,
+    bundle: WageBundle,
+    change: TechChange,
+    new_bundle: WageBundle,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+) -> ScenarioReport:
+    """Solve before and after a change: ``run_scenarios`` with one bundle."""
+    return run_scenarios(tech, bundle, change, (new_bundle,), residual_tol)[0]
 
 
 ORACLE_MAX_SECTORS = 6
@@ -346,7 +350,7 @@ class SweepRecord:
     @property
     def okishio_ok(self) -> bool:
         """Old bundle kept: the profit rate must not fall."""
-        return self.okishio.post_profit >= self.okishio.pre_profit - 1e-9
+        return self.okishio.post_profit >= self.okishio.pre_profit - CONTROL_SLACK
 
     @property
     def rising_ok(self) -> bool:
@@ -357,7 +361,7 @@ def run_suite(
     seed: int = 1000,
     count: int = 500,
     n_range: tuple = (2, 8),
-    residual_tol: float = 1e-9,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[SweepRecord]:
     """Generate ``count`` economies and run the three branches on each.
 
@@ -380,15 +384,15 @@ def run_suite(
         synthesized = synthesize_culs_change(
             tech, bundle, equilibrium, sector, epsilon_frac, labor_frac
         )
-        values = labor_values(tech)
-        bundle_value = value_of_bundle(values, bundle)
-        classification = classify(tech, equilibrium, synthesized.change)
-        new_values = labor_values(apply_change(tech, synthesized.change))
-        region = build_region(equilibrium, new_values, bundle_value, classification)
+        change = synthesized.change
+        region = analyze_change(tech, bundle, equilibrium, change).region
         constant_seed = int(rng.integers(2**63 - 1))
         rising_seed = int(rng.integers(2**63 - 1))
         constant_bundle = sample_constant_exploitation(region, constant_seed)
         rising_bundle = sample_rising_exploitation(region, rising_seed)
+        scenario, okishio, rising = run_scenarios(
+            tech, bundle, change, (constant_bundle, bundle, rising_bundle), residual_tol
+        )
         records.append(
             SweepRecord(
                 index=index,
@@ -400,15 +404,9 @@ def run_suite(
                 region=region,
                 constant_bundle=constant_bundle,
                 rising_bundle=rising_bundle,
-                scenario=run_scenario(
-                    tech, bundle, synthesized.change, constant_bundle, residual_tol
-                ),
-                okishio=run_scenario(
-                    tech, bundle, synthesized.change, bundle, residual_tol
-                ),
-                rising=run_scenario(
-                    tech, bundle, synthesized.change, rising_bundle, residual_tol
-                ),
+                scenario=scenario,
+                okishio=okishio,
+                rising=rising,
             )
         )
     return records

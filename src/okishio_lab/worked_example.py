@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import admissibility, uniform_profit_rate
-from .linear_economy import Technology, WageBundle, labor_values, value_of_bundle
-from .synthesis import EqualOffPivot, build_region, sample_constant_exploitation
-from .technical_change import TechChange, apply_change, classify
+from .linear_economy import Technology, WageBundle, exploitation_rate, value_of_bundle
+from .synthesis import EqualOffPivot, analyze_change, sample_constant_exploitation
+from .technical_change import TechChange
 
 REPLAY_TOL = 1e-5
 
@@ -96,15 +96,9 @@ def solved_bundle() -> WageBundle:
     rounded to 6 decimals and only match to about 5e-7).
     """
     tech, bundle = economy()
-    equilibrium = uniform_profit_rate(tech, bundle)
-    values = labor_values(tech)
-    new_values = labor_values(apply_change(tech, change()))
-    classification = classify(tech, equilibrium, change())
-    region = build_region(
-        equilibrium, new_values, value_of_bundle(values, bundle), classification
-    )
+    analysis = analyze_change(tech, bundle, uniform_profit_rate(tech, bundle), change())
     return sample_constant_exploitation(
-        region, strategy=EqualOffPivot(pivot=_PIVOT, value=_PIVOT_QUANTITY)
+        analysis.region, strategy=EqualOffPivot(pivot=_PIVOT, value=_PIVOT_QUANTITY)
     )
 
 
@@ -139,18 +133,14 @@ def replay(perturb: bool = False) -> ReplayReport:
         inputs[0, 0] += 0.01
         tech = Technology(inputs, tech.labor)
     equilibrium = uniform_profit_rate(tech, bundle)
-    values = labor_values(tech)
-    bundle_value = value_of_bundle(values, bundle)
-    exploitation = (1.0 - bundle_value) / bundle_value
+    analysis = analyze_change(tech, bundle, equilibrium, change())
+    values, bundle_value = analysis.values.values, analysis.values.bundle_value
     flags = admissibility(equilibrium.prices, values, bundle_value)
-    classification = classify(tech, equilibrium, change())
-    patched = apply_change(tech, change())
-    new_values = labor_values(patched)
-    region = build_region(equilibrium, new_values, bundle_value, classification)
+    classification, new_values = analysis.classification, analysis.new_values
+    region = analysis.region
     new_bundle = printed_bundle()
-    post = uniform_profit_rate(patched, new_bundle)
+    post = uniform_profit_rate(analysis.patched, new_bundle)
     new_bundle_value = value_of_bundle(new_values, new_bundle)
-    new_exploitation = (1.0 - new_bundle_value) / new_bundle_value
     post_flags = admissibility(post.prices, new_values, new_bundle_value)
 
     actual = {
@@ -162,7 +152,7 @@ def replay(perturb: bool = False) -> ReplayReport:
         "labor_value_2": values[1],
         "labor_value_3": values[2],
         "bundle_value": bundle_value,
-        "exploitation": exploitation,
+        "exploitation": analysis.values.exploitation,
         "max_price_value_ratio": flags.max_ratio,
         "cost_before": classification.cost_pre,
         "cost_after": classification.cost_post,
@@ -177,7 +167,7 @@ def replay(perturb: bool = False) -> ReplayReport:
         "value_intercept_2": region.value_plane_intercepts[1],
         "value_intercept_3": region.value_plane_intercepts[2],
         "new_bundle_value": new_bundle_value,
-        "new_exploitation": new_exploitation,
+        "new_exploitation": exploitation_rate(new_bundle_value),
         "new_profit_rate": post.profit_rate,
         "new_price_1": post.prices[0],
         "new_price_2": post.prices[1],

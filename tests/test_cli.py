@@ -124,6 +124,13 @@ class TestEnvironmentTolerance:
         monkeypatch.setenv("OKISHIO_LAB_TOL", "three")
         assert main(["analyze", "--economy", economy_file]) == 2
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_rejected(self, raw, economy_file, capsys, monkeypatch):
+        # nan would switch the residual check off: residual > nan is never true.
+        monkeypatch.setenv("OKISHIO_LAB_TOL", raw)
+        assert main(["analyze", "--economy", economy_file]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestCheckTc:
     def test_text_classification(self, economy_file, tc_file, capsys):
@@ -180,6 +187,18 @@ class TestCheckTc:
         assert payload["break_even_wage"] == pytest.approx(19.0 / 18.0, abs=1e-9)
         assert payload["value_constant"] is True
         assert payload["bundle_value_post"] == pytest.approx(4.0 / 7.0, abs=1e-9)
+
+    def test_unproductive_patch_still_classifies(
+        self, economy_file, wage_file, tmp_path, capsys
+    ):
+        heavy = dict(REF_CHANGE, column=[1.25, 1.05, 1.35])
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(heavy))
+        argv = ["check-tc", "--economy", economy_file, "--tc", str(path)]
+        assert main(argv) == 0
+        assert "viable:           no" in capsys.readouterr().out
+        assert main(argv + ["--wage", wage_file]) == 2
+        assert "not productive" in capsys.readouterr().err
 
     def test_bad_sector_in_file(self, economy_file, tmp_path, capsys):
         path = tmp_path / "tc.json"
@@ -471,6 +490,23 @@ class TestReproduceExample:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "profit_rate" in out
+
+
+class TestFormats:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--economy", "economy.json"],
+            ["verify", "--economy", "economy.json", "--tc", "tc.json"],
+            ["reproduce-example"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_only_on_sweep(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--format", "csv"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestSweep:
