@@ -31,7 +31,6 @@ from .equilibrium import (
     uniform_profit_rate,
 )
 from .linear_economy import (
-    check_productive_indecomposable,
     load_economy,
     load_wage,
     value_system,
@@ -84,7 +83,6 @@ def _residual_tol() -> float:
 def cmd_analyze(args) -> int:
     tech, bundle = load_economy(args.economy)
     tol = _residual_tol()
-    diagnosis = check_productive_indecomposable(tech.inputs)
     equilibrium = uniform_profit_rate(tech, bundle, tol)
     system = value_system(tech, bundle)
     values, bundle_value = system.values, system.bundle_value
@@ -95,7 +93,7 @@ def cmd_analyze(args) -> int:
         _emit_json(
             {
                 "n": tech.n,
-                "rho_inputs": diagnosis.spectral_radius,
+                "rho_inputs": tech.spectral_radius,
                 "max_profit_rate": ceiling,
                 "equilibrium": equilibrium.to_json_dict(),
                 "labor_values": [float(x) for x in values],
@@ -111,7 +109,7 @@ def cmd_analyze(args) -> int:
         )
         return 0
     print(f"sectors:                  {tech.n}")
-    print(f"spectral radius (inputs): {_fmt(diagnosis.spectral_radius)}")
+    print(f"spectral radius (inputs): {_fmt(tech.spectral_radius)}")
     print(f"spectral radius (wage-augmented): {_fmt(equilibrium.spectral_radius)}")
     print(f"profit rate:              {_fmt(equilibrium.profit_rate)}")
     print(f"max profit rate (zero wage): {_fmt(ceiling)}")
@@ -221,6 +219,8 @@ def cmd_synth_tc(args) -> int:
 
 
 def cmd_synth_wage(args) -> int:
+    if args.strategy != "equal-off-pivot" and (args.pivot, args.pivot_value) != (None, None):
+        raise ValueError("--pivot and --pivot-value apply only to --strategy equal-off-pivot")
     tech, bundle = load_economy(args.economy)
     change = load_tech_change(args.tc)
     tol = _residual_tol()
@@ -349,10 +349,6 @@ def cmd_reproduce_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.count < 0:
-        raise ValueError(f"--count must be nonnegative, got {args.count}")
-    if not 1 <= args.n_min <= args.n_max:
-        raise ValueError(f"bad sector range {args.n_min}..{args.n_max}")
     records = run_suite(
         seed=args.seed,
         count=args.count,
@@ -476,7 +472,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (EconomyError, ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        notes = "".join(f" ({note})" for note in getattr(err, "__notes__", ()))
+        print(f"error: {err}{notes}", file=sys.stderr)
         return 2
 
 

@@ -24,7 +24,6 @@ from .errors import DegenerateNormalization, NoConvergence
 from .linear_economy import (
     Technology,
     WageBundle,
-    check_productive_indecomposable,
     labor_values,
     value_of_bundle,
 )
@@ -160,11 +159,9 @@ def uniform_profit_rate(
 
 def max_profit_rate(tech: Technology) -> float:
     """Profit rate at a zero wage: ``1/spectral_radius(inputs) - 1``."""
-    diagnosis = check_productive_indecomposable(tech.inputs)
-    diagnosis.require_passed()
-    if diagnosis.spectral_radius == 0.0:
+    if tech.spectral_radius == 0.0:
         return float("inf")
-    return 1.0 / diagnosis.spectral_radius - 1.0
+    return 1.0 / tech.spectral_radius - 1.0
 
 
 def admissibility(

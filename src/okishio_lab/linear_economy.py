@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,16 +53,12 @@ def _as_readonly(values, *, ndim: int) -> np.ndarray:
 
 def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
     """Boolean reachability from ``start`` following directed edges."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [start]
-    seen[start] = True
-    while stack:
-        node = stack.pop()
-        for nxt in np.flatnonzero(adjacency[node]):
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(nxt)
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[start] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = adjacency[frontier].any(axis=0) & ~seen
     return seen
 
 
@@ -113,21 +109,18 @@ def check_productive_indecomposable(inputs) -> ProductivityDiagnosis:
 class Technology:
     """An immutable (inputs, labor) pair describing production.
 
-    Validation enforces nonnegative inputs, strictly positive direct
-    labor, productivity, and indecomposability. Pass ``validate=False``
-    to hold data that deliberately breaks those rules, e.g. when
-    diagnosing a broken economy.
+    Construction certifies nonnegative inputs, strictly positive direct
+    labor, productivity, and indecomposability, or raises. It keeps the
+    screen's ``spectral_radius`` so nothing runs the eigensolver again.
     """
 
     inputs: np.ndarray
     labor: np.ndarray
-    validate: bool = True
+    spectral_radius: float = field(init=False)
 
     def __post_init__(self):
         inputs = _as_readonly(self.inputs, ndim=2)
         labor = _as_readonly(self.labor, ndim=1)
-        if inputs.shape[0] != inputs.shape[1]:
-            raise ValueError(f"input matrix must be square, got shape {inputs.shape}")
         if labor.shape[0] != inputs.shape[0]:
             raise ValueError(
                 f"labor vector length {labor.shape[0]} does not match "
@@ -135,12 +128,13 @@ class Technology:
             )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labor", labor)
-        if self.validate:
-            if np.any(inputs < 0):
-                raise ValueError("input matrix must be nonnegative")
-            if np.any(labor <= 0):
-                raise ValueError("labor vector must be strictly positive")
-            check_productive_indecomposable(inputs).require_passed()
+        if np.any(inputs < 0):
+            raise ValueError("input matrix must be nonnegative")
+        if np.any(labor <= 0):
+            raise ValueError("labor vector must be strictly positive")
+        diagnosis = check_productive_indecomposable(inputs)
+        diagnosis.require_passed()
+        object.__setattr__(self, "spectral_radius", diagnosis.spectral_radius)
 
     @property
     def n(self) -> int:

@@ -227,11 +227,14 @@ def load_tech_change(path) -> TechChange:
     for key in ("sector", "column", "labor"):
         if key not in raw:
             raise ValueError(f"technical change file is missing key '{key}'")
-    sector = int(raw["sector"])
+    sector = raw["sector"]
+    # type(), not isinstance(): JSON true is a bool, and bool subclasses int.
+    if not (type(sector) is int or type(sector) is float and sector.is_integer()):
+        raise InvalidSector(f"sector must be a whole number, got {sector!r}")
     if sector < 1:
         raise InvalidSector(f"sector numbers in files are 1-based, got {sector}")
     return TechChange(
-        sector=sector - 1,
+        sector=int(sector) - 1,
         new_column=np.array(raw["column"], dtype=float),
         new_labor=float(raw["labor"]),
     )

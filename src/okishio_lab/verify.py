@@ -372,6 +372,8 @@ def run_suite(
     lo, hi = int(n_range[0]), int(n_range[1])
     if not 1 <= lo <= hi:
         raise ValueError(f"bad sector range {n_range}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     records = []
     for index in range(count):
         rng = np.random.default_rng([seed, index])

@@ -4,13 +4,16 @@ One sweep test shells out to a fresh interpreter to confirm output is
 reproducible across processes, not just within one.
 """
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import okishio_lab
 from okishio_lab import load_tech_change
 from okishio_lab.cli import main
 
@@ -73,6 +76,30 @@ class TestAnalyze:
         assert payload["max_ratio"] == pytest.approx(20.0 / 11.0, abs=1e-9)
         assert payload["max_ratio_sector"] == 2
         assert payload["admissible"] is True
+
+    def test_screens_the_input_matrix_once(self, economy_file, capsys, monkeypatch):
+        # Technology's validation is the only screen: rho_inputs and the
+        # max profit rate read the radius it measured.
+        calls = []
+        original = okishio_lab.check_productive_indecomposable
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        package = okishio_lab
+        modules = [package] + [
+            importlib.import_module(f"{package.__name__}.{info.name}")
+            for info in pkgutil.iter_modules(package.__path__)
+        ]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        assert main(["analyze", "--economy", economy_file, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert payload["max_profit_rate"] == 1.0 / payload["rho_inputs"] - 1.0
 
     def test_unproductive_economy_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -206,6 +233,13 @@ class TestCheckTc:
         assert main(["check-tc", "--economy", economy_file, "--tc", str(path)]) == 2
         assert "1-based" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sector", [3.9, True], ids=["fractional", "boolean"])
+    def test_non_integer_sector_in_file(self, sector, economy_file, tmp_path, capsys):
+        path = tmp_path / "tc.json"
+        path.write_text(json.dumps(dict(REF_CHANGE, sector=sector)))
+        assert main(["check-tc", "--economy", economy_file, "--tc", str(path)]) == 2
+        assert "whole number" in capsys.readouterr().err
+
 
 class TestSynthTc:
     def test_json_output_round_trips(self, economy_file, tmp_path, capsys):
@@ -310,6 +344,15 @@ class TestSynthWage:
             [0.008613446793178136, 1.170977, 0.008613446793178136],
             atol=1e-9,
         )
+
+    @pytest.mark.parametrize("strategy", ["pivot-uniform", "rising"])
+    def test_pivot_flags_need_equal_off_pivot(
+        self, strategy, economy_file, tc_file, capsys
+    ):
+        base = ["synth-wage", "--economy", economy_file, "--tc", tc_file]
+        for flags in (["--pivot", "2"], ["--pivot-value", "99"]):
+            assert main(base + ["--strategy", strategy] + flags) == 2
+            assert "equal-off-pivot" in capsys.readouterr().err
 
     def test_sampled_bundle_verifies_constant(
         self, economy_file, tc_file, tmp_path, capsys
@@ -445,6 +488,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "verdict:     OkishioRise" in out
         assert "0.1811024" in out
+
+    def test_error_names_the_scenario(self, economy_file, tmp_path, capsys):
+        # The change raises sector 3's column by 1.0: the patched technique
+        # is not productive, and the error says which scenario failed.
+        heavy = tmp_path / "heavy.json"
+        heavy.write_text(json.dumps(dict(REF_CHANGE, column=[1.25, 1.05, 1.35])))
+        assert main(["verify", "--economy", economy_file, "--tc", str(heavy)]) == 2
+        err = capsys.readouterr().err
+        assert "spectral radius 1.650000 is not below 1" in err
+        assert "scenario with 3 sectors, change in sector 3" in err
 
     def test_json_scenario(self, economy_file, tc_file, wage_file, capsys):
         code = main(

@@ -17,6 +17,7 @@ from okishio_lab import (
     check_wage_admissibility,
     labor_values,
     max_profit_rate,
+    random_economy,
     uniform_profit_rate,
     value_of_bundle,
 )
@@ -141,6 +142,18 @@ class TestMaxProfitRate:
 
     def test_one_sector(self, one_sector_tech):
         assert max_profit_rate(one_sector_tech) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [None, 31, 32, 33], ids=lambda s: f"seed={s}")
+    def test_reads_the_validated_spectral_radius(self, seed, ref_tech):
+        # seed None is the reference economy, the others random draws.
+        if seed is None:
+            tech = ref_tech
+        else:
+            rng = np.random.default_rng(seed)
+            tech, _ = random_economy(rng, int(rng.integers(2, 12)))
+        rho = float(np.max(np.abs(np.linalg.eigvals(tech.inputs))))
+        assert tech.spectral_radius == rho
+        assert max_profit_rate(tech) == 1.0 / rho - 1.0
 
     def test_falls_when_inputs_rise(self, ref_tech):
         heavier = Technology(ref_tech.inputs + 0.05, ref_tech.labor)

@@ -5,6 +5,7 @@ Expected numbers were frozen from an independent dense-solver oracle
 exact fractions are noted where the data admits them.
 """
 
+import collections
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from okishio_lab import (
     value_of_bundle,
     value_system,
 )
+from okishio_lab.linear_economy import ZERO_PATTERN_TOL, _strongly_connected
 
 
 class TestValidation:
@@ -59,9 +61,9 @@ class TestValidation:
         with pytest.raises(Decomposable, match="strongly connected"):
             Technology(np.diag([0.1, 0.1]), np.array([1.0, 1.0]))
 
-    def test_validate_false_escape_hatch(self):
-        tech = Technology(np.zeros((2, 2)), np.array([1.0, 2.0]), validate=False)
-        assert tech.n == 2
+    def test_spectral_radius_is_measured_not_passed(self, ref_tech):
+        with pytest.raises(TypeError):
+            Technology(ref_tech.inputs, ref_tech.labor, 0.5)
 
     def test_arrays_are_readonly(self, ref_tech):
         with pytest.raises(ValueError):
@@ -115,6 +117,40 @@ class TestDiagnosis:
         assert diag.passed and diag.strongly_connected
 
 
+def _reference_strongly_connected(adjacency: np.ndarray) -> bool:
+    """Positivity of (I + adjacency)^(n-1), by clipped repeated squaring."""
+    n = adjacency.shape[0]
+    reach = (np.eye(n) + adjacency > 0).astype(np.int64)
+    steps = 1
+    while steps < n - 1:
+        reach = np.minimum(reach @ reach, 1)
+        steps *= 2
+    return bool(np.all(reach > 0))
+
+
+class TestConnectivity:
+    def test_closure_matches_matrix_power_reference(self):
+        # Edge densities c * ln(n) / n straddle the connectivity threshold,
+        # so both verdicts are common.
+        rng = np.random.default_rng(2205)
+        verdicts = collections.Counter()
+        for _ in range(600):
+            n = int(rng.integers(1, 31))
+            density = min(1.0, rng.uniform(0.5, 2.5) * np.log(max(n, 2)) / n)
+            adjacency = (rng.random((n, n)) < density).astype(float)
+            inputs = adjacency * rng.uniform(0.01, 0.3, (n, n))
+            expected = _reference_strongly_connected(adjacency)
+            assert _strongly_connected(inputs) is expected, adjacency
+            verdicts[expected] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_entries_at_zero_pattern_tol_are_not_edges(self):
+        cycle = np.roll(np.eye(4), 1, axis=1) * 0.2
+        assert _strongly_connected(cycle)
+        cycle[0, 1] = ZERO_PATTERN_TOL
+        assert not _strongly_connected(cycle)
+
+
 class TestLaborValues:
     def test_reference_values(self, ref_tech):
         # Exact fractions 4/7, 1/2, 9/14.
@@ -134,8 +170,10 @@ class TestLaborValues:
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_no_inputs_means_values_equal_labor(self):
-        tech = Technology(np.zeros((3, 3)), np.array([0.3, 0.7, 1.1]), validate=False)
-        np.testing.assert_allclose(labor_values(tech), [0.3, 0.7, 1.1], atol=1e-14)
+        # Negligible inputs, still above ZERO_PATTERN_TOL so the graph is
+        # connected: values are labor plus terms of order 1e-13.
+        tech = Technology(np.full((3, 3), 1e-13), np.array([0.3, 0.7, 1.1]))
+        np.testing.assert_allclose(labor_values(tech), [0.3, 0.7, 1.1], atol=1e-12)
 
     def test_one_sector_geometric_sum(self, one_sector_tech):
         # 1 / (1 - 0.5) = 2 units of labor per unit of output.
