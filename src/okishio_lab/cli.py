@@ -13,7 +13,8 @@ Commands:
 Exit codes: 0 success, 1 golden-replay mismatch, 2 input validation
 failure, 3 internal guarantee violation. Text output rounds to 7
 significant digits; JSON carries full precision. The environment
-variable OKISHIO_LAB_TOL overrides the equilibrium residual tolerance.
+variable OKISHIO_LAB_TOL overrides the equilibrium residual tolerance
+(relative to the largest price).
 """
 
 from __future__ import annotations

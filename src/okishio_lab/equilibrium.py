@@ -8,10 +8,17 @@ its dominant eigenvalue ``rho``, and the uniform profit rate is
 ``1/rho - 1``. Prices are normalized so the wage bundle costs exactly
 one, which makes the nominal wage the unit of account.
 
-The eigenpair is found by power iteration on the transpose with
-infinity-norm renormalization and a Rayleigh-quotient stopping rule;
-the returned residual certifies the fixed point independently of the
-iteration count.
+The eigenpair is found on the transpose ``T`` from the positive start
+``x = 1``. Every iterate carries a Collatz–Wielandt bracket
+``min_i (Tx)_i/x_i <= rho <= max_i (Tx)_i/x_i`` (Meyer, *Matrix
+Analysis*, ch. 8), and the solver stops when its relative width is at
+most CW_TOL. Plain power steps are taken while each shrinks the width
+at least tenfold; from the first that does not, Noda's shifted inverse
+iteration (Numer. Math. 17, 1971) takes over, which converges
+quadratically however close the second eigenvalue is to ``rho``. The
+bracket does not depend on the units of goods or labor, and neither
+does the returned residual, which is measured relative to the largest
+price.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from .linear_economy import (
     value_of_bundle,
 )
 
-RQ_TOL = 1e-13
-ITERATION_CAP = 10_000
+# Relative width of the Collatz–Wielandt bracket at which the solver stops.
+CW_TOL = 1e-14
 DEFAULT_RESIDUAL_TOL = 1e-9
 # Strictness margin for price-value ratio, cost and elementwise comparisons.
 STRICT_MARGIN = 1e-12
@@ -39,15 +46,20 @@ STRICT_MARGIN = 1e-12
 class Equilibrium:
     """Prices of production with their supporting eigendata.
 
-    ``residual`` is the infinity norm of ``p - (1 + pi) p M`` where M is
-    the wage-augmented input matrix; it bounds how far the reported
-    prices are from an exact fixed point.
+    ``residual`` is the infinity norm of ``p - (1 + pi) p M`` divided by
+    that of ``p``, where M is the wage-augmented input matrix; it bounds
+    how far the reported prices are from an exact fixed point in any
+    units. ``rho_bounds`` is the final Collatz–Wielandt bracket on the
+    spectral radius of M and ``iterations`` the number of power and
+    shifted steps taken to reach it.
     """
 
     prices: np.ndarray
     profit_rate: float
     spectral_radius: float
     residual: float
+    iterations: int
+    rho_bounds: tuple[float, float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,6 +67,8 @@ class Equilibrium:
             "p": [float(x) for x in self.prices],
             "rho": self.spectral_radius,
             "residual": self.residual,
+            "iterations": self.iterations,
+            "rho_bounds": list(self.rho_bounds),
         }
 
 
@@ -84,32 +98,64 @@ def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     return tech.inputs + np.outer(bundle.quantities, tech.labor)
 
 
-def _left_perron(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and positive left eigenvector by power iteration.
+def _left_perron(
+    matrix: np.ndarray,
+) -> tuple[float, np.ndarray, int, tuple[float, float]]:
+    """Dominant eigenvalue and positive left eigenvector, with its certificate.
 
-    Iterates on the transpose, renormalizing by the infinity norm.
-    Stops when the Rayleigh quotient settles below RQ_TOL and the
-    iterate's own eigen-residual is at machine scale.
+    Iterates on ``T = matrix.T`` from ``x = 1``, renormalizing by the
+    largest entry. Each iterate's Collatz–Wielandt bracket ``[lo, hi]``
+    contains the spectral radius; the loop stops once
+    ``(hi - lo) / hi <= CW_TOL``. Power steps ``x <- Tx`` are kept while
+    each shrinks that relative width at least tenfold, so a fast-mixing
+    matrix never factorizes. From the first power step that does not,
+    every step is Noda's: solve ``(hi I - T) z = x``. Since ``hi >= rho``
+    the shifted matrix is an M-matrix and ``z`` stays positive. A shifted
+    step that does not shrink the width, a failed solve or an iterate
+    that is not strictly positive raises NoConvergence. The width starts
+    below one, so there are at most 14 power steps before the switch.
+
+    Returns the bracket's midpoint, the iterate it certifies, the number
+    of steps and the bracket.
     """
-    transposed = matrix.T.copy()
-    vec = np.ones(matrix.shape[0])
-    rq_prev = np.inf
-    for _ in range(ITERATION_CAP):
-        image = transposed @ vec
-        rq = float((vec @ image) / (vec @ vec))
-        if (
-            abs(rq - rq_prev) < RQ_TOL
-            and float(np.max(np.abs(image - rq * vec))) <= 1e-12 * float(np.max(np.abs(vec)))
-        ):
-            return rq, vec
-        norm = float(np.max(np.abs(image)))
-        if norm == 0.0:
-            raise NoConvergence("power iteration collapsed to the zero vector")
-        vec = image / norm
-        rq_prev = rq
-    raise NoConvergence(
-        f"power iteration did not meet tolerance {RQ_TOL:g} within {ITERATION_CAP} steps"
-    )
+    transposed = matrix.T
+    n = transposed.shape[0]
+    vec = np.ones(n)
+    image = transposed @ vec
+    lo, hi = float(image.min()), float(image.max())
+    if not hi > 0.0:
+        raise NoConvergence(f"dominant eigenvalue bracket [{lo!r}, {hi!r}] is not positive")
+    width = (hi - lo) / hi
+    steps, shifted = 0, False
+    while not width <= CW_TOL:
+        if shifted:
+            # Solved in the iterate's own scale, D^-1 (hi I - T) D with
+            # D = diag(vec), so rounding stays relative to each entry.
+            # Built in place: one n x n array besides the solver's copy.
+            system = transposed * vec
+            system /= -vec[:, None]
+            system.flat[:: n + 1] += hi
+            try:
+                step = vec * np.linalg.solve(system, np.ones(n))
+            except np.linalg.LinAlgError as err:
+                raise NoConvergence(
+                    f"shifted solve failed with bracket [{lo!r}, {hi!r}]"
+                ) from err
+        else:
+            step = image
+        step = step / step.max()
+        if not step.min() > 0.0:
+            raise NoConvergence(f"iterate lost positivity with bracket [{lo!r}, {hi!r}]")
+        image = transposed @ step
+        ratios = image / step
+        lo, hi = float(ratios.min()), float(ratios.max())
+        new_width = (hi - lo) / hi
+        if shifted and not new_width < width:
+            raise NoConvergence(f"shifted step did not narrow the bracket [{lo!r}, {hi!r}]")
+        shifted = shifted or not new_width <= 0.1 * width
+        vec, width = step, new_width
+        steps += 1
+    return 0.5 * (lo + hi), vec, steps, (lo, hi)
 
 
 def uniform_profit_rate(
@@ -122,13 +168,15 @@ def uniform_profit_rate(
     Args:
         tech: validated production data.
         bundle: wage bundle, also the price normalizer (bundle costs one).
-        residual_tol: acceptance bound on the fixed-point residual.
+        residual_tol: acceptance bound on the fixed-point residual,
+            relative to the largest price.
 
     Returns:
         Equilibrium with strictly positive prices.
 
     Raises:
-        NoConvergence: iteration cap hit or the residual check failed.
+        NoConvergence: the Collatz–Wielandt bracket could not be
+            narrowed to CW_TOL, or the residual check failed.
         DegenerateNormalization: the bundle has zero cost at the raw
             eigenvector, so prices cannot be scaled to it.
     """
@@ -137,24 +185,26 @@ def uniform_profit_rate(
             f"wage bundle length {bundle.n} does not match {tech.n} sectors"
         )
     augmented = augmented_inputs(tech, bundle)
-    rho, raw = _left_perron(augmented)
-    if rho <= 0:
-        raise NoConvergence(f"dominant eigenvalue {rho:.3e} is not positive")
-    if raw[np.argmax(np.abs(raw))] < 0:
-        raw = -raw
-    if np.any(raw <= 0):
-        raise NoConvergence("left eigenvector is not strictly positive")
+    rho, raw, steps, bounds = _left_perron(augmented)
     cost = float(raw @ bundle.quantities)
-    if abs(cost) <= 1e-14:
+    # raw is strictly positive and the bundle nonzero, so only underflow
+    # leaves the bundle without a price.
+    if not cost > 0.0:
         raise DegenerateNormalization("wage bundle has zero cost at the eigenvector")
     prices = raw / cost
     profit = 1.0 / rho - 1.0
-    residual = float(np.max(np.abs(prices - (1.0 + profit) * (prices @ augmented))))
-    if residual > residual_tol:
+    image = (1.0 + profit) * (prices @ augmented)
+    scale = float(np.max(prices))
+    residual = float(np.max(np.abs(prices - image))) / scale
+    # Evaluating the residual rounds each entry by up to about n + 1 ulps
+    # of the image, so no tolerance below that can be certified.
+    rounding = (tech.n + 1) * np.finfo(float).eps * float(np.max(image)) / scale
+    if residual + rounding > residual_tol:
         raise NoConvergence(
-            f"equilibrium residual {residual:.3e} exceeds tolerance {residual_tol:.3e}"
+            f"equilibrium residual {residual:.3e} (rounding {rounding:.1e}) "
+            f"exceeds tolerance {residual_tol:.3e}"
         )
-    return Equilibrium(prices, profit, rho, residual)
+    return Equilibrium(prices, profit, rho, residual, steps, bounds)
 
 
 def max_profit_rate(tech: Technology) -> float:

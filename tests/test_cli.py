@@ -77,6 +77,15 @@ class TestAnalyze:
         assert payload["max_ratio_sector"] == 2
         assert payload["admissible"] is True
 
+    def test_json_reports_the_solver_certificate(self, economy_file, capsys):
+        assert main(["analyze", "--economy", economy_file, "--format", "json"]) == 0
+        equilibrium = json.loads(capsys.readouterr().out)["equilibrium"]
+        lo, hi = equilibrium["rho_bounds"]
+        assert lo <= equilibrium["rho"] <= hi
+        assert (hi - lo) / hi <= 1e-14
+        assert isinstance(equilibrium["iterations"], int)
+        assert equilibrium["iterations"] > 0
+
     def test_screens_the_input_matrix_once(self, economy_file, capsys, monkeypatch):
         # Technology's validation is the only screen: rho_inputs and the
         # max profit rate read the radius it measured.

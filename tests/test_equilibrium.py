@@ -2,11 +2,12 @@
 
 The n = 3 cross-check oracle here finds the dominant root of the
 characteristic cubic by sign scanning plus bisection, sharing nothing
-with the production power iteration.
+with the production solver. Elsewhere ``max|eigvals|`` is the oracle.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from okishio_lab import (
     NoConvergence,
@@ -21,6 +22,7 @@ from okishio_lab import (
     uniform_profit_rate,
     value_of_bundle,
 )
+from okishio_lab.equilibrium import CW_TOL
 
 
 def cubic_dominant_root(matrix):
@@ -93,7 +95,7 @@ class TestReferenceEquilibrium:
         m = augmented_inputs(ref_tech, ref_bundle)
         replayed = float(
             np.max(np.abs(eq.prices - (1.0 + eq.profit_rate) * (eq.prices @ m)))
-        )
+        ) / float(np.max(eq.prices))
         assert eq.residual <= 1e-9
         assert replayed == pytest.approx(eq.residual, abs=1e-15)
 
@@ -253,3 +255,155 @@ class TestAdmissibility:
         )
         assert flags.max_ratio_sector == 0
         assert flags.max_ratio == pytest.approx(2.0)
+
+
+def spectral_radius(matrix):
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+
+def two_block_economy(rng, coupling, target, size=4):
+    """Two weakly coupled blocks with |lambda_2| / rho(M) near ``target``.
+
+    Every cross-block input is ``coupling``. The wage goods all come
+    from block 1, so block 1 carries the dominant eigenvalue of the
+    wage-augmented matrix M, and block 2's inputs are scaled to
+    ``target`` times it.
+    """
+    n = 2 * size
+    inputs = np.full((n, n), coupling)
+    a11 = rng.uniform(0.1, 1.0, (size, size))
+    inputs[:size, :size] = a11 * (rng.uniform(0.3, 0.5) / spectral_radius(a11))
+    a22 = rng.uniform(0.1, 1.0, (size, size))
+    labor = rng.uniform(0.05, 0.5, n)
+    wage_goods = np.concatenate([rng.uniform(0.1, 1.0, size), np.zeros(size)])
+    values = labor_values(Technology(inputs, labor))
+    quantities = wage_goods * (0.5 / float(values @ wage_goods))
+    wage_block = inputs[:size, :size] + np.outer(quantities[:size], labor[:size])
+    inputs[size:, size:] = a22 * (
+        target * spectral_radius(wage_block) / spectral_radius(a22)
+    )
+    return Technology(inputs, labor), WageBundle(quantities)
+
+
+def second_eigen_ratio(tech, bundle):
+    moduli = np.sort(np.abs(np.linalg.eigvals(augmented_inputs(tech, bundle))))
+    return float(moduli[-2] / moduli[-1])
+
+
+class TestNearlyDecomposable:
+    # Power iteration needs about 1 / -log(ratio) steps on these; the
+    # shifted steps need a handful whatever the ratio.
+
+    @pytest.mark.parametrize(
+        "coupling, target, ratio",
+        [(1e-9, 0.999, 0.999), (1e-6, 0.9985, 0.997)],
+        ids=["coupling=1e-9", "coupling=1e-6"],
+    )
+    def test_profit_rate_matches_eigvals(self, coupling, target, ratio):
+        tech, bundle = two_block_economy(np.random.default_rng(0), coupling, target)
+        assert second_eigen_ratio(tech, bundle) == pytest.approx(ratio, abs=5e-4)
+        eq = uniform_profit_rate(tech, bundle)
+        rho = spectral_radius(augmented_inputs(tech, bundle))
+        assert eq.profit_rate == pytest.approx(1.0 / rho - 1.0, rel=1e-13)
+        assert eq.iterations <= 20
+
+
+class TestCertificate:
+    def test_reference_bracket(self, ref_tech, ref_bundle):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        lo, hi = eq.rho_bounds
+        assert lo <= 0.85 <= hi
+        assert (hi - lo) / hi <= CW_TOL
+        assert eq.spectral_radius == pytest.approx(0.85, rel=1e-15)
+        assert eq.profit_rate == pytest.approx(3.0 / 17.0, rel=1e-15)
+        assert eq.iterations > 0
+
+    def test_one_sector_needs_no_steps(self, one_sector_tech, one_sector_bundle):
+        eq = uniform_profit_rate(one_sector_tech, one_sector_bundle)
+        assert eq.iterations == 0
+        assert eq.rho_bounds == (0.75, 0.75)
+
+    def test_dense_800_sectors(self):
+        rng = np.random.default_rng(800)
+        inputs = rng.uniform(0.0, 1.0, (800, 800))
+        inputs *= 0.5 / spectral_radius(inputs)
+        tech = Technology(inputs, rng.uniform(0.05, 0.5, 800))
+        values = labor_values(tech)
+        direction = rng.uniform(0.1, 1.0, 800)
+        bundle = WageBundle(direction * (0.5 / float(values @ direction)))
+        eq = uniform_profit_rate(tech, bundle)
+        lo, hi = eq.rho_bounds
+        assert (hi - lo) / hi <= CW_TOL
+        rho = spectral_radius(augmented_inputs(tech, bundle))
+        assert eq.spectral_radius == pytest.approx(rho, rel=1e-14)
+
+
+class TestUnits:
+    """Rescaling labor or goods must not change what is accepted."""
+
+    @pytest.mark.parametrize(
+        "labor_scale, bundle_scale",
+        [(1.0, 1e-3), (1.0, 1e-6), (1e6, 1e-6), (1e14, 1e-14)],
+    )
+    def test_rescaled_reference_solves(
+        self, ref_tech, ref_bundle, labor_scale, bundle_scale
+    ):
+        tech = Technology(ref_tech.inputs, ref_tech.labor * labor_scale)
+        bundle = WageBundle(ref_bundle.quantities * bundle_scale)
+        eq = uniform_profit_rate(tech, bundle)
+        assert eq.residual <= 1e-9
+        assert float(eq.prices @ bundle.quantities) == pytest.approx(1.0, rel=1e-12)
+
+    def test_same_economy_in_other_units(self, ref_tech, ref_bundle):
+        # Labor counted in micro-hours, goods in mega-units: the same M.
+        base = uniform_profit_rate(ref_tech, ref_bundle)
+        tech = Technology(ref_tech.inputs, ref_tech.labor * 1e6)
+        eq = uniform_profit_rate(tech, WageBundle(ref_bundle.quantities * 1e-6))
+        assert eq.profit_rate == pytest.approx(base.profit_rate, rel=1e-15)
+        np.testing.assert_allclose(eq.prices, base.prices * 1e6, rtol=1e-14)
+
+
+@st.composite
+def economies(draw):
+    """random_economy draws with 1 to 8 sectors, or two-block draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        coupling = 10.0 ** draw(st.floats(-9.0, -3.0))
+        return two_block_economy(rng, coupling, draw(st.floats(0.9, 0.999)))
+    n = draw(st.integers(1, 8))
+    if n == 1:
+        # One sector has no price-value headroom, so random_economy
+        # cannot draw it.
+        tech = Technology(rng.uniform(0.1, 0.8, (1, 1)), rng.uniform(0.05, 0.5, 1))
+        return tech, WageBundle(rng.uniform(0.1, 0.9, 1) / labor_values(tech))
+    return random_economy(rng, n)
+
+
+class TestCertificateProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(economies())
+    def test_bracket_contains_eigvals(self, economy):
+        tech, bundle = economy
+        eq = uniform_profit_rate(tech, bundle)
+        lo, hi = eq.rho_bounds
+        assert (hi - lo) / hi <= CW_TOL
+        # eigvals and the bracket's ratios each carry a few ulps of
+        # rounding, so containment is checked to CW_TOL.
+        rho = spectral_radius(augmented_inputs(tech, bundle))
+        assert lo * (1.0 - CW_TOL) <= rho <= hi * (1.0 + CW_TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(economies(), st.integers(-6, 6))
+    def test_invariant_under_units(self, economy, k):
+        # L * 10^k with b * 10^-k leaves M unchanged up to rounding: the
+        # profit rate stays, and prices are counted in a unit 10^k smaller.
+        tech, bundle = economy
+        base = uniform_profit_rate(tech, bundle)
+        eq = uniform_profit_rate(
+            Technology(tech.inputs, tech.labor * 10.0**k),
+            WageBundle(bundle.quantities * 10.0**-k),
+        )
+        # 1 + pi = 1/rho: pi itself loses relative digits to the
+        # cancellation in 1/rho - 1 when it is small.
+        assert 1.0 + eq.profit_rate == pytest.approx(1.0 + base.profit_rate, rel=1e-14)
+        np.testing.assert_allclose(eq.prices, base.prices * 10.0**k, rtol=1e-13)

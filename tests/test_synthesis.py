@@ -70,7 +70,12 @@ def _fake_eq(prices):
     from okishio_lab import Equilibrium
 
     return Equilibrium(
-        prices=prices, profit_rate=0.0, spectral_radius=1.0, residual=0.0
+        prices=prices,
+        profit_rate=0.0,
+        spectral_radius=1.0,
+        residual=0.0,
+        iterations=0,
+        rho_bounds=(1.0, 1.0),
     )
 
 

@@ -38,6 +38,8 @@ def scaled_equilibrium(eq, factor):
         profit_rate=eq.profit_rate,
         spectral_radius=eq.spectral_radius,
         residual=eq.residual,
+        iterations=eq.iterations,
+        rho_bounds=eq.rho_bounds,
     )
 
 
