@@ -8,8 +8,9 @@ its dominant eigenvalue ``rho``, and the uniform profit rate is
 ``1/rho - 1``. Prices are normalized so the wage bundle costs exactly
 one, which makes the nominal wage the unit of account.
 
-The eigenpair is found on the transpose ``T`` from the positive start
-``x = 1``. Every iterate carries a Collatz–Wielandt bracket
+The eigenpair is found by ``linear_economy._left_perron``, which also
+measures the input matrix's own radius, on the transpose ``T`` from the
+positive start ``x = 1``. Every iterate carries a Collatz–Wielandt bracket
 ``min_i (Tx)_i/x_i <= rho <= max_i (Tx)_i/x_i`` (Meyer, *Matrix
 Analysis*, ch. 8), and the solver stops when its relative width is at
 most CW_TOL. Plain power steps are taken while each shrinks the width
@@ -29,14 +30,14 @@ import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
 from .linear_economy import (
+    CW_TOL,
     Technology,
     WageBundle,
+    _left_perron,
     labor_values,
     value_of_bundle,
 )
 
-# Relative width of the Collatz–Wielandt bracket at which the solver stops.
-CW_TOL = 1e-14
 DEFAULT_RESIDUAL_TOL = 1e-9
 # Strictness margin for price-value ratio, cost and elementwise comparisons.
 STRICT_MARGIN = 1e-12
@@ -96,66 +97,6 @@ class WageAdmissibility:
 def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     """Input matrix with wage goods folded into each sector's recipe."""
     return tech.inputs + np.outer(bundle.quantities, tech.labor)
-
-
-def _left_perron(
-    matrix: np.ndarray,
-) -> tuple[float, np.ndarray, int, tuple[float, float]]:
-    """Dominant eigenvalue and positive left eigenvector, with its certificate.
-
-    Iterates on ``T = matrix.T`` from ``x = 1``, renormalizing by the
-    largest entry. Each iterate's Collatz–Wielandt bracket ``[lo, hi]``
-    contains the spectral radius; the loop stops once
-    ``(hi - lo) / hi <= CW_TOL``. Power steps ``x <- Tx`` are kept while
-    each shrinks that relative width at least tenfold, so a fast-mixing
-    matrix never factorizes. From the first power step that does not,
-    every step is Noda's: solve ``(hi I - T) z = x``. Since ``hi >= rho``
-    the shifted matrix is an M-matrix and ``z`` stays positive. A shifted
-    step that does not shrink the width, a failed solve or an iterate
-    that is not strictly positive raises NoConvergence. The width starts
-    below one, so there are at most 14 power steps before the switch.
-
-    Returns the bracket's midpoint, the iterate it certifies, the number
-    of steps and the bracket.
-    """
-    transposed = matrix.T
-    n = transposed.shape[0]
-    vec = np.ones(n)
-    image = transposed @ vec
-    lo, hi = float(image.min()), float(image.max())
-    if not hi > 0.0:
-        raise NoConvergence(f"dominant eigenvalue bracket [{lo!r}, {hi!r}] is not positive")
-    width = (hi - lo) / hi
-    steps, shifted = 0, False
-    while not width <= CW_TOL:
-        if shifted:
-            # Solved in the iterate's own scale, D^-1 (hi I - T) D with
-            # D = diag(vec), so rounding stays relative to each entry.
-            # Built in place: one n x n array besides the solver's copy.
-            system = transposed * vec
-            system /= -vec[:, None]
-            system.flat[:: n + 1] += hi
-            try:
-                step = vec * np.linalg.solve(system, np.ones(n))
-            except np.linalg.LinAlgError as err:
-                raise NoConvergence(
-                    f"shifted solve failed with bracket [{lo!r}, {hi!r}]"
-                ) from err
-        else:
-            step = image
-        step = step / step.max()
-        if not step.min() > 0.0:
-            raise NoConvergence(f"iterate lost positivity with bracket [{lo!r}, {hi!r}]")
-        image = transposed @ step
-        ratios = image / step
-        lo, hi = float(ratios.min()), float(ratios.max())
-        new_width = (hi - lo) / hi
-        if shifted and not new_width < width:
-            raise NoConvergence(f"shifted step did not narrow the bracket [{lo!r}, {hi!r}]")
-        shifted = shifted or not new_width <= 0.1 * width
-        vec, width = step, new_width
-        steps += 1
-    return 0.5 * (lo + hi), vec, steps, (lo, hi)
 
 
 def uniform_profit_rate(

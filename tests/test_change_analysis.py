@@ -3,12 +3,14 @@
 import collections
 import importlib
 import pkgutil
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import okishio_lab
+from okishio_lab import verify
 from okishio_lab import (
     NotProductive,
     TechChange,
@@ -157,3 +159,43 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
     assert len(per_economy) == count
     for name, limit in SOLVE_LIMITS.items():
         assert max(calls[name] for calls in per_economy) <= limit, name
+
+
+def test_sweep_eigensolves_only_to_draw_economies(monkeypatch):
+    # random_economy rescales each draw by its eigvals radius; Technology
+    # certifies productivity from its one value solve, and labor_values
+    # reads the values that solve kept.
+    draws, eigensolves, value_solves, per_construction = [], [], [], []
+    original_eigvals, original_solve = np.linalg.eigvals, np.linalg.solve
+    original_init = Technology.__post_init__
+    original_connected = verify._strongly_connected
+
+    def counted_eigvals(*args, **kwargs):
+        eigensolves.append(sys._getframe(1).f_code.co_name)
+        return original_eigvals(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_solve_values":
+            value_solves.append(args)
+        return original_solve(*args, **kwargs)
+
+    def counted_init(self):
+        before = len(value_solves)
+        original_init(self)
+        per_construction.append(len(value_solves) - before)
+
+    def counted_connected(inputs):
+        draws.append(inputs)
+        return original_connected(inputs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(Technology, "__post_init__", counted_init)
+    # random_economy screens each draw's connectivity once, through the
+    # name verify imported.
+    monkeypatch.setattr(verify, "_strongly_connected", counted_connected)
+    run_suite(seed=1000, count=20)
+    assert len(draws) >= 20
+    assert eigensolves == ["random_economy"] * len(draws)
+    assert per_construction and max(per_construction) <= 1
+    assert len(value_solves) == sum(per_construction)

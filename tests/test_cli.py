@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import okishio_lab
-from okishio_lab import load_tech_change
+from okishio_lab import linear_economy, load_tech_change
 from okishio_lab.cli import main
 
 
@@ -87,15 +87,23 @@ class TestAnalyze:
         assert equilibrium["iterations"] > 0
 
     def test_screens_the_input_matrix_once(self, economy_file, capsys, monkeypatch):
-        # Technology's validation is the only screen: rho_inputs and the
-        # max profit rate read the radius it measured.
-        calls = []
-        original = okishio_lab.check_productive_indecomposable
+        # Technology certifies productivity from its value solve, and
+        # rho_inputs and the max profit rate read one lazy radius solve.
+        eigensolves, radius_solves = [], []
+        original_eigvals = np.linalg.eigvals
+        original = linear_economy._left_perron
+        inputs = np.array(REF_ECONOMY["A"])
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted_eigvals(*args, **kwargs):
+            eigensolves.append(args)
+            return original_eigvals(*args, **kwargs)
 
+        def counted(matrix):
+            if np.array_equal(matrix, inputs):
+                radius_solves.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         package = okishio_lab
         modules = [package] + [
             importlib.import_module(f"{package.__name__}.{info.name}")
@@ -107,7 +115,8 @@ class TestAnalyze:
                     monkeypatch.setattr(module, attr, counted)
         assert main(["analyze", "--economy", economy_file, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(calls) == 1
+        assert eigensolves == []
+        assert len(radius_solves) == 1
         assert payload["max_profit_rate"] == 1.0 / payload["rho_inputs"] - 1.0
 
     def test_unproductive_economy_rejected(self, tmp_path, capsys):

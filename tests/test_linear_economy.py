@@ -10,24 +10,34 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from okishio_lab import (
     Decomposable,
     NegativeExploitationWarning,
     NonPositiveValue,
     NotProductive,
+    SingularSystem,
     Technology,
     WageBundle,
+    augmented_inputs,
     check_productive_indecomposable,
     exploitation_rate,
     labor_values,
     load_economy,
+    max_profit_rate,
+    random_economy,
     save_economy,
     value_of_bundle,
     value_system,
 )
-from okishio_lab.linear_economy import ZERO_PATTERN_TOL, _strongly_connected
+from okishio_lab.linear_economy import (
+    CW_TOL,
+    PRODUCTIVITY_MARGIN,
+    ZERO_PATTERN_TOL,
+    _solve_values,
+    _strongly_connected,
+)
 
 
 class TestValidation:
@@ -38,6 +48,12 @@ class TestValidation:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             Technology(np.array([[0.1, 0.2, 0.3], [0.1, 0.1, 0.1]]), np.array([1.0, 1.0]))
+
+    def test_no_sectors_rejected(self):
+        with pytest.raises(ValueError, match="at least one sector"):
+            Technology(np.zeros((0, 0)), np.zeros(0))
+        with pytest.raises(ValueError, match="at least one sector"):
+            check_productive_indecomposable(np.zeros((0, 0)))
 
     def test_labor_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labor"):
@@ -205,6 +221,107 @@ class TestLaborValues:
             assert np.all(values > 0)
             residual = values @ (np.eye(n) - inputs) - tech.labor
             assert np.max(np.abs(residual)) <= 1e-9
+
+
+def eigvals_radius(matrix):
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+
+class TestValueCertificate:
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10, 1e14])
+    def test_accepted_in_any_unit_of_labor(self, ref_tech, scale):
+        # The residual is measured against the largest value: as an
+        # absolute residual, x1e8 read 3.7e-9 and x1e14 2.0e-3.
+        tech = Technology(ref_tech.inputs, ref_tech.labor * scale)
+        np.testing.assert_allclose(
+            labor_values(tech),
+            labor_values(ref_tech) * scale,
+            rtol=np.finfo(float).eps,
+            atol=0.0,
+        )
+
+    def test_loose_bound_falls_back_to_the_radius(self, ref_inputs):
+        # Sector 1's labor is rounded away next to its value, so the bound
+        # 1 - min_i L_i / v_i reads 1 although the radius is 0.65.
+        labor = np.array([1e-16, 1.0, 1.0])
+        assert _solve_values(ref_inputs, labor)[1] >= 1.0 - PRODUCTIVITY_MARGIN
+        tech = Technology(ref_inputs, labor)
+        assert tech.spectral_radius == pytest.approx(0.65, rel=1e-14)
+        assert np.all(tech.values > 0)
+
+    def test_zero_matrix_has_radius_zero(self):
+        tech = Technology(np.array([[0.0]]), np.array([1.0]))
+        assert tech.spectral_radius == 0.0
+        assert max_profit_rate(tech) == float("inf")
+        np.testing.assert_array_equal(tech.values, [1.0])
+
+    def test_periodic_matrix(self):
+        # Eigenvalues +-0.4: power steps alone would never settle.
+        tech = Technology(np.array([[0.0, 0.2], [0.8, 0.0]]), np.array([1.0, 1.0]))
+        assert tech.spectral_radius == pytest.approx(0.4, rel=1e-14)
+
+    def test_values_are_kept_read_only(self, ref_tech):
+        assert labor_values(ref_tech) is ref_tech.values
+        with pytest.raises(ValueError):
+            ref_tech.values[0] = 99.0
+        with pytest.raises(TypeError):
+            Technology(ref_tech.inputs, ref_tech.labor, ref_tech.values)
+
+    def test_failed_solve_is_singular_only_when_productive(
+        self, ref_inputs, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        # Both matrices have equal column sums, so measuring their radius
+        # needs no solve of its own.
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(SingularSystem, match="singular"):
+            Technology(ref_inputs, np.array([0.2, 0.15, 0.25]))
+        with pytest.raises(NotProductive, match="1.200000"):
+            Technology(np.full((2, 2), 0.6), np.array([1.0, 1.0]))
+
+
+@st.composite
+def drawn_economies(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_economy(rng, draw(st.integers(2, 8)))
+
+
+class TestCertificateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_economies(), st.integers(-6, 6))
+    def test_bound_is_above_eigvals(self, economy, k):
+        tech, bundle = economy
+        labor = tech.labor * 10.0**k
+        rescaled = Technology(tech.inputs, labor)
+        # The technique, and the same economy's wage-augmented matrix
+        # (radius 1/(1 + pi) < 1) with the bundle counted in 10^-k units.
+        augmented = augmented_inputs(rescaled, WageBundle(bundle.quantities * 10.0**-k))
+        for inputs in (tech.inputs, augmented):
+            values, bound = _solve_values(inputs, labor)
+            assert np.all(values > 0)
+            assert bound >= eigvals_radius(inputs) * (1.0 - CW_TOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.sampled_from([0.5, 0.99, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]),
+        st.integers(-6, 6),
+    )
+    def test_verdict_matches_eigvals(self, seed, n, radius, k):
+        rng = np.random.default_rng(seed)
+        inputs = rng.uniform(0.0, 0.3, (n, n)) * (rng.random((n, n)) < 0.5)
+        # A cycle through every sector keeps the matrix irreducible.
+        inputs[np.arange(n), np.roll(np.arange(n), 1)] += rng.uniform(0.01, 0.3, n)
+        inputs *= radius / eigvals_radius(inputs)
+        labor = rng.uniform(0.05, 0.5, n) * 10.0**k
+        if eigvals_radius(inputs) < 1.0 - PRODUCTIVITY_MARGIN:
+            assert np.all(Technology(inputs, labor).values > 0)
+        else:
+            with pytest.raises(NotProductive):
+                Technology(inputs, labor)
 
 
 class TestBundleValue:
