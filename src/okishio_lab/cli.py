@@ -20,6 +20,7 @@ variable OKISHIO_LAB_TOL overrides the equilibrium residual tolerance
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -51,7 +52,16 @@ from .technical_change import (
     load_tech_change,
     tech_change_payload,
 )
-from .verify import run_scenario, run_suite, suite_csv, suite_summary
+# run_suite is bound here for perfbench/tracing.py, which wraps each name
+# in every module that binds it, and for its tests.
+from .verify import (  # noqa: F401
+    SUITE_CSV_COLUMNS,
+    iter_suite,
+    run_scenario,
+    run_suite,
+    suite_csv_row,
+    suite_summary,
+)
 from .worked_example import replay
 
 
@@ -350,18 +360,24 @@ def cmd_reproduce_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    records = run_suite(
+    records = iter_suite(
         seed=args.seed,
         count=args.count,
         n_range=(args.n_min, args.n_max),
         residual_tol=_residual_tol(),
     )
-    summary = suite_summary(records)
     if args.format == "csv":
-        sys.stdout.write(suite_csv(records))
-    elif args.format == "json":
+        records = _echoed_as_csv(records)
+    try:
+        summary = suite_summary(records)
+    except BrokenPipeError:
+        # The reader closed the pipe early (``sweep ... | head``) and has the
+        # rows it read; what is still buffered goes nowhere at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    if args.format == "json":
         _emit_json(summary)
-    else:
+    elif args.format == "text":
         print(f"scenarios:          {summary['count']}")
         for verdict, count in summary["verdicts"].items():
             print(f"  {verdict:<34} {count}")
@@ -369,6 +385,15 @@ def cmd_sweep(args) -> int:
         print(f"rising violations:  {summary['rising_violations']}")
         print(f"violations:         {summary['violations']}")
     return 3 if summary["violations"] > 0 else 0
+
+
+def _echoed_as_csv(records):
+    """Pass records on, writing each one's CSV row to stdout as it comes."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(SUITE_CSV_COLUMNS)
+    for record in records:
+        writer.writerow(suite_csv_row(record))
+        yield record
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,13 @@ quadratically however close the second eigenvalue is to ``rho``. The
 bracket does not depend on the units of goods or labor, and neither
 does the returned residual, which is measured relative to the largest
 price.
+
+``solve_equilibria`` prices many economies at once: the matrices of one
+size form a ``(k, n, n)`` stack, and ``_left_perron`` runs its plain
+loop for one row and a masked loop over stacked products and solves
+for more. Each row takes the same steps with the same arithmetic
+either way, so an equilibrium does not depend on what was solved
+beside it. ``uniform_profit_rate`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -29,16 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
-from .linear_economy import (
-    CW_TOL,
-    Technology,
-    WageBundle,
-    _left_perron,
-    labor_values,
-    value_of_bundle,
-)
+from .linear_economy import CW_TOL, Technology, WageBundle, _left_perron
 
 DEFAULT_RESIDUAL_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 # Strictness margin for price-value ratio, cost and elementwise comparisons.
 STRICT_MARGIN = 1e-12
 
@@ -96,6 +97,10 @@ class WageAdmissibility:
 
 def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     """Input matrix with wage goods folded into each sector's recipe."""
+    if bundle.n != tech.n:
+        raise ValueError(
+            f"wage bundle length {bundle.n} does not match {tech.n} sectors"
+        )
     return tech.inputs + np.outer(bundle.quantities, tech.labor)
 
 
@@ -121,12 +126,51 @@ def uniform_profit_rate(
         DegenerateNormalization: the bundle has zero cost at the raw
             eigenvector, so prices cannot be scaled to it.
     """
-    if bundle.n != tech.n:
-        raise ValueError(
-            f"wage bundle length {bundle.n} does not match {tech.n} sectors"
-        )
-    augmented = augmented_inputs(tech, bundle)
-    rho, raw, steps, bounds = _left_perron(augmented)
+    return solve_equilibria([(tech, bundle)], residual_tol)[0]
+
+
+def solve_equilibria(
+    systems, residual_tol: float = DEFAULT_RESIDUAL_TOL
+) -> list[Equilibrium]:
+    """``uniform_profit_rate`` for each ``(tech, bundle)`` pair, in order.
+
+    The wage-augmented matrices of all pairs with the same number of
+    sectors go to ``_left_perron`` as one stack, so the number of solver
+    calls grows with the number of distinct sizes, not of pairs. Each
+    certified row is then priced on its own by ``_equilibrium``, so an
+    equilibrium does not depend on the pairs solved beside it. A pair
+    that fails raises what ``uniform_profit_rate`` raises for it.
+    """
+    by_size: dict[int, list[int]] = {}
+    for index, (tech, _) in enumerate(systems):
+        by_size.setdefault(tech.n, []).append(index)
+    solved: list = [None] * len(systems)
+    for rows in by_size.values():
+        pairs = [systems[index] for index in rows]
+        stack = np.array([augmented_inputs(tech, bundle) for tech, bundle in pairs])
+        certified = zip(rows, pairs, stack, *_left_perron(stack))
+        for index, (_, bundle), augmented, rho, raw, steps, bounds in certified:
+            solved[index] = _equilibrium(
+                augmented, bundle, float(rho), raw, int(steps), tuple(bounds.tolist()),
+                residual_tol,
+            )
+    return solved
+
+
+def _equilibrium(
+    augmented: np.ndarray,
+    bundle: WageBundle,
+    rho: float,
+    raw: np.ndarray,
+    steps: int,
+    bounds: tuple[float, float],
+    residual_tol: float,
+) -> Equilibrium:
+    """Prices from one certified eigenvector: normalize, then check the residual.
+
+    Row by row, with 1-d products: a stacked product need not round as
+    the single one does.
+    """
     cost = float(raw @ bundle.quantities)
     # raw is strictly positive and the bundle nonzero, so only underflow
     # leaves the bundle without a price.
@@ -135,11 +179,11 @@ def uniform_profit_rate(
     prices = raw / cost
     profit = 1.0 / rho - 1.0
     image = (1.0 + profit) * (prices @ augmented)
-    scale = float(np.max(prices))
-    residual = float(np.max(np.abs(prices - image))) / scale
+    scale = float(prices.max())
+    residual = float(np.abs(prices - image).max()) / scale
     # Evaluating the residual rounds each entry by up to about n + 1 ulps
     # of the image, so no tolerance below that can be certified.
-    rounding = (tech.n + 1) * np.finfo(float).eps * float(np.max(image)) / scale
+    rounding = (bundle.n + 1) * _EPS * float(image.max()) / scale
     if residual + rounding > residual_tol:
         raise NoConvergence(
             f"equilibrium residual {residual:.3e} (rounding {rounding:.1e}) "
@@ -165,15 +209,3 @@ def admissibility(
     surplus_ok = 0.0 < bundle_value <= 1.0
     headroom = surplus_ok and max_ratio > 1.0 / bundle_value + STRICT_MARGIN
     return WageAdmissibility(surplus_ok, headroom, max_ratio, sector)
-
-
-def check_wage_admissibility(tech: Technology, bundle: WageBundle) -> WageAdmissibility:
-    """Solve the economy and screen its wage bundle.
-
-    Ties are broken toward the lowest sector index when several sectors
-    share the maximal price-value ratio.
-    """
-    equilibrium = uniform_profit_rate(tech, bundle)
-    values = labor_values(tech)
-    bundle_value = value_of_bundle(values, bundle)
-    return admissibility(equilibrium.prices, values, bundle_value)

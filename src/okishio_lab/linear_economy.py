@@ -44,8 +44,6 @@ from .errors import (
 
 # Margin by which the spectral radius must stay below one.
 PRODUCTIVITY_MARGIN = 1e-12
-# Entries at or below this are treated as structural zeros of the input graph.
-ZERO_PATTERN_TOL = 1e-14
 # Acceptable residual for the value-accounting system, relative to the
 # largest value.
 VALUE_RESIDUAL_TOL = 1e-10
@@ -82,32 +80,52 @@ def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
 
 
 def _strongly_connected(inputs: np.ndarray) -> bool:
-    # Edge i -> j when good i enters sector j's recipe.
-    adjacency = inputs > ZERO_PATTERN_TOL
+    # Edge i -> j when good i enters sector j's recipe. Only an exact zero
+    # is no edge: that pattern alone survives a change of units.
+    adjacency = inputs > 0.0
     return bool(_reachable(adjacency, 0).all() and _reachable(adjacency.T, 0).all())
 
 
 def _left_perron(
-    matrix: np.ndarray,
-) -> tuple[float, np.ndarray, int, tuple[float, float]]:
-    """Dominant eigenvalue and positive left eigenvector, with its certificate.
+    stack: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dominant eigenvalues and positive left eigenvectors, with certificates.
 
-    ``matrix`` must be nonnegative and irreducible. Iterates on
-    ``T = matrix.T`` from ``x = 1``, renormalizing by the largest entry.
-    Each iterate's Collatz–Wielandt bracket ``[lo, hi]`` contains the
-    spectral radius; the loop stops once ``(hi - lo) / hi <= CW_TOL``.
-    Power steps ``x <- Tx`` are kept while each shrinks that relative
-    width at least tenfold, so a fast-mixing matrix never factorizes.
-    From the first power step that does not, every step is Noda's: solve
-    ``(hi I - T) z = x``. Since ``hi >= rho`` the shifted matrix is an
-    M-matrix and ``z`` stays positive. A shifted step that does not
-    shrink the width, a failed solve or an iterate that is not strictly
-    positive raises NoConvergence. The width starts below one, so there
-    are at most 14 power steps before the switch.
+    ``stack`` is a ``(k, n, n)`` stack of nonnegative irreducible
+    matrices. Each row is iterated on ``T = matrix.T`` from ``x = 1``,
+    renormalizing by the largest entry. Each iterate's Collatz–Wielandt
+    bracket ``[lo, hi]`` contains the spectral radius; a row stops once
+    ``(hi - lo) / hi <= CW_TOL``. Power steps ``x <- Tx`` are kept while
+    each shrinks that relative width at least tenfold, so a fast-mixing
+    matrix never factorizes. From the first power step that does not,
+    every step of that row is Noda's: solve ``(hi I - T) z = x``. Since
+    ``hi >= rho`` the shifted matrix is an M-matrix and ``z`` stays
+    positive. A start bracket that is not positive, a shifted step that
+    does not shrink the width, a failed solve or an iterate that is not
+    strictly positive raises NoConvergence, whichever row it happens in.
+    The width starts below one, so there are at most 14 power steps
+    before the switch.
 
-    Returns the bracket's midpoint, the iterate it certifies, the number
-    of steps and the bracket.
+    One row (k = 1) runs a plain loop on that matrix: the masked loop's
+    bookkeeping would make a lone solve about twice as slow. More rows
+    run one masked loop: a stacked ``matmul`` for every row's power step
+    and one stacked solve for the rows that have switched, and a row
+    leaves the working set once it has converged. Each row's arithmetic
+    is the same in both, so a row's result does not depend on the rows
+    beside it or on which loop ran.
+
+    Returns, per row, the bracket's midpoint, the iterate it certifies,
+    the number of steps and the bracket, as arrays of shape ``(k,)``,
+    ``(k, n)``, ``(k,)`` and ``(k, 2)``.
     """
+    if stack.shape[0] == 1:
+        rho, vec, steps, bounds = _perron_one(stack[0])
+        return np.array([rho]), vec[None], np.array([steps]), np.array([bounds])
+    return _perron_stack(stack)
+
+
+def _perron_one(matrix: np.ndarray) -> tuple[float, np.ndarray, int, tuple[float, float]]:
+    """``_left_perron`` on one matrix, as a plain loop."""
     transposed = matrix.T
     n = transposed.shape[0]
     vec = np.ones(n)
@@ -148,13 +166,92 @@ def _left_perron(
     return 0.5 * (lo + hi), vec, steps, (lo, hi)
 
 
+def _first_failure(failed: np.ndarray, lo: np.ndarray, hi: np.ndarray, message: str):
+    """Raise NoConvergence with the bracket of the first failed row, if any."""
+    if failed.any():
+        row = int(np.argmax(failed))
+        raise NoConvergence(message.format(f"[{float(lo[row])!r}, {float(hi[row])!r}]"))
+
+
+def _singular(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.solve(matrix, np.ones(matrix.shape[0]))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _perron_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_left_perron`` on several matrices, as one masked loop.
+
+    Mirrors ``_perron_one`` operation by operation over the rows still
+    working; ``matrices`` stays C-ordered so each row's transpose is laid
+    out as ``matrix.T`` is in the plain loop.
+    """
+    k, n, _ = stack.shape
+    rho, vectors = np.empty(k), np.empty((k, n))
+    steps, bounds = np.zeros(k, dtype=int), np.empty((k, 2))
+    rows, matrices = np.arange(k), np.ascontiguousarray(stack, dtype=float)
+    vec = np.ones((k, n))
+    image = (matrices.transpose(0, 2, 1) @ vec[:, :, None])[:, :, 0]
+    lo, hi = image.min(axis=1), image.max(axis=1)
+    _first_failure(~(hi > 0.0), lo, hi, "dominant eigenvalue bracket {} is not positive")
+    width = (hi - lo) / hi
+    shifted = np.zeros(k, dtype=bool)
+    diagonal = np.arange(n)
+    count = 0
+    while True:
+        done = width <= CW_TOL
+        if done.any():
+            out = rows[done]
+            rho[out] = 0.5 * (lo[done] + hi[done])
+            vectors[out], steps[out] = vec[done], count
+            bounds[out, 0], bounds[out, 1] = lo[done], hi[done]
+            left = ~done
+            if not left.any():
+                return rho, vectors, steps, bounds
+            rows, matrices, vec, image = rows[left], matrices[left], vec[left], image[left]
+            lo, hi, width, shifted = lo[left], hi[left], width[left], shifted[left]
+        transposed = matrices.transpose(0, 2, 1)
+        step = image.copy()
+        if shifted.any():
+            scale = vec[shifted]
+            system = transposed[shifted] * scale[:, None, :]
+            system /= -scale[:, :, None]
+            system[:, diagonal, diagonal] += hi[shifted][:, None]
+            try:
+                solved = np.linalg.solve(system, np.ones(scale.shape + (1,)))
+            except np.linalg.LinAlgError as err:
+                # The stacked solve fails as a whole; name a row it fails on.
+                singular = np.array([_singular(matrix) for matrix in system])
+                _first_failure(
+                    singular, lo[shifted], hi[shifted], "shifted solve failed with bracket {}"
+                )
+                raise NoConvergence(f"shifted solve failed: {err}") from err
+            step[shifted] = scale * solved[:, :, 0]
+        step /= step.max(axis=1, keepdims=True)
+        _first_failure(
+            ~(step.min(axis=1) > 0.0), lo, hi, "iterate lost positivity with bracket {}"
+        )
+        image = (transposed @ step[:, :, None])[:, :, 0]
+        ratios = image / step
+        lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+        new_width = (hi - lo) / hi
+        _first_failure(
+            shifted & ~(new_width < width), lo, hi, "shifted step did not narrow the bracket {}"
+        )
+        shifted |= ~(new_width <= 0.1 * width)
+        vec, width = step, new_width
+        count += 1
+
+
 def _perron_radius(inputs: np.ndarray) -> float:
     """Spectral radius of a nonnegative irreducible matrix.
 
     The midpoint of ``_left_perron``'s bracket; 0.0 for the zero matrix,
     which is irreducible only with one sector.
     """
-    return _left_perron(inputs)[0] if inputs.any() else 0.0
+    return float(_left_perron(inputs[None])[0][0]) if inputs.any() else 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -101,12 +101,16 @@ def classify(
     cost_pre = float(prices @ old_column + wage * old_labor)
     cost_post = float(prices @ change.new_column + wage * change.new_labor)
     cost_drop = cost_pre - cost_post
-    viable = cost_drop > STRICT_MARGIN * wage
+    # Each margin is relative to the quantity compared, so no verdict
+    # depends on the units of labor or of any good.
+    viable = cost_drop > STRICT_MARGIN * cost_pre
+    rise = change.new_column - old_column
     if weak_culs:
-        column_rises = bool(np.all(change.new_column >= old_column - STRICT_MARGIN))
+        column_rises = bool(np.all(rise >= -STRICT_MARGIN * old_column))
     else:
-        column_rises = bool(np.all(change.new_column - old_column > STRICT_MARGIN))
-    labor_falls = old_labor - change.new_labor > STRICT_MARGIN
+        # A zero requirement must become strictly positive.
+        column_rises = bool(np.all(rise > STRICT_MARGIN * old_column))
+    labor_falls = old_labor - change.new_labor > STRICT_MARGIN * old_labor
     saving_rate = cost_drop / (wage * change.new_labor)
     return ChangeClassification(
         viable=viable,
@@ -177,10 +181,8 @@ def check_properties(
     prices = equilibrium.prices
     old_column = tech.input_column(change.sector)
     old_labor = float(tech.labor[change.sector])
-    cost_drop = float(
-        (prices @ old_column + old_labor)
-        - (prices @ change.new_column + change.new_labor)
-    )
+    cost_pre = float(prices @ old_column + old_labor)
+    cost_drop = cost_pre - float(prices @ change.new_column + change.new_labor)
     new_bundle_cost = float(prices @ new_bundle.quantities)
     bundle_value_pre = float(np.asarray(values) @ bundle.quantities)
     bundle_value_post = float(np.asarray(new_values) @ new_bundle.quantities)
@@ -189,8 +191,8 @@ def check_properties(
         more_expensive=new_bundle_cost > 1.0 + STRICT_MARGIN,
         value_constant=abs(bundle_value_pre - bundle_value_post) <= VALUE_MATCH_TOL,
         saving_bounded=(
-            cost_drop > STRICT_MARGIN
-            and labor_cost_margin - cost_drop > STRICT_MARGIN
+            cost_drop > STRICT_MARGIN * cost_pre
+            and labor_cost_margin - cost_drop > STRICT_MARGIN * cost_pre
         ),
         surplus_ok_post=0.0 < bundle_value_post <= 1.0,
         new_bundle_cost=new_bundle_cost,

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EconomyError, OracleLimit
-from .equilibrium import DEFAULT_RESIDUAL_TOL, admissibility, uniform_profit_rate
+# uniform_profit_rate is bound here for perfbench/tracing.py, which wraps
+# each name in every module that binds it, and for its tests.
+from .equilibrium import (  # noqa: F401
+    DEFAULT_RESIDUAL_TOL,
+    admissibility,
+    solve_equilibria,
+    uniform_profit_rate,
+)
 from .linear_economy import (
     Technology,
     WageBundle,
@@ -42,6 +49,10 @@ from .synthesis import (
 )
 from .technical_change import TechChange, check_properties
 
+# Economies that run_suite draws, solves and verifies together.
+SUITE_BLOCK = 128
+# Candidate draws random_economy makes before giving up.
+DRAW_ATTEMPTS = 200
 PROFIT_FALL_MARGIN = 1e-12
 EXPLOITATION_MATCH_TOL = 1e-9
 CONTROL_SLACK = 1e-9
@@ -117,53 +128,89 @@ def run_scenarios(
     is shared with whatever produced the change or the bundles. Module
     errors propagate with scenario context prepended.
     """
+    return _verify([(tech, bundle, change, tuple(new_bundles))], residual_tol)[0]
+
+
+def _verify(cases: list, residual_tol: float) -> list[list[ScenarioReport]]:
+    """``run_scenarios`` for each ``(tech, bundle, change, new_bundles)``.
+
+    One stacked solve prices every pre-change state and one every
+    post-change state. When any step fails, the cases are run again one
+    at a time, so the error raised is the first failing case's, with its
+    context.
+    """
     try:
-        pre_eq = uniform_profit_rate(tech, bundle, residual_tol)
-        analysis = analyze_change(tech, bundle, pre_eq, change)
-        pre, new_values = analysis.values, analysis.new_values
-        flags_pre = admissibility(pre_eq.prices, pre.values, pre.bundle_value)
-        posts = []
-        for new_bundle in new_bundles:
-            post_eq = uniform_profit_rate(analysis.patched, new_bundle, residual_tol)
-            post_exploit = exploitation_rate(value_of_bundle(new_values, new_bundle))
-            properties = check_properties(
-                tech, change, pre_eq, pre.values, new_values, bundle, new_bundle
-            )
-            posts.append((post_eq, post_exploit, properties))
+        return _verify_stacked(cases, residual_tol)
     except EconomyError as err:
+        if len(cases) > 1:
+            for case in cases:
+                _verify([case], residual_tol)
+            raise
+        tech, _, change, _ = cases[0]
         context = f"scenario with {tech.n} sectors, change in sector {change.sector + 1}"
         if hasattr(err, "add_note"):
             err.add_note(context)
             raise
         raise type(err)(f"{err} ({context})") from err
-    classification, region = analysis.classification, analysis.region
-    return [
-        ScenarioReport(
-            pre_profit=pre_eq.profit_rate,
-            pre_prices=pre_eq.prices,
-            pre_values=pre.values,
-            pre_exploitation=pre.exploitation,
-            post_profit=post_eq.profit_rate,
-            post_prices=post_eq.prices,
-            post_values=new_values,
-            post_exploitation=post_exploit,
-            flags=ScenarioFlags(
-                viable=classification.viable,
-                culs=classification.culs,
-                more_expensive=properties.more_expensive,
-                value_constant=properties.value_constant,
-                saving_bounded=properties.saving_bounded,
-                admissible_pre=flags_pre.admissible,
-                surplus_ok_post=properties.surplus_ok_post,
-                region_feasible=region is not None and region.feasible,
-                ratio_condition=region is not None and ratio_condition_holds(region),
-            ),
-            verdict=_verdict(
-                pre_eq.profit_rate, post_eq.profit_rate, pre.exploitation, post_exploit
-            ),
-        )
-        for post_eq, post_exploit, properties in posts
+
+
+def _verify_stacked(cases: list, residual_tol: float) -> list[list[ScenarioReport]]:
+    pre_eqs = solve_equilibria(
+        [(tech, bundle) for tech, bundle, _, _ in cases], residual_tol
+    )
+    analyses = [
+        analyze_change(tech, bundle, pre_eq, change)
+        for (tech, bundle, change, _), pre_eq in zip(cases, pre_eqs)
     ]
+    post_eqs = iter(
+        solve_equilibria(
+            [
+                (analysis.patched, new_bundle)
+                for analysis, case in zip(analyses, cases)
+                for new_bundle in case[3]
+            ],
+            residual_tol,
+        )
+    )
+    return [
+        [_report(case, pre_eq, analysis, new_bundle, next(post_eqs)) for new_bundle in case[3]]
+        for case, pre_eq, analysis in zip(cases, pre_eqs, analyses)
+    ]
+
+
+def _report(case, pre_eq, analysis, new_bundle, post_eq) -> ScenarioReport:
+    tech, bundle, change, _ = case
+    pre, new_values = analysis.values, analysis.new_values
+    classification, region = analysis.classification, analysis.region
+    flags_pre = admissibility(pre_eq.prices, pre.values, pre.bundle_value)
+    post_exploit = exploitation_rate(value_of_bundle(new_values, new_bundle))
+    properties = check_properties(
+        tech, change, pre_eq, pre.values, new_values, bundle, new_bundle
+    )
+    return ScenarioReport(
+        pre_profit=pre_eq.profit_rate,
+        pre_prices=pre_eq.prices,
+        pre_values=pre.values,
+        pre_exploitation=pre.exploitation,
+        post_profit=post_eq.profit_rate,
+        post_prices=post_eq.prices,
+        post_values=new_values,
+        post_exploitation=post_exploit,
+        flags=ScenarioFlags(
+            viable=classification.viable,
+            culs=classification.culs,
+            more_expensive=properties.more_expensive,
+            value_constant=properties.value_constant,
+            saving_bounded=properties.saving_bounded,
+            admissible_pre=flags_pre.admissible,
+            surplus_ok_post=properties.surplus_ok_post,
+            region_feasible=region is not None and region.feasible,
+            ratio_condition=region is not None and ratio_condition_holds(region),
+        ),
+        verdict=_verdict(
+            pre_eq.profit_rate, post_eq.profit_rate, pre.exploitation, post_exploit
+        ),
+    )
 
 
 def run_scenario(
@@ -300,9 +347,18 @@ def random_economy(rng: np.random.Generator, n: int) -> tuple[Technology, WageBu
     The input matrix is rescaled to a random spectral radius in
     (0.3, 0.8) and the bundle to a random labor value in (0.3, 0.9);
     draws failing admissibility (e.g. near-equal organic compositions)
-    are rejected and retried.
+    are rejected and retried, up to DRAW_ATTEMPTS draws.
     """
-    for _ in range(200):
+    tech, bundle, _ = _draw_economies([rng], [n])[0]
+    return tech, bundle
+
+
+def _candidates(rng: np.random.Generator, n: int):
+    """``random_economy``'s draws, before the admissibility screen.
+
+    Raises RuntimeError once DRAW_ATTEMPTS draws have been made.
+    """
+    for _ in range(DRAW_ATTEMPTS):
         inputs = rng.uniform(0.0, 0.3, (n, n))
         if not _strongly_connected(inputs):
             inputs = _connect_cycle(inputs, rng)
@@ -315,14 +371,38 @@ def random_economy(rng: np.random.Generator, n: int) -> tuple[Technology, WageBu
         values = labor_values(tech)
         direction = rng.uniform(0.1, 1.0, n)
         target = rng.uniform(0.3, 0.9)
-        bundle = WageBundle(direction * (target / float(values @ direction)))
-        equilibrium = uniform_profit_rate(tech, bundle)
-        flags = admissibility(
-            equilibrium.prices, values, value_of_bundle(values, bundle)
-        )
-        if flags.admissible:
-            return tech, bundle
-    raise RuntimeError(f"no admissible {n}-sector economy in 200 draws")
+        yield tech, WageBundle(direction * (target / float(values @ direction)))
+    raise RuntimeError(f"no admissible {n}-sector economy in {DRAW_ATTEMPTS} draws")
+
+
+def _draw_economies(rngs: list, sizes: list) -> list:
+    """``random_economy`` for several generators, with its equilibria.
+
+    Each round draws one candidate per economy still open, from that
+    economy's own generator, and solves all of their equilibria in one
+    ``solve_equilibria`` call; only rejected economies draw again, so
+    each generator is consumed as ``random_economy`` alone consumes it.
+    Returns ``(tech, bundle, equilibrium)`` per generator.
+    """
+    sources = [_candidates(rng, n) for rng, n in zip(rngs, sizes)]
+    drawn: list = [None] * len(sources)
+    pending = list(range(len(sources)))
+    while pending:
+        candidates = [next(sources[index]) for index in pending]
+        rejected = []
+        for index, (tech, bundle), equilibrium in zip(
+            pending, candidates, solve_equilibria(candidates)
+        ):
+            values = labor_values(tech)
+            flags = admissibility(
+                equilibrium.prices, values, value_of_bundle(values, bundle)
+            )
+            if flags.admissible:
+                drawn[index] = (tech, bundle, equilibrium)
+            else:
+                rejected.append(index)
+        pending = rejected
+    return drawn
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,54 +447,81 @@ def run_suite(
 
     Fully deterministic in ``seed``: economy number ``index`` is drawn
     from a generator keyed on (seed, index), so records are reproducible
-    individually.
+    individually. ``iter_suite``, collected.
+    """
+    return list(iter_suite(seed, count, n_range, residual_tol))
+
+
+def iter_suite(
+    seed: int = 1000,
+    count: int = 500,
+    n_range: tuple = (2, 8),
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+):
+    """``run_suite``'s records in index order, SUITE_BLOCK economies at a time.
+
+    Arguments are checked at the call. The records of one block are made
+    together, and each is the same whichever other economies share its
+    block.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if not 1 <= lo <= hi:
         raise ValueError(f"bad sector range {n_range}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    records = []
-    for index in range(count):
-        rng = np.random.default_rng([seed, index])
-        n = int(rng.integers(lo, hi + 1))
-        tech, bundle = random_economy(rng, n)
+    return (
+        record
+        for start in range(0, count, SUITE_BLOCK)
+        for record in _sweep_block(
+            seed, range(start, min(start + SUITE_BLOCK, count)), (lo, hi), residual_tol
+        )
+    )
+
+
+def _sweep_block(seed: int, indices: range, sizes: tuple, residual_tol: float) -> list:
+    """Records for the economies ``indices``: draw, synthesize, verify.
+
+    The producer synthesizes each change at the equilibrium its draw
+    solved; the verifier then prices every economy again from its raw
+    inputs, in one stacked solve before the changes and one after.
+    """
+    rngs = [np.random.default_rng([seed, index]) for index in indices]
+    ns = [int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs]
+    produced = []
+    for index, rng, n, (tech, bundle, equilibrium) in zip(
+        indices, rngs, ns, _draw_economies(rngs, ns)
+    ):
         sector = int(rng.integers(n))
         epsilon_frac = float(rng.uniform(0.1, 0.9))
         labor_frac = float(rng.uniform(0.1, 0.9))
-        equilibrium = uniform_profit_rate(tech, bundle, residual_tol)
         synthesized = synthesize_culs_change(
             tech, bundle, equilibrium, sector, epsilon_frac, labor_frac
         )
-        change = synthesized.change
-        region = analyze_change(tech, bundle, equilibrium, change).region
+        region = analyze_change(tech, bundle, equilibrium, synthesized.change).region
         constant_seed = int(rng.integers(2**63 - 1))
         rising_seed = int(rng.integers(2**63 - 1))
-        constant_bundle = sample_constant_exploitation(region, constant_seed)
-        rising_bundle = sample_rising_exploitation(region, rising_seed)
-        scenario, okishio, rising = run_scenarios(
-            tech, bundle, change, (constant_bundle, bundle, rising_bundle), residual_tol
-        )
-        records.append(
-            SweepRecord(
-                index=index,
-                seed=seed,
-                n=n,
-                tech=tech,
-                bundle=bundle,
-                synthesized=synthesized,
-                region=region,
-                constant_bundle=constant_bundle,
-                rising_bundle=rising_bundle,
-                scenario=scenario,
-                okishio=okishio,
-                rising=rising,
+        produced.append(
+            dict(
+                index=index, seed=seed, n=n, tech=tech, bundle=bundle,
+                synthesized=synthesized, region=region,
+                constant_bundle=sample_constant_exploitation(region, constant_seed),
+                rising_bundle=sample_rising_exploitation(region, rising_seed),
             )
         )
-    return records
+    cases = [
+        (
+            fields["tech"], fields["bundle"], fields["synthesized"].change,
+            (fields["constant_bundle"], fields["bundle"], fields["rising_bundle"]),
+        )
+        for fields in produced
+    ]
+    return [
+        SweepRecord(**fields, scenario=scenario, okishio=okishio, rising=rising)
+        for fields, (scenario, okishio, rising) in zip(produced, _verify(cases, residual_tol))
+    ]
 
 
-_CSV_COLUMNS = [
+SUITE_CSV_COLUMNS = [
     "index",
     "seed",
     "n",
@@ -439,58 +546,64 @@ _CSV_COLUMNS = [
 ]
 
 
+def suite_csv_row(record: SweepRecord) -> list:
+    """One record's CSV row, under SUITE_CSV_COLUMNS.
+
+    Floats use repr, so output is byte-identical across runs with the
+    same seed.
+    """
+    flags = record.scenario.flags
+    return [
+        record.index,
+        record.seed,
+        record.n,
+        flags.viable,
+        flags.culs,
+        flags.more_expensive,
+        flags.value_constant,
+        flags.saving_bounded,
+        flags.admissible_pre,
+        flags.surplus_ok_post,
+        flags.region_feasible,
+        flags.ratio_condition,
+        repr(record.scenario.pre_profit),
+        repr(record.scenario.post_profit),
+        repr(record.scenario.pre_exploitation),
+        repr(record.scenario.post_exploitation),
+        record.scenario.verdict.value,
+        repr(record.okishio.post_profit),
+        record.okishio_ok,
+        repr(record.rising.post_exploitation),
+        record.rising_ok,
+    ]
+
+
 def suite_csv(records) -> str:
-    """Flatten suite records to CSV. Floats use repr, so output is
-    byte-identical across runs with the same seed."""
+    """Flatten suite records to CSV text, header first."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for record in records:
-        flags = record.scenario.flags
-        writer.writerow(
-            [
-                record.index,
-                record.seed,
-                record.n,
-                flags.viable,
-                flags.culs,
-                flags.more_expensive,
-                flags.value_constant,
-                flags.saving_bounded,
-                flags.admissible_pre,
-                flags.surplus_ok_post,
-                flags.region_feasible,
-                flags.ratio_condition,
-                repr(record.scenario.pre_profit),
-                repr(record.scenario.post_profit),
-                repr(record.scenario.pre_exploitation),
-                repr(record.scenario.post_exploitation),
-                record.scenario.verdict.value,
-                repr(record.okishio.post_profit),
-                record.okishio_ok,
-                repr(record.rising.post_exploitation),
-                record.rising_ok,
-            ]
-        )
+    writer.writerow(SUITE_CSV_COLUMNS)
+    writer.writerows(map(suite_csv_row, records))
     return buffer.getvalue()
 
 
 def suite_summary(records) -> dict:
-    """Aggregate counts; ``violations`` must be zero on a healthy build."""
+    """Aggregate counts; ``violations`` must be zero on a healthy build.
+
+    Reads ``records`` once, so it also counts a stream as it goes.
+    """
     verdicts = {verdict.value: 0 for verdict in Verdict}
-    okishio_violations = 0
-    rising_violations = 0
+    count = okishio_violations = rising_violations = 0
     for record in records:
+        count += 1
         verdicts[record.scenario.verdict.value] += 1
         if not record.okishio_ok:
             okishio_violations += 1
         if not record.rising_ok:
             rising_violations += 1
-    main_violations = len(records) - verdicts[
-        Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT.value
-    ]
+    main_violations = count - verdicts[Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT.value]
     return {
-        "count": len(records),
+        "count": count,
         "verdicts": verdicts,
         "okishio_violations": okishio_violations,
         "rising_violations": rising_violations,

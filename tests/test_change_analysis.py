@@ -1,6 +1,5 @@
 """The shared change-analysis chain and the verifier's single pre-change solve."""
 
-import collections
 import importlib
 import pkgutil
 import sys
@@ -120,82 +119,77 @@ class TestRunScenarios:
             _assert_same_report(report, run_scenario(tech, bundle, change, new_bundle))
 
 
-# Solves per sweep economy: the producer and the verifier each solve the
-# pre-change and patched techniques once, random_economy screens its draw,
-# and each of the three bundles gets one post-change equilibrium.
-SOLVE_LIMITS = {"uniform_profit_rate": 6, "labor_values": 6, "Technology": 3}
+# Matrices per sweep economy that reach _left_perron: the draw's
+# equilibrium, which the producer reuses, the verifier's pre-change
+# re-solve, and one post-change equilibrium for each of three bundles.
+# The sweep draws no rejected candidate at this seed, so the bound is exact.
+MATRICES_PER_ECONOMY = 5
 
 
-def test_sweep_solves_each_object_once_per_side(monkeypatch):
-    per_economy = []
+def _wrap_everywhere(monkeypatch, original, wrapper):
+    """Rebind ``original`` to ``wrapper`` in every okishio_lab module."""
     package = okishio_lab
     modules = [package] + [
         importlib.import_module(f"{package.__name__}.{info.name}")
         for info in pkgutil.iter_modules(package.__path__)
     ]
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            if name == "random_economy":
-                per_economy.append(collections.Counter())
-            else:
-                per_economy[-1][name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("random_economy", "uniform_profit_rate", "labor_values"):
-        original = getattr(package, name)
-        wrapper = counted(name, original)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(
-        Technology, "__post_init__", counted("Technology", Technology.__post_init__)
-    )
-    count = 20
-    run_suite(seed=1000, count=count)
-    assert len(per_economy) == count
-    for name, limit in SOLVE_LIMITS.items():
-        assert max(calls[name] for calls in per_economy) <= limit, name
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapper)
 
 
-def test_sweep_eigensolves_only_to_draw_economies(monkeypatch):
-    # random_economy rescales each draw by its eigvals radius; Technology
-    # certifies productivity from its one value solve, and labor_values
-    # reads the values that solve kept.
-    draws, eigensolves, value_solves, per_construction = [], [], [], []
-    original_eigvals, original_solve = np.linalg.eigvals, np.linalg.solve
+def test_sweep_solves_each_object_once_per_side(monkeypatch):
+    matrices, stacks, value_solves, per_construction = [], [], [], []
+    original_perron = okishio_lab.linear_economy._left_perron
+    original_values = okishio_lab.linear_economy._solve_values
     original_init = Technology.__post_init__
-    original_connected = verify._strongly_connected
 
-    def counted_eigvals(*args, **kwargs):
-        eigensolves.append(sys._getframe(1).f_code.co_name)
-        return original_eigvals(*args, **kwargs)
+    def counted_perron(stack):
+        stacks.append(stack.shape[0])
+        matrices.extend(stack)
+        return original_perron(stack)
 
-    def counted_solve(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_solve_values":
-            value_solves.append(args)
-        return original_solve(*args, **kwargs)
+    def counted_values(*args):
+        value_solves.append(args)
+        return original_values(*args)
 
     def counted_init(self):
         before = len(value_solves)
         original_init(self)
         per_construction.append(len(value_solves) - before)
 
-    def counted_connected(inputs):
-        draws.append(inputs)
-        return original_connected(inputs)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    _wrap_everywhere(monkeypatch, original_perron, counted_perron)
+    _wrap_everywhere(monkeypatch, original_values, counted_values)
     monkeypatch.setattr(Technology, "__post_init__", counted_init)
-    # random_economy screens each draw's connectivity once, through the
-    # name verify imported.
-    monkeypatch.setattr(verify, "_strongly_connected", counted_connected)
-    run_suite(seed=1000, count=20)
-    assert len(draws) >= 20
-    assert eigensolves == ["random_economy"] * len(draws)
+    count = 20
+    run_suite(seed=1000, count=count)
+    assert len(matrices) <= MATRICES_PER_ECONOMY * count
+    # Stacked by sector count: three stacks (draw, pre, post) per size.
+    assert len(stacks) <= 3 * len({m.shape[0] for m in matrices})
     assert per_construction and max(per_construction) <= 1
     assert len(value_solves) == sum(per_construction)
+
+
+def test_sweep_eigensolves_only_to_draw_economies(monkeypatch):
+    # The draw rescales each candidate by its eigvals radius; Technology
+    # certifies productivity from its one value solve, and no equilibrium
+    # needs an eigensolver.
+    candidates, eigensolves = [], []
+    original_eigvals = np.linalg.eigvals
+    original_candidates = verify._candidates
+
+    def counted_eigvals(*args, **kwargs):
+        eigensolves.append(sys._getframe(1).f_code.co_name)
+        return original_eigvals(*args, **kwargs)
+
+    def counted_candidates(rng, n):
+        for candidate in original_candidates(rng, n):
+            candidates.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(verify, "_candidates", counted_candidates)
+    run_suite(seed=1000, count=20)
+    assert len(candidates) >= 20
+    assert eigensolves == ["_candidates"] * len(candidates)

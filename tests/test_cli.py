@@ -98,10 +98,9 @@ class TestAnalyze:
             eigensolves.append(args)
             return original_eigvals(*args, **kwargs)
 
-        def counted(matrix):
-            if np.array_equal(matrix, inputs):
-                radius_solves.append(matrix)
-            return original(matrix)
+        def counted(stack):
+            radius_solves.extend(m for m in stack if np.array_equal(m, inputs))
+            return original(stack)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         package = okishio_lab
@@ -603,6 +602,22 @@ class TestSweep:
             check=True,
         )
         assert result.stdout == in_process
+
+    def test_reader_closing_the_pipe_early_is_not_an_error(self):
+        # Rows stream out block by block, so `sweep | head` closes the pipe
+        # while later blocks are still being written. 400 rows are more than
+        # a pipe buffer holds, so the writer cannot finish before the close.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "okishio_lab.cli", "sweep", "--count", "400",
+             "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert process.stdout.readline().startswith(b"index,")
+        process.stdout.close()
+        assert process.wait(timeout=120) == 0
+        assert process.stderr.read() == b""
+        process.stderr.close()
 
     def test_zero_count_prints_header_only(self, capsys):
         assert main(["sweep", "--count", "0", "--format", "csv"]) == 0

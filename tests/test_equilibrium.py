@@ -5,6 +5,8 @@ characteristic cubic by sign scanning plus bisection, sharing nothing
 with the production solver. Elsewhere ``max|eigvals|`` is the oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +17,16 @@ from okishio_lab import (
     WageBundle,
     admissibility,
     augmented_inputs,
-    check_wage_admissibility,
     labor_values,
     max_profit_rate,
     random_economy,
+    run_suite,
+    suite_csv,
     uniform_profit_rate,
     value_of_bundle,
 )
 from okishio_lab.equilibrium import CW_TOL, _left_perron
+from okishio_lab.verify import SUITE_BLOCK
 
 
 def cubic_dominant_root(matrix):
@@ -153,7 +157,8 @@ class TestMaxProfitRate:
         else:
             rng = np.random.default_rng(seed)
             tech, _ = random_economy(rng, int(rng.integers(2, 12)))
-        midpoint, _, _, (lo, hi) = _left_perron(tech.inputs)
+        rho, _, _, bounds = _left_perron(tech.inputs[None])
+        midpoint, (lo, hi) = rho[0], bounds[0]
         assert tech.spectral_radius == midpoint
         # eigvals and the bracket's ratios each carry a few ulps of
         # rounding, so containment is checked to CW_TOL.
@@ -211,9 +216,16 @@ class TestSolverContract:
             uniform_profit_rate(ref_tech, WageBundle(np.array([0.5])))
 
 
+def screen(tech, bundle):
+    """Admissibility of a bundle at its technique's equilibrium."""
+    values = labor_values(tech)
+    prices = uniform_profit_rate(tech, bundle).prices
+    return admissibility(prices, values, value_of_bundle(values, bundle))
+
+
 class TestAdmissibility:
     def test_reference_bundle_admissible(self, ref_tech, ref_bundle):
-        flags = check_wage_admissibility(ref_tech, ref_bundle)
+        flags = screen(ref_tech, ref_bundle)
         assert flags.admissible
         assert flags.nonnegative_surplus and flags.ratio_headroom
         assert flags.max_ratio == pytest.approx(20.0 / 11.0, abs=1e-9)
@@ -231,7 +243,7 @@ class TestAdmissibility:
 
         patched = apply_change(ref_tech, ref_change)
         new_bundle = WageBundle(np.array([0.008613, 1.170977, 0.008613]))
-        flags = check_wage_admissibility(patched, new_bundle)
+        flags = screen(patched, new_bundle)
         assert flags.admissible
         assert flags.max_ratio == pytest.approx(1.7507170, abs=1e-6)
         assert flags.max_ratio_sector == 1
@@ -240,7 +252,7 @@ class TestAdmissibility:
         self, equal_organic_tech, equal_organic_bundle
     ):
         # All ratios equal one plus exploitation exactly: no strict excess.
-        flags = check_wage_admissibility(equal_organic_tech, equal_organic_bundle)
+        flags = screen(equal_organic_tech, equal_organic_bundle)
         assert flags.nonnegative_surplus
         assert not flags.ratio_headroom
         assert not flags.admissible
@@ -249,7 +261,7 @@ class TestAdmissibility:
         values = labor_values(ref_tech)
         rich = WageBundle(np.full(3, 0.7))
         assert value_of_bundle(values, rich) > 1.0
-        flags = check_wage_admissibility(ref_tech, rich)
+        flags = screen(ref_tech, rich)
         assert not flags.nonnegative_surplus
         assert not flags.admissible
 
@@ -411,3 +423,95 @@ class TestCertificateProperties:
         # cancellation in 1/rho - 1 when it is small.
         assert 1.0 + eq.profit_rate == pytest.approx(1.0 + base.profit_rate, rel=1e-14)
         np.testing.assert_allclose(eq.prices, base.prices * 10.0**k, rtol=1e-13)
+
+
+def assert_rows_match_single(stack):
+    """A stacked solve returns, row for row, exactly the single solve."""
+    rho, vectors, steps, bounds = _left_perron(stack)
+    assert rho.shape == steps.shape == (len(stack),)
+    for row, matrix in enumerate(stack):
+        one_rho, one_vector, one_steps, one_bounds = _left_perron(matrix[None])
+        assert rho[row] == one_rho[0]
+        assert np.array_equal(vectors[row], one_vector[0])
+        assert steps[row] == one_steps[0]
+        assert np.array_equal(bounds[row], one_bounds[0])
+    return steps
+
+
+class TestStackedSolve:
+    def test_random_economies(self):
+        rng = np.random.default_rng(61)
+        for n in range(2, 9):
+            economies = [random_economy(rng, n) for _ in range(6)]
+            assert_rows_match_single(
+                np.stack([augmented_inputs(tech, bundle) for tech, bundle in economies])
+            )
+            assert_rows_match_single(np.stack([tech.inputs for tech, _ in economies]))
+
+    def test_near_decomposable(self):
+        rng = np.random.default_rng(62)
+        stack = np.stack(
+            [
+                augmented_inputs(*two_block_economy(rng, coupling, target))
+                for coupling, target in [(1e-9, 0.999), (1e-6, 0.9985), (1e-4, 0.99)]
+            ]
+        )
+        assert_rows_match_single(stack)
+
+    def test_fast_and_slow_rows_together(self):
+        # Fast rows converge on power steps and leave the working set
+        # while slow rows are still taking shifted steps.
+        rng = np.random.default_rng(63)
+        fast = [augmented_inputs(*random_economy(rng, 8)) for _ in range(3)]
+        slow = [augmented_inputs(*two_block_economy(rng, 1e-9, 0.999)) for _ in range(2)]
+        steps = assert_rows_match_single(np.stack([slow[0], *fast, slow[1]]))
+        assert max(steps[1:4]) < min(steps[0], steps[4])
+
+    def test_one_sector(self):
+        stack = np.array([[[0.75]], [[0.2]], [[0.5]]])
+        steps = assert_rows_match_single(stack)
+        assert not steps.any()
+        assert np.array_equal(_left_perron(stack)[0], [0.75, 0.2, 0.5])
+
+    def test_every_row_is_checked(self):
+        rng = np.random.default_rng(64)
+        good = augmented_inputs(*random_economy(rng, 3))
+        with pytest.raises(NoConvergence, match="not positive"):
+            _left_perron(np.stack([good, np.zeros((3, 3)), good]))
+
+    def test_suite_error_names_its_scenario(self):
+        # The draw solves at the default tolerance; the verifier's
+        # pre-change re-solve is the first to use this one.
+        with pytest.raises(NoConvergence) as excinfo:
+            run_suite(seed=1000, count=3, residual_tol=1e-300)
+        err = excinfo.value
+        text = str(err) + "".join(getattr(err, "__notes__", []))
+        assert "residual" in text
+        assert "scenario with" in text
+
+    def test_record_does_not_depend_on_its_block(self):
+        # SUITE_BLOCK + 5 economies span two blocks; the first 20 share
+        # their block with different economies in the two runs.
+        longer = run_suite(seed=1000, count=SUITE_BLOCK + 5)
+        shorter = run_suite(seed=1000, count=20)
+        assert suite_csv(longer[:20]) == suite_csv(shorter)
+        for a, b in zip(longer, shorter):
+            for report in ("scenario", "okishio", "rising"):
+                for name in ("pre_prices", "post_prices", "post_values"):
+                    assert np.array_equal(
+                        getattr(getattr(a, report), name), getattr(getattr(b, report), name)
+                    )
+        # No record keeps a view into its block's stacks.
+        assert all(array.base is None for array in _arrays(longer[0]))
+
+
+def _arrays(obj):
+    """Every array reachable through an object's dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))

@@ -34,7 +34,6 @@ from okishio_lab import (
 from okishio_lab.linear_economy import (
     CW_TOL,
     PRODUCTIVITY_MARGIN,
-    ZERO_PATTERN_TOL,
     _solve_values,
     _strongly_connected,
 )
@@ -160,10 +159,14 @@ class TestConnectivity:
             verdicts[expected] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
-    def test_entries_at_zero_pattern_tol_are_not_edges(self):
+    def test_tiny_entries_are_edges(self):
+        # Only an exact zero is missing: a 1e-14 input is an input in
+        # some other unit of that good.
         cycle = np.roll(np.eye(4), 1, axis=1) * 0.2
         assert _strongly_connected(cycle)
-        cycle[0, 1] = ZERO_PATTERN_TOL
+        cycle[0, 1] = 1e-14
+        assert _strongly_connected(cycle)
+        cycle[0, 1] = 0.0
         assert not _strongly_connected(cycle)
 
 
@@ -186,8 +189,8 @@ class TestLaborValues:
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_no_inputs_means_values_equal_labor(self):
-        # Negligible inputs, still above ZERO_PATTERN_TOL so the graph is
-        # connected: values are labor plus terms of order 1e-13.
+        # Negligible but nonzero inputs, so the graph is connected:
+        # values are labor plus terms of order 1e-13.
         tech = Technology(np.full((3, 3), 1e-13), np.array([0.3, 0.7, 1.1]))
         np.testing.assert_allclose(labor_values(tech), [0.3, 0.7, 1.1], atol=1e-12)
 

@@ -6,8 +6,10 @@ import pytest
 from okishio_lab import (
     OracleLimit,
     TechChange,
+    Technology,
     Verdict,
     WageBundle,
+    admissibility,
     apply_change,
     augmented_inputs,
     build_region,
@@ -17,6 +19,7 @@ from okishio_lab import (
     oracle_spectral_radius,
     random_economy,
     run_scenario,
+    run_scenarios,
     run_suite,
     suite_csv,
     suite_summary,
@@ -191,8 +194,6 @@ class TestRegionMembershipOracle:
 
 class TestRandomEconomy:
     def test_draws_are_valid_and_admissible(self):
-        from okishio_lab import check_wage_admissibility
-
         rng = np.random.default_rng(77)
         for n in (2, 4, 8):
             tech, bundle = random_economy(rng, n)
@@ -200,7 +201,8 @@ class TestRandomEconomy:
             values = labor_values(tech)
             bundle_value = value_of_bundle(values, bundle)
             assert 0.3 - 1e-9 <= bundle_value <= 0.9 + 1e-9
-            assert check_wage_admissibility(tech, bundle).admissible
+            prices = uniform_profit_rate(tech, bundle).prices
+            assert admissibility(prices, values, bundle_value).admissible
 
     def test_deterministic_given_generator_state(self):
         first = random_economy(np.random.default_rng(123), 4)
@@ -299,3 +301,41 @@ class TestSuite:
             single.constant_bundle.quantities, batch.constant_bundle.quantities
         )
         assert single.scenario.post_profit == batch.scenario.post_profit
+
+
+def _in_other_units(record, labor, goods):
+    """A sweep record's scenario inputs in other units of labor and goods.
+
+    Every labor figure is multiplied by ``labor`` and every quantity of
+    good i divided by d_i (``goods`` for even i, ``1 / goods`` for odd i):
+    with D = diag(d), A -> D^-1 A D, L -> L D and each bundle
+    b -> D^-1 b, bundles also divided by ``labor``.
+    """
+    d = np.array([goods if i % 2 == 0 else 1.0 / goods for i in range(record.n)])
+    tech = Technology(
+        record.tech.inputs * d[None, :] / d[:, None], record.tech.labor * d * labor
+    )
+    change = record.synthesized.change
+    sector = change.sector
+    change = TechChange(
+        sector, change.new_column * d[sector] / d, change.new_labor * d[sector] * labor
+    )
+
+    def rescaled(bundle):
+        return WageBundle(bundle.quantities / d / labor)
+
+    new_bundles = (record.constant_bundle, record.bundle, record.rising_bundle)
+    return tech, rescaled(record.bundle), change, tuple(map(rescaled, new_bundles))
+
+
+@pytest.mark.parametrize(
+    "labor, goods", [(1e-13, 1.0), (1.0, 1e-6), (1.0, 1e-12)],
+    ids=["labor*1e-13", "goods*1e-+6", "goods*1e-+12"],
+)
+def test_scenario_verdicts_are_free_of_units(records, labor, goods):
+    for record in records:
+        base = run_scenarios(*_in_other_units(record, 1.0, 1.0))
+        other = run_scenarios(*_in_other_units(record, labor, goods))
+        for a, b in zip(base, other):
+            assert vars(a.flags) == vars(b.flags), record.index
+            assert a.verdict is b.verdict, record.index
