@@ -105,6 +105,7 @@ def cmd_analyze(args) -> int:
             {
                 "n": tech.n,
                 "rho_inputs": tech.spectral_radius,
+                "productivity_bound": tech.productivity_bound,
                 "max_profit_rate": ceiling,
                 "equilibrium": equilibrium.to_json_dict(),
                 "labor_values": [float(x) for x in values],

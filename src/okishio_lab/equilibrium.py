@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
-from .linear_economy import CW_TOL, Technology, WageBundle, _left_perron
+from .linear_economy import CW_TOL, Technology, WageBundle, _by_size, _left_perron
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -141,11 +141,8 @@ def solve_equilibria(
     equilibrium does not depend on the pairs solved beside it. A pair
     that fails raises what ``uniform_profit_rate`` raises for it.
     """
-    by_size: dict[int, list[int]] = {}
-    for index, (tech, _) in enumerate(systems):
-        by_size.setdefault(tech.n, []).append(index)
     solved: list = [None] * len(systems)
-    for rows in by_size.values():
+    for rows in _by_size([tech.n for tech, _ in systems]).values():
         pairs = [systems[index] for index in rows]
         stack = np.array([augmented_inputs(tech, bundle) for tech, bundle in pairs])
         certified = zip(rows, pairs, stack, *_left_perron(stack))

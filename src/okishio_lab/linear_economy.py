@@ -86,6 +86,36 @@ def _strongly_connected(inputs: np.ndarray) -> bool:
     return bool(_reachable(adjacency, 0).all() and _reachable(adjacency.T, 0).all())
 
 
+def _connected_rows(stack: np.ndarray) -> np.ndarray:
+    """``_strongly_connected`` for each matrix of a ``(k, n, n)`` stack.
+
+    One matrix runs ``_strongly_connected``, which follows only the rows
+    its frontier holds, so a long, sparse cycle costs O(n^2) in all. More
+    run one search: a ``(2k, n)`` frontier from sector 0, forward and on
+    the transpose, propagated through the boolean adjacency by stacked
+    products until no row grows.
+    """
+    if stack.shape[0] == 1:
+        return np.array([_strongly_connected(stack[0])])
+    adjacency = stack > 0.0
+    graphs = np.concatenate((adjacency, adjacency.transpose(0, 2, 1)))
+    seen = np.zeros(graphs.shape[:2], dtype=bool)
+    seen[:, 0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = (frontier[:, None, :] @ graphs)[:, 0, :] & ~seen
+        seen |= frontier
+    return seen.reshape((2,) + adjacency.shape[:2]).all(axis=(0, 2))
+
+
+def _by_size(sizes) -> dict[int, list[int]]:
+    """Positions of each size in ``sizes``, sizes in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for position, size in enumerate(sizes):
+        groups.setdefault(size, []).append(position)
+    return groups
+
+
 def _left_perron(
     stack: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -316,6 +346,27 @@ def _solve_values(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, fl
     return values, float(np.max(image / values))
 
 
+def _value_rows(
+    inputs: np.ndarray, labor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_solve_values`` on a ``(k, n, n)`` stack, as one stacked solve.
+
+    Each row's arithmetic is that of ``_solve_values``. Returns every
+    row's values, residual and bound, whether or not they pass, and
+    raises LinAlgError if any row is singular.
+    """
+    k, n, _ = inputs.shape
+    system = np.negative(inputs, order="C")
+    system.reshape(k, n * n)[:, :: n + 1] += 1.0
+    values = np.linalg.solve(system.transpose(0, 2, 1), labor[:, :, None])[:, :, 0]
+    image = (values[:, None, :] @ inputs)[:, 0, :]
+    # A value that is not positive fails its row anyway.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.abs(values - image - labor).max(axis=1) / values.max(axis=1)
+        bound = (image / values).max(axis=1)
+    return values, residual, bound
+
+
 @dataclass(frozen=True, eq=False)
 class Technology:
     """An immutable (inputs, labor) pair describing production.
@@ -324,15 +375,20 @@ class Technology:
     labor, indecomposability and productivity, or raises. Productivity
     rests on the labor-value solve, whose bound must be below
     ``1 - PRODUCTIVITY_MARGIN``; its values are kept, read-only, as
-    ``values``. Only when that certificate fails is ``spectral_radius``
-    measured during construction: NotProductive if it is not below the
-    margin either, SingularSystem if it is but the values are unusable.
-    Otherwise it is measured the first time it is read.
+    ``values``, and the bound as ``productivity_bound``. Only when that
+    certificate fails is ``spectral_radius`` measured during
+    construction: NotProductive if it is not below the margin either,
+    SingularSystem if it is but the values are unusable. Otherwise it is
+    measured the first time it is read.
+
+    ``certify_techniques`` builds many at once; each is the technique
+    this constructor builds from the same arrays.
     """
 
     inputs: np.ndarray
     labor: np.ndarray
     values: np.ndarray = field(init=False)
+    productivity_bound: float = field(init=False)
 
     def __post_init__(self):
         inputs = _as_readonly(self.inputs, ndim=2)
@@ -365,6 +421,21 @@ class Technology:
             self._require_productive()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "productivity_bound", bound)
+
+    @classmethod
+    def _certified(cls, inputs, labor, values, bound) -> "Technology":
+        """A technique whose checks all passed in ``_certify_stack``.
+
+        Owns read-only copies of the arrays, never views into a stack.
+        """
+        tech = object.__new__(cls)
+        for name, array in (("inputs", inputs), ("labor", labor), ("values", values)):
+            owned = np.array(array, dtype=float)
+            owned.setflags(write=False)
+            object.__setattr__(tech, name, owned)
+        object.__setattr__(tech, "productivity_bound", float(bound))
+        return tech
 
     def _require_productive(self) -> None:
         if not self.spectral_radius < 1.0 - PRODUCTIVITY_MARGIN:
@@ -385,6 +456,83 @@ class Technology:
     def input_column(self, sector: int) -> np.ndarray:
         """Recipe of produced inputs for one sector."""
         return self.inputs[:, sector]
+
+
+def _certify_stack(
+    inputs: np.ndarray, labor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Technology``'s checks on a ``(k, n, n)`` stack, in its order, as masks.
+
+    Finite entries, nonnegative inputs, positive labor, strong
+    connectivity, then one stacked value solve for the rows still in,
+    positive values, the relative residual and the Collatz–Wielandt
+    bound. Returns the ``(k,)`` mask of rows that pass every check, and
+    the values and bounds, meaningful where the mask is set. A row that
+    fails is only marked, and a singular row, which fails the stacked
+    solve as a whole, marks every row it was solved with: ``Technology``
+    gives the reason.
+    """
+    passed = (
+        np.isfinite(inputs).all(axis=(1, 2))
+        & np.isfinite(labor).all(axis=1)
+        & ~(inputs < 0).any(axis=(1, 2))
+        & (labor > 0).all(axis=1)
+    )
+    passed[passed] = _connected_rows(inputs[passed])
+    rows = np.flatnonzero(passed)
+    values, bounds = np.empty(labor.shape), np.empty(labor.shape[0])
+    try:
+        values[rows], residual, bounds[rows] = _value_rows(inputs[rows], labor[rows])
+    except np.linalg.LinAlgError:
+        passed[rows] = False
+        return passed, values, bounds
+    passed[rows] = (
+        (values[rows].min(axis=1) > 0.0)
+        & (residual <= VALUE_RESIDUAL_TOL)
+        & (bounds[rows] < 1.0 - PRODUCTIVITY_MARGIN)
+    )
+    return passed, values, bounds
+
+
+def certify_techniques(inputs, labor) -> list[Technology]:
+    """``Technology(inputs[i], labor[i])`` for each i, certified together.
+
+    The square rows of each size with a labor vector to match form one
+    ``(k, n, n)`` stack, checked by one ``_certify_stack`` call. A row
+    alone of its size, a row of another shape and a row that fails a
+    check are built by ``Technology`` itself, in order, so the first
+    failing row raises what ``Technology`` raises for it, and a row whose
+    bound reads 1 is still accepted on its measured radius. Each row's
+    arithmetic is that of ``Technology``, so a technique does not depend
+    on the rows certified beside it.
+    """
+    if len(inputs) != len(labor):
+        raise ValueError(f"{len(inputs)} input matrices but {len(labor)} labor vectors")
+    if len(inputs) == 1:
+        # The one-case form (apply_change and analyze_change): no grouping.
+        return [Technology(inputs[0], labor[0])]
+    inputs = [np.asarray(matrix, dtype=float) for matrix in inputs]
+    labor = [np.asarray(vector, dtype=float) for vector in labor]
+    # Size 0 marks a row of the wrong shape, which only Technology reports.
+    sizes = [
+        len(l) if l.ndim == 1 and a.shape == (len(l), len(l)) else 0
+        for a, l in zip(inputs, labor)
+    ]
+    techs: list = [None] * len(inputs)
+    for n, rows in _by_size(sizes).items():
+        if n < 1 or len(rows) < 2:
+            continue
+        stack = np.array([inputs[row] for row in rows])
+        labor_stack = np.array([labor[row] for row in rows])
+        passed, values, bounds = _certify_stack(stack, labor_stack)
+        for j in np.flatnonzero(passed):
+            techs[rows[j]] = Technology._certified(
+                stack[j], labor_stack[j], values[j], bounds[j]
+            )
+    return [
+        Technology(a, l) if tech is None else tech
+        for tech, a, l in zip(techs, inputs, labor)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

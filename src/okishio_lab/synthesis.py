@@ -15,8 +15,9 @@ is the same as some sector's price to new-value ratio exceeding the
 product of the two markups (one plus exploitation, one plus saving
 rate). Both forms are computed; they must always agree.
 
-``analyze_change`` is the one place a candidate change is classified,
-applied, revalued and given its region.
+``analyze_changes`` is the one place a candidate change is classified,
+applied, revalued and given its region; ``analyze_change`` is its
+one-case form.
 
 Samplers draw bundles from that region (or strictly inside the price
 side of it, for rising exploitation) by rejection with a fixed proposal
@@ -40,7 +41,7 @@ from .equilibrium import STRICT_MARGIN, Equilibrium, admissibility
 from .linear_economy import (
     Technology, ValueSystem, WageBundle, labor_values, value_of_bundle, value_system
 )
-from .technical_change import ChangeClassification, TechChange, apply_change, classify
+from .technical_change import ChangeClassification, TechChange, apply_changes, classify
 
 ON_PLANE_TOL = 1e-10
 PROPOSAL_BUDGET = 10_000
@@ -131,16 +132,32 @@ def analyze_change(
 
     ``equilibrium`` prices ``tech`` with ``bundle`` as numeraire. Raises
     NotProductive or Decomposable if the patched technique is no longer
-    acceptable.
+    acceptable. ``analyze_changes`` with one case.
     """
-    pre = value_system(tech, bundle)
-    classification = classify(tech, equilibrium, change)
-    patched = apply_change(tech, change)
-    new_values = labor_values(patched)
-    region = None
-    if classification.viable:
-        region = build_region(equilibrium, new_values, pre.bundle_value, classification)
-    return ChangeAnalysis(pre, classification, patched, new_values, region)
+    return analyze_changes([(tech, bundle, equilibrium, change)])[0]
+
+
+def analyze_changes(cases) -> list[ChangeAnalysis]:
+    """``analyze_change`` for each ``(tech, bundle, equilibrium, change)``.
+
+    Every case is valued and classified first; then ``apply_changes``
+    certifies all the patched techniques, one stacked check per size.
+    """
+    priced = [
+        (value_system(tech, bundle), classify(tech, equilibrium, change))
+        for tech, bundle, equilibrium, change in cases
+    ]
+    patched = apply_changes([(tech, change) for tech, _, _, change in cases])
+    analyses = []
+    for (_, _, equilibrium, _), (pre, classification), technique in zip(
+        cases, priced, patched
+    ):
+        new_values = labor_values(technique)
+        region = None
+        if classification.viable:
+            region = build_region(equilibrium, new_values, pre.bundle_value, classification)
+        analyses.append(ChangeAnalysis(pre, classification, technique, new_values, region))
+    return analyses
 
 
 def ratio_condition_sectors(region: WageRegion) -> np.ndarray:

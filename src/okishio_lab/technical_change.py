@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidSector
 from .equilibrium import STRICT_MARGIN, Equilibrium
-from .linear_economy import Technology, WageBundle, _as_readonly
+from .linear_economy import Technology, WageBundle, _as_readonly, certify_techniques
 
 # Sameness tolerance for the bundle-value comparison.
 VALUE_MATCH_TOL = 1e-9
@@ -207,15 +207,28 @@ def apply_change(tech: Technology, change: TechChange) -> Technology:
     """Patch one sector's recipe and revalidate the economy.
 
     Raises NotProductive or Decomposable if the patched technique is no
-    longer acceptable.
+    longer acceptable. ``apply_changes`` with one case.
     """
-    if change.sector >= tech.n:
-        raise InvalidSector(f"sector {change.sector} outside range 0..{tech.n - 1}")
-    inputs = tech.inputs.copy()
-    inputs[:, change.sector] = change.new_column
-    labor = tech.labor.copy()
-    labor[change.sector] = change.new_labor
-    return Technology(inputs, labor)
+    return apply_changes([(tech, change)])[0]
+
+
+def apply_changes(cases) -> list[Technology]:
+    """``apply_change`` for each ``(tech, change)``, certified together.
+
+    Every patched technique of one size is validated in one stacked
+    check by ``certify_techniques``. A failing case raises what
+    ``apply_change`` raises for it.
+    """
+    inputs, labor = [], []
+    for tech, change in cases:
+        if change.sector >= tech.n:
+            raise InvalidSector(f"sector {change.sector} outside range 0..{tech.n - 1}")
+        patched, new_labor = tech.inputs.copy(), tech.labor.copy()
+        patched[:, change.sector] = change.new_column
+        new_labor[change.sector] = change.new_labor
+        inputs.append(patched)
+        labor.append(new_labor)
+    return certify_techniques(inputs, labor)
 
 
 def load_tech_change(path) -> TechChange:

@@ -33,14 +33,16 @@ from .equilibrium import (  # noqa: F401
 from .linear_economy import (
     Technology,
     WageBundle,
-    _strongly_connected,
+    _by_size,
+    _connected_rows,
+    certify_techniques,
     exploitation_rate,
     labor_values,
     value_of_bundle,
 )
 from .synthesis import (
     WageRegion,
-    analyze_change,
+    analyze_changes,
     ratio_condition_holds,
     sample_constant_exploitation,
     sample_rising_exploitation,
@@ -134,10 +136,11 @@ def run_scenarios(
 def _verify(cases: list, residual_tol: float) -> list[list[ScenarioReport]]:
     """``run_scenarios`` for each ``(tech, bundle, change, new_bundles)``.
 
-    One stacked solve prices every pre-change state and one every
-    post-change state. When any step fails, the cases are run again one
-    at a time, so the error raised is the first failing case's, with its
-    context.
+    One stacked solve prices every pre-change state, one stacked check
+    per size certifies the patched techniques, and one stacked solve
+    prices every post-change state. When any step fails, the cases are
+    run again one at a time, so the error raised is the first failing
+    case's, with its context.
     """
     try:
         return _verify_stacked(cases, residual_tol)
@@ -158,10 +161,12 @@ def _verify_stacked(cases: list, residual_tol: float) -> list[list[ScenarioRepor
     pre_eqs = solve_equilibria(
         [(tech, bundle) for tech, bundle, _, _ in cases], residual_tol
     )
-    analyses = [
-        analyze_change(tech, bundle, pre_eq, change)
-        for (tech, bundle, change, _), pre_eq in zip(cases, pre_eqs)
-    ]
+    analyses = analyze_changes(
+        [
+            (tech, bundle, pre_eq, change)
+            for (tech, bundle, change, _), pre_eq in zip(cases, pre_eqs)
+        ]
+    )
     post_eqs = iter(
         solve_equilibria(
             [
@@ -347,51 +352,70 @@ def random_economy(rng: np.random.Generator, n: int) -> tuple[Technology, WageBu
     The input matrix is rescaled to a random spectral radius in
     (0.3, 0.8) and the bundle to a random labor value in (0.3, 0.9);
     draws failing admissibility (e.g. near-equal organic compositions)
-    are rejected and retried, up to DRAW_ATTEMPTS draws.
+    are rejected and retried, up to DRAW_ATTEMPTS draws. ``n`` must be at
+    least 2: with one sector price over value is one over the bundle
+    value exactly, so no bundle has ratio headroom.
     """
+    if n < 2:
+        raise ValueError(
+            f"a random economy needs at least 2 sectors, got {n}: with one, "
+            "no wage bundle is admissible"
+        )
     tech, bundle, _ = _draw_economies([rng], [n])[0]
     return tech, bundle
-
-
-def _candidates(rng: np.random.Generator, n: int):
-    """``random_economy``'s draws, before the admissibility screen.
-
-    Raises RuntimeError once DRAW_ATTEMPTS draws have been made.
-    """
-    for _ in range(DRAW_ATTEMPTS):
-        inputs = rng.uniform(0.0, 0.3, (n, n))
-        if not _strongly_connected(inputs):
-            inputs = _connect_cycle(inputs, rng)
-        radius = float(np.max(np.abs(np.linalg.eigvals(inputs))))
-        if radius <= 0:
-            continue
-        inputs *= rng.uniform(0.3, 0.8) / radius
-        labor = rng.uniform(0.05, 0.5, n)
-        tech = Technology(inputs, labor)
-        values = labor_values(tech)
-        direction = rng.uniform(0.1, 1.0, n)
-        target = rng.uniform(0.3, 0.9)
-        yield tech, WageBundle(direction * (target / float(values @ direction)))
-    raise RuntimeError(f"no admissible {n}-sector economy in {DRAW_ATTEMPTS} draws")
 
 
 def _draw_economies(rngs: list, sizes: list) -> list:
     """``random_economy`` for several generators, with its equilibria.
 
     Each round draws one candidate per economy still open, from that
-    economy's own generator, and solves all of their equilibria in one
-    ``solve_equilibria`` call; only rejected economies draw again, so
-    each generator is consumed as ``random_economy`` alone consumes it.
-    Returns ``(tech, bundle, equilibrium)`` per generator.
+    economy's own generator, in phases: raw inputs; one connectivity
+    check per size, patching a cycle into each matrix that fails it; one
+    stacked ``eigvals`` per size for the radius; scale and labor; one
+    stacked certification per size; the bundle; and one
+    ``solve_equilibria`` call for all. Only rejected economies draw
+    again, so each generator is consumed as ``random_economy`` alone
+    consumes it: a candidate whose radius is not positive is dropped
+    before its scale is drawn, and an economy that has made
+    DRAW_ATTEMPTS draws raises RuntimeError. Returns
+    ``(tech, bundle, equilibrium)`` per generator.
     """
-    sources = [_candidates(rng, n) for rng, n in zip(rngs, sizes)]
-    drawn: list = [None] * len(sources)
-    pending = list(range(len(sources)))
+    drawn: list = [None] * len(rngs)
+    attempts = [0] * len(rngs)
+    pending = list(range(len(rngs)))
     while pending:
-        candidates = [next(sources[index]) for index in pending]
-        rejected = []
+        for index in pending:
+            if attempts[index] == DRAW_ATTEMPTS:
+                raise RuntimeError(
+                    f"no admissible {sizes[index]}-sector economy in {DRAW_ATTEMPTS} draws"
+                )
+            attempts[index] += 1
+        raw = {index: rngs[index].uniform(0.0, 0.3, (sizes[index],) * 2) for index in pending}
+        radii = {}
+        for rows in _by_size([sizes[index] for index in pending]).values():
+            group = [pending[row] for row in rows]
+            connected = _connected_rows(np.array([raw[index] for index in group]))
+            for index, ok in zip(group, connected):
+                if not ok:
+                    raw[index] = _connect_cycle(raw[index], rngs[index])
+            moduli = np.abs(np.linalg.eigvals(np.array([raw[index] for index in group])))
+            radii.update(zip(group, moduli.max(axis=1).tolist()))
+        live = [index for index in pending if radii[index] > 0]
+        labor = []
+        for index in live:
+            raw[index] *= rngs[index].uniform(0.3, 0.8) / radii[index]
+            labor.append(rngs[index].uniform(0.05, 0.5, sizes[index]))
+        candidates = []
+        for index, tech in zip(live, certify_techniques([raw[i] for i in live], labor)):
+            values = labor_values(tech)
+            direction = rngs[index].uniform(0.1, 1.0, sizes[index])
+            target = rngs[index].uniform(0.3, 0.9)
+            candidates.append(
+                (tech, WageBundle(direction * (target / float(values @ direction))))
+            )
+        rejected = [index for index in pending if not radii[index] > 0]
         for index, (tech, bundle), equilibrium in zip(
-            pending, candidates, solve_equilibria(candidates)
+            live, candidates, solve_equilibria(candidates)
         ):
             values = labor_values(tech)
             flags = admissibility(
@@ -401,7 +425,7 @@ def _draw_economies(rngs: list, sizes: list) -> list:
                 drawn[index] = (tech, bundle, equilibrium)
             else:
                 rejected.append(index)
-        pending = rejected
+        pending = sorted(rejected)
     return drawn
 
 
@@ -465,8 +489,13 @@ def iter_suite(
     block.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
-    if not 1 <= lo <= hi:
-        raise ValueError(f"bad sector range {n_range}")
+    if not 2 <= lo <= hi:
+        # One sector never has ratio headroom: price over value is one
+        # over the bundle value exactly.
+        raise ValueError(
+            f"bad sector range {n_range}: need 2 <= n_min <= n_max, "
+            "since one sector admits no wage bundle"
+        )
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     return (
@@ -481,33 +510,44 @@ def iter_suite(
 def _sweep_block(seed: int, indices: range, sizes: tuple, residual_tol: float) -> list:
     """Records for the economies ``indices``: draw, synthesize, verify.
 
-    The producer synthesizes each change at the equilibrium its draw
-    solved; the verifier then prices every economy again from its raw
-    inputs, in one stacked solve before the changes and one after.
+    The producer draws every economy's knobs, synthesizes each change at
+    the equilibrium its draw solved, analyzes all the changes together
+    (one stacked certification per size) and samples the bundles; the
+    verifier then prices every economy again from its raw inputs, in one
+    stacked solve before the changes and one after.
     """
     rngs = [np.random.default_rng([seed, index]) for index in indices]
     ns = [int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs]
-    produced = []
-    for index, rng, n, (tech, bundle, equilibrium) in zip(
-        indices, rngs, ns, _draw_economies(rngs, ns)
-    ):
-        sector = int(rng.integers(n))
-        epsilon_frac = float(rng.uniform(0.1, 0.9))
-        labor_frac = float(rng.uniform(0.1, 0.9))
-        synthesized = synthesize_culs_change(
-            tech, bundle, equilibrium, sector, epsilon_frac, labor_frac
+    drawn = _draw_economies(rngs, ns)
+    knobs = [
+        (
+            int(rng.integers(n)),
+            float(rng.uniform(0.1, 0.9)),
+            float(rng.uniform(0.1, 0.9)),
+            int(rng.integers(2**63 - 1)),
+            int(rng.integers(2**63 - 1)),
         )
-        region = analyze_change(tech, bundle, equilibrium, synthesized.change).region
-        constant_seed = int(rng.integers(2**63 - 1))
-        rising_seed = int(rng.integers(2**63 - 1))
-        produced.append(
-            dict(
-                index=index, seed=seed, n=n, tech=tech, bundle=bundle,
-                synthesized=synthesized, region=region,
-                constant_bundle=sample_constant_exploitation(region, constant_seed),
-                rising_bundle=sample_rising_exploitation(region, rising_seed),
-            )
+        for rng, n in zip(rngs, ns)
+    ]
+    synthesized = [
+        synthesize_culs_change(tech, bundle, equilibrium, sector, epsilon_frac, labor_frac)
+        for (tech, bundle, equilibrium), (sector, epsilon_frac, labor_frac, _, _) in zip(
+            drawn, knobs
         )
+    ]
+    analyses = analyze_changes(
+        [(*economy, synth.change) for economy, synth in zip(drawn, synthesized)]
+    )
+    produced = [
+        dict(
+            index=index, seed=seed, n=n, tech=tech, bundle=bundle,
+            synthesized=synth, region=analysis.region,
+            constant_bundle=sample_constant_exploitation(analysis.region, constant_seed),
+            rising_bundle=sample_rising_exploitation(analysis.region, rising_seed),
+        )
+        for index, n, (tech, bundle, _), (*_, constant_seed, rising_seed), synth, analysis
+        in zip(indices, ns, drawn, knobs, synthesized, analyses)
+    ]
     cases = [
         (
             fields["tech"], fields["bundle"], fields["synthesized"].change,

@@ -1,5 +1,6 @@
 """The shared change-analysis chain and the verifier's single pre-change solve."""
 
+import collections
 import importlib
 import pkgutil
 import sys
@@ -139,10 +140,26 @@ def _wrap_everywhere(monkeypatch, original, wrapper):
                 monkeypatch.setattr(module, attr, wrapper)
 
 
+def _count_draws(monkeypatch):
+    """Candidate matrices per draw round, as the draw certifies them."""
+    rounds = []
+    original = verify.certify_techniques
+
+    def counted(inputs, labor):
+        rounds.append([np.array(matrix) for matrix in inputs])
+        return original(inputs, labor)
+
+    monkeypatch.setattr(verify, "certify_techniques", counted)
+    return rounds
+
+
 def test_sweep_solves_each_object_once_per_side(monkeypatch):
-    matrices, stacks, value_solves, per_construction = [], [], [], []
-    original_perron = okishio_lab.linear_economy._left_perron
-    original_values = okishio_lab.linear_economy._solve_values
+    matrices, stacks, value_rows, certified, one_row = [], [], [], [], []
+    linear_economy = okishio_lab.linear_economy
+    original_perron = linear_economy._left_perron
+    original_rows = linear_economy._value_rows
+    original_values = linear_economy._solve_values
+    original_certify = linear_economy._certify_stack
     original_init = Technology.__post_init__
 
     def counted_perron(stack):
@@ -150,46 +167,73 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
         matrices.extend(stack)
         return original_perron(stack)
 
-    def counted_values(*args):
-        value_solves.append(args)
-        return original_values(*args)
+    def counted_rows(inputs, labor):
+        value_rows.append(inputs.shape[0])
+        return original_rows(inputs, labor)
+
+    def counted_values(inputs, labor):
+        value_rows.append(1)
+        return original_values(inputs, labor)
+
+    def counted_certify(inputs, labor):
+        certified.append(inputs.shape[:2])
+        return original_certify(inputs, labor)
 
     def counted_init(self):
-        before = len(value_solves)
+        one_row.append(self)
         original_init(self)
-        per_construction.append(len(value_solves) - before)
 
     _wrap_everywhere(monkeypatch, original_perron, counted_perron)
+    _wrap_everywhere(monkeypatch, original_rows, counted_rows)
     _wrap_everywhere(monkeypatch, original_values, counted_values)
+    _wrap_everywhere(monkeypatch, original_certify, counted_certify)
     monkeypatch.setattr(Technology, "__post_init__", counted_init)
+    rounds = _count_draws(monkeypatch)
     count = 20
     run_suite(seed=1000, count=count)
     assert len(matrices) <= MATRICES_PER_ECONOMY * count
     # Stacked by sector count: three stacks (draw, pre, post) per size.
     assert len(stacks) <= 3 * len({m.shape[0] for m in matrices})
-    assert per_construction and max(per_construction) <= 1
-    assert len(value_solves) == sum(per_construction)
+    # Each candidate and each patched technique (the producer's and the
+    # verifier's) reaches the value solve once, through one stack or alone.
+    candidates = sum(map(len, rounds))
+    assert sum(value_rows) == candidates + 2 * count
+    assert sum(k for k, _ in certified) + len(one_row) == sum(value_rows)
+    # One stacked certification per size for each draw round, the
+    # producer's patched techniques and the verifier's. Every size is
+    # drawn at least twice at this seed, so no technique is certified alone.
+    sizes = collections.Counter(n for _, n in certified)
+    assert sizes and max(sizes.values()) <= 3 + len(rounds) - 1
+    assert one_row == []
 
 
 def test_sweep_eigensolves_only_to_draw_economies(monkeypatch):
     # The draw rescales each candidate by its eigvals radius; Technology
     # certifies productivity from its one value solve, and no equilibrium
     # needs an eigensolver.
-    candidates, eigensolves = [], []
+    seen, callers = [], []
     original_eigvals = np.linalg.eigvals
-    original_candidates = verify._candidates
 
-    def counted_eigvals(*args, **kwargs):
-        eigensolves.append(sys._getframe(1).f_code.co_name)
-        return original_eigvals(*args, **kwargs)
-
-    def counted_candidates(rng, n):
-        for candidate in original_candidates(rng, n):
-            candidates.append(candidate)
-            yield candidate
+    def counted_eigvals(matrices):
+        callers.append(sys._getframe(1).f_code.co_name)
+        seen.extend(np.array(matrix) for matrix in matrices)
+        return original_eigvals(matrices)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-    monkeypatch.setattr(verify, "_candidates", counted_candidates)
+    rounds = _count_draws(monkeypatch)
     run_suite(seed=1000, count=20)
+    candidates = [matrix for matrices in rounds for matrix in matrices]
     assert len(candidates) >= 20
-    assert eigensolves == ["_candidates"] * len(candidates)
+    assert callers and set(callers) == {"_draw_economies"}
+    # One stacked eigvals per size in each draw round.
+    assert len(callers) == sum(len({m.shape for m in matrices}) for matrices in rounds)
+    # Each candidate is its eigvals matrix rescaled: pair them one to one.
+    assert len(seen) == len(candidates)
+    unmatched = list(seen)
+    for candidate in candidates:
+        match = next(
+            i for i, matrix in enumerate(unmatched)
+            if matrix.shape == candidate.shape
+            and np.allclose(candidate / candidate.max(), matrix / matrix.max(), rtol=1e-13)
+        )
+        unmatched.pop(match)

@@ -67,6 +67,7 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 3
         assert payload["rho_inputs"] == pytest.approx(0.65, abs=1e-9)
+        assert payload["productivity_bound"] >= payload["rho_inputs"] * (1.0 - 1e-14)
         assert payload["equilibrium"]["pi"] == pytest.approx(
             0.17647058823529413, abs=1e-9
         )
@@ -649,6 +650,10 @@ class TestSweep:
     def test_bad_range_rejected(self, capsys):
         assert main(["sweep", "--count", "1", "--n-min", "0"]) == 2
         assert "range" in capsys.readouterr().err
+        # One sector never has ratio headroom, so no economy could be drawn.
+        assert main(["sweep", "--count", "1", "--n-min", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "range" in err
 
     def test_negative_count_rejected(self, capsys):
         assert main(["sweep", "--count", "-1"]) == 2

@@ -34,8 +34,11 @@ from okishio_lab import (
 from okishio_lab.linear_economy import (
     CW_TOL,
     PRODUCTIVITY_MARGIN,
+    _certify_stack,
+    _connected_rows,
     _solve_values,
     _strongly_connected,
+    certify_techniques,
 )
 
 
@@ -159,6 +162,18 @@ class TestConnectivity:
             verdicts[expected] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
+    def test_stacked_search_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(2206)
+        verdicts = collections.Counter()
+        for _ in range(200):
+            n, k = int(rng.integers(1, 13)), int(rng.integers(2, 9))
+            density = rng.uniform(0.05, 0.6)
+            stack = (rng.random((k, n, n)) < density) * rng.uniform(0.01, 0.3, (k, n, n))
+            expected = [_strongly_connected(matrix) for matrix in stack]
+            assert _connected_rows(stack).tolist() == expected
+            verdicts.update(expected)
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
     def test_tiny_entries_are_edges(self):
         # Only an exact zero is missing: a 1e-14 input is an input in
         # some other unit of that good.
@@ -252,6 +267,11 @@ class TestValueCertificate:
         assert tech.spectral_radius == pytest.approx(0.65, rel=1e-14)
         assert np.all(tech.values > 0)
 
+    def test_productivity_bound_is_kept(self, ref_tech):
+        assert ref_tech.productivity_bound == _solve_values(ref_tech.inputs, ref_tech.labor)[1]
+        assert ref_tech.productivity_bound >= ref_tech.spectral_radius * (1.0 - CW_TOL)
+        assert ref_tech.productivity_bound < 1.0 - PRODUCTIVITY_MARGIN
+
     def test_zero_matrix_has_radius_zero(self):
         tech = Technology(np.array([[0.0]]), np.array([1.0]))
         assert tech.spectral_radius == 0.0
@@ -325,6 +345,118 @@ class TestCertificateProperties:
         else:
             with pytest.raises(NotProductive):
                 Technology(inputs, labor)
+
+
+def _good_rows(rng, n, k):
+    inputs = rng.uniform(0.0, 0.3, (k, n, n))
+    inputs /= inputs.sum(axis=1, keepdims=True).max(axis=2, keepdims=True) / 0.7
+    return list(inputs), list(rng.uniform(0.05, 0.5, (k, n)))
+
+
+def _ref_inputs():
+    return np.array([[0.35, 0.05, 0.25], [0.15, 0.45, 0.05], [0.15, 0.15, 0.35]])
+
+
+# One row for each way Technology can reject a technique, in the order it
+# checks, and a row whose bound reads 1 that its measured radius accepts.
+BAD_ROWS = {
+    "negative entry": (_ref_inputs() - np.eye(3) * 0.4, np.ones(3)),
+    "non-finite entry": (np.where(np.eye(3) > 0, np.inf, 0.1), np.ones(3)),
+    "labor not positive": (_ref_inputs(), np.array([0.2, 0.0, 0.25])),
+    "decomposable": (np.diag([0.3, 0.4, 0.5]), np.ones(3)),
+    "not productive": (np.full((3, 3), 0.4), np.ones(3)),
+    # Rank one with radius exactly 1: I - A is exactly singular, so the
+    # whole stacked solve fails.
+    "singular": (np.array([[0.5] * 3, [0.25] * 3, [0.25] * 3]), np.ones(3)),
+}
+BOUND_READS_ONE = (_ref_inputs(), np.array([1e-16, 1.0, 1.0]))
+
+
+class TestStackedCertificate:
+    def test_good_rows_equal_one_at_a_time(self):
+        rng = np.random.default_rng(404)
+        for n in (1, 2, 3, 8, 30):
+            inputs, labor = _good_rows(rng, n, 6)
+            stacked = certify_techniques(inputs, labor)
+            for tech, a, l in zip(stacked, inputs, labor):
+                single = Technology(a, l)
+                assert np.array_equal(tech.values, single.values)
+                assert tech.productivity_bound == single.productivity_bound
+                assert np.array_equal(tech.inputs, a) and np.array_equal(tech.labor, l)
+
+    def test_techniques_own_read_only_copies(self):
+        inputs, labor = _good_rows(np.random.default_rng(405), 4, 3)
+        techs = certify_techniques(inputs, labor)
+        for tech, a in zip(techs, inputs):
+            for array in (tech.inputs, tech.labor, tech.values):
+                assert not array.flags.writeable
+                assert array.base is None
+            assert not np.shares_memory(tech.inputs, a)
+        a = inputs[0]
+        a[0, 0] = 99.0
+        assert techs[0].inputs[0, 0] != 99.0
+
+    def test_sizes_mixed_and_alone(self):
+        rng = np.random.default_rng(406)
+        inputs, labor = [], []
+        for n in (3, 5, 3, 2, 5, 3):
+            a, l = _good_rows(rng, n, 1)
+            inputs += a
+            labor += l
+        for tech, a, l in zip(certify_techniques(inputs, labor), inputs, labor):
+            assert np.array_equal(tech.values, Technology(a, l).values)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    def test_bad_row_raises_what_technology_raises(self, kind):
+        bad_inputs, bad_labor = BAD_ROWS[kind]
+        with pytest.raises(Exception) as alone:
+            Technology(bad_inputs, bad_labor)
+        inputs, labor = _good_rows(np.random.default_rng(407), 3, 5)
+        inputs.insert(2, bad_inputs)
+        labor.insert(2, bad_labor)
+        passed, values, _ = _certify_stack(np.array(inputs), np.array(labor))
+        assert not passed[2]
+        for row in np.flatnonzero(passed):
+            assert np.array_equal(values[row], Technology(inputs[row], labor[row]).values)
+        # A singular row fails every row solved with it; Technology then
+        # certifies the others one at a time.
+        assert passed.sum() == (0 if kind == "singular" else len(inputs) - 1)
+        with pytest.raises(type(alone.value)) as stacked:
+            certify_techniques(inputs, labor)
+        assert str(stacked.value) == str(alone.value)
+        # The rows before the bad one certify on their own.
+        for tech, a, l in zip(certify_techniques(inputs[:2], labor[:2]), inputs, labor):
+            assert np.array_equal(tech.values, Technology(a, l).values)
+
+    def test_row_of_another_shape_raises_what_technology_raises(self):
+        inputs, labor = _good_rows(np.random.default_rng(410), 3, 3)
+        inputs.insert(1, np.ones((2, 3)))
+        labor.insert(1, np.ones(2))
+        with pytest.raises(ValueError, match="must be square"):
+            certify_techniques(inputs, labor)
+        inputs[1], labor[1] = _ref_inputs(), np.ones(2)
+        with pytest.raises(ValueError, match="does not match 3 sectors"):
+            certify_techniques(inputs, labor)
+        with pytest.raises(ValueError, match="4 input matrices but 3 labor vectors"):
+            certify_techniques(inputs, labor[:3])
+
+    def test_first_bad_row_in_order_raises(self):
+        inputs, labor = _good_rows(np.random.default_rng(408), 3, 4)
+        inputs[1], labor[1] = BAD_ROWS["decomposable"]
+        inputs[3], labor[3] = BAD_ROWS["negative entry"]
+        with pytest.raises(Decomposable):
+            certify_techniques(inputs, labor)
+
+    def test_bound_that_reads_one_is_accepted_on_the_radius(self):
+        inputs, labor = _good_rows(np.random.default_rng(409), 3, 4)
+        inputs.insert(1, BOUND_READS_ONE[0])
+        labor.insert(1, BOUND_READS_ONE[1])
+        passed, _, _ = _certify_stack(np.array(inputs), np.array(labor))
+        assert passed.tolist() == [True, False, True, True, True]
+        stacked = certify_techniques(inputs, labor)[1]
+        single = Technology(*BOUND_READS_ONE)
+        assert np.array_equal(stacked.values, single.values)
+        assert stacked.spectral_radius == single.spectral_radius == pytest.approx(0.65)
 
 
 class TestBundleValue:

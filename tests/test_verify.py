@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from okishio_lab import verify
 from okishio_lab import (
     OracleLimit,
+    SweepRecord,
     TechChange,
     Technology,
     Verdict,
+    WageAdmissibility,
     WageBundle,
     admissibility,
+    analyze_change,
     apply_change,
     augmented_inputs,
     build_region,
@@ -21,11 +25,16 @@ from okishio_lab import (
     run_scenario,
     run_scenarios,
     run_suite,
+    sample_constant_exploitation,
+    sample_rising_exploitation,
     suite_csv,
     suite_summary,
+    synthesize_culs_change,
     uniform_profit_rate,
     value_of_bundle,
 )
+from okishio_lab.linear_economy import _strongly_connected
+from okishio_lab.verify import _connect_cycle, suite_csv_row
 
 
 SOLVED_BUNDLE = np.array([0.008613446793178136, 1.170977, 0.008613446793178136])
@@ -210,6 +219,51 @@ class TestRandomEconomy:
         np.testing.assert_array_equal(first[0].inputs, second[0].inputs)
         np.testing.assert_array_equal(first[1].quantities, second[1].quantities)
 
+    def test_stacked_draw_consumes_each_generator_as_one_loop_does(self, monkeypatch):
+        # Random draws are almost never rejected, so a third of them are
+        # rejected here, by a rule the reference loop applies too.
+        monkeypatch.setattr(verify, "admissibility", _picky_admissibility)
+        sizes = [2, 3, 2, 8, 5, 3, 2, 2, 6, 4, 7, 2] * 4
+        rngs = [np.random.default_rng([91, index]) for index in range(len(sizes))]
+        drawn = verify._draw_economies(rngs, sizes)
+        rounds = 0
+        for index, (n, rng, (tech, bundle, _)) in enumerate(zip(sizes, rngs, drawn)):
+            reference = np.random.default_rng([91, index])
+            ref_tech, ref_bundle, attempts = _reference_draw(
+                reference, n, _picky_admissibility
+            )
+            rounds = max(rounds, attempts)
+            assert np.array_equal(tech.inputs, ref_tech.inputs)
+            assert np.array_equal(tech.labor, ref_tech.labor)
+            assert np.array_equal(tech.values, ref_tech.values)
+            assert np.array_equal(bundle.quantities, ref_bundle.quantities)
+            assert rng.bit_generator.state == reference.bit_generator.state
+        assert rounds > 1  # some economy was rejected and drew again
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_sectors_refused(self, n):
+        # With one sector price over value is one over the bundle value,
+        # so no draw could ever be admissible.
+        with pytest.raises(ValueError, match="at least 2 sectors"):
+            random_economy(np.random.default_rng(5), n)
+
+    def test_gives_up_after_draw_attempts(self, monkeypatch):
+        certified = []
+        original = verify.certify_techniques
+
+        def counted(inputs, labor):
+            certified.extend(inputs)
+            return original(inputs, labor)
+
+        def rejects_everything(prices, values, bundle_value):
+            return WageAdmissibility(True, False, 0.0, 0)
+
+        monkeypatch.setattr(verify, "admissibility", rejects_everything)
+        monkeypatch.setattr(verify, "certify_techniques", counted)
+        with pytest.raises(RuntimeError, match=f"in {verify.DRAW_ATTEMPTS} draws"):
+            random_economy(np.random.default_rng(6), 3)
+        assert len(certified) == verify.DRAW_ATTEMPTS
+
     def test_cycle_patch_connects_decomposable_draws(self):
         from okishio_lab.linear_economy import _strongly_connected
         from okishio_lab.verify import _connect_cycle
@@ -220,6 +274,38 @@ class TestRandomEconomy:
         assert not _strongly_connected(block)
         patched = _connect_cycle(block, np.random.default_rng(3))
         assert _strongly_connected(patched)
+
+
+def _picky_admissibility(prices, values, bundle_value):
+    """``admissibility`` that also rejects about a third of all bundles."""
+    flags = admissibility(prices, values, bundle_value)
+    if int(bundle_value * 1e6) % 3 == 0:
+        return WageAdmissibility(False, False, flags.max_ratio, flags.max_ratio_sector)
+    return flags
+
+
+def _reference_draw(rng, n, admissible=admissibility):
+    """``random_economy`` as one loop per economy, with its attempt count.
+
+    The stacked draw must consume each generator exactly as this does.
+    """
+    for attempt in range(1, verify.DRAW_ATTEMPTS + 1):
+        inputs = rng.uniform(0.0, 0.3, (n, n))
+        if not _strongly_connected(inputs):
+            inputs = _connect_cycle(inputs, rng)
+        radius = float(np.max(np.abs(np.linalg.eigvals(inputs))))
+        if radius <= 0:
+            continue
+        inputs *= rng.uniform(0.3, 0.8) / radius
+        tech = Technology(inputs, rng.uniform(0.05, 0.5, n))
+        direction = rng.uniform(0.1, 1.0, n)
+        target = rng.uniform(0.3, 0.9)
+        bundle = WageBundle(direction * (target / float(tech.values @ direction)))
+        prices = uniform_profit_rate(tech, bundle).prices
+        bundle_value = value_of_bundle(tech.values, bundle)
+        if admissible(prices, tech.values, bundle_value).admissible:
+            return tech, bundle, attempt
+    raise RuntimeError("no admissible draw")
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +387,51 @@ class TestSuite:
             single.constant_bundle.quantities, batch.constant_bundle.quantities
         )
         assert single.scenario.post_profit == batch.scenario.post_profit
+
+
+def _rebuilt_alone(seed, index):
+    """Sweep economy ``index`` made one call at a time through the public API."""
+    rng = np.random.default_rng([seed, index])
+    n = int(rng.integers(2, 9))
+    tech, bundle = random_economy(rng, n)
+    equilibrium = uniform_profit_rate(tech, bundle)
+    sector = int(rng.integers(n))
+    epsilon_frac, labor_frac = float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))
+    synthesized = synthesize_culs_change(
+        tech, bundle, equilibrium, sector, epsilon_frac, labor_frac
+    )
+    region = analyze_change(tech, bundle, equilibrium, synthesized.change).region
+    constant = sample_constant_exploitation(region, int(rng.integers(2**63 - 1)))
+    rising = sample_rising_exploitation(region, int(rng.integers(2**63 - 1)))
+    scenario, okishio, rising_report = run_scenarios(
+        tech, bundle, synthesized.change, (constant, bundle, rising)
+    )
+    return SweepRecord(
+        index, seed, n, tech, bundle, synthesized, region, constant, rising,
+        scenario, okishio, rising_report,
+    )
+
+
+def test_sweep_rows_equal_economies_made_one_at_a_time(records):
+    for record in records[:20]:
+        alone = _rebuilt_alone(1000, record.index)
+        assert suite_csv_row(record) == suite_csv_row(alone)
+        assert np.array_equal(record.tech.inputs, alone.tech.inputs)
+        assert np.array_equal(record.tech.values, alone.tech.values)
+        assert record.tech.productivity_bound == alone.tech.productivity_bound
+        for mine, theirs in (
+            (record.bundle, alone.bundle),
+            (record.constant_bundle, alone.constant_bundle),
+            (record.rising_bundle, alone.rising_bundle),
+        ):
+            assert np.array_equal(mine.quantities, theirs.quantities)
+        for mine, theirs in (
+            (record.scenario, alone.scenario),
+            (record.okishio, alone.okishio),
+            (record.rising, alone.rising),
+        ):
+            assert np.array_equal(mine.post_prices, theirs.post_prices)
+            assert np.array_equal(mine.post_values, theirs.post_values)
 
 
 def _in_other_units(record, labor, goods):
