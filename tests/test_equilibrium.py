@@ -411,18 +411,33 @@ class TestCertificateProperties:
     @settings(max_examples=40, deadline=None)
     @given(economies(), st.integers(-6, 6))
     def test_invariant_under_units(self, economy, k):
-        # L * 10^k with b * 10^-k leaves M unchanged up to rounding: the
-        # profit rate stays, and prices are counted in a unit 10^k smaller.
-        tech, bundle = economy
-        base = uniform_profit_rate(tech, bundle)
-        eq = uniform_profit_rate(
-            Technology(tech.inputs, tech.labor * 10.0**k),
-            WageBundle(bundle.quantities * 10.0**-k),
+        assert_invariant_under_units(economy, k)
+
+    # A two-block draw (coupling 1.4e-7) on which block 2's prices move by
+    # 2.3e-13 relative: its Perron vector is less well conditioned than
+    # the bracket that certifies it. Pinned so the known failure stays in
+    # view until the solver or the bound on the test is settled.
+    @pytest.mark.xfail(raises=AssertionError, reason="ill-conditioned block-2 prices")
+    def test_invariant_under_units_on_a_nearly_decomposable_draw(self):
+        economy = two_block_economy(
+            np.random.default_rng(1219610616), 10.0**-6.845137604422893, 0.9581007372115669
         )
-        # 1 + pi = 1/rho: pi itself loses relative digits to the
-        # cancellation in 1/rho - 1 when it is small.
-        assert 1.0 + eq.profit_rate == pytest.approx(1.0 + base.profit_rate, rel=1e-14)
-        np.testing.assert_allclose(eq.prices, base.prices * 10.0**k, rtol=1e-13)
+        assert_invariant_under_units(economy, 3)
+
+
+def assert_invariant_under_units(economy, k):
+    # L * 10^k with b * 10^-k leaves M unchanged up to rounding: the
+    # profit rate stays, and prices are counted in a unit 10^k smaller.
+    tech, bundle = economy
+    base = uniform_profit_rate(tech, bundle)
+    eq = uniform_profit_rate(
+        Technology(tech.inputs, tech.labor * 10.0**k),
+        WageBundle(bundle.quantities * 10.0**-k),
+    )
+    # 1 + pi = 1/rho: pi itself loses relative digits to the
+    # cancellation in 1/rho - 1 when it is small.
+    assert 1.0 + eq.profit_rate == pytest.approx(1.0 + base.profit_rate, rel=1e-14)
+    np.testing.assert_allclose(eq.prices, base.prices * 10.0**k, rtol=1e-13)
 
 
 def assert_rows_match_single(stack):

@@ -166,13 +166,14 @@ class TestConnectivity:
         rng = np.random.default_rng(2206)
         verdicts = collections.Counter()
         for _ in range(200):
-            n, k = int(rng.integers(1, 13)), int(rng.integers(2, 9))
+            n, k = int(rng.integers(1, 13)), int(rng.integers(1, 9))
             density = rng.uniform(0.05, 0.6)
             stack = (rng.random((k, n, n)) < density) * rng.uniform(0.01, 0.3, (k, n, n))
             expected = [_strongly_connected(matrix) for matrix in stack]
             assert _connected_rows(stack).tolist() == expected
             verdicts.update(expected)
         assert verdicts[True] > 100 and verdicts[False] > 100
+        assert _connected_rows(np.empty((0, 3, 3))).shape == (0,)
 
     def test_tiny_entries_are_edges(self):
         # Only an exact zero is missing: a 1e-14 input is an input in
@@ -405,6 +406,8 @@ class TestStackedCertificate:
             labor += l
         for tech, a, l in zip(certify_techniques(inputs, labor), inputs, labor):
             assert np.array_equal(tech.values, Technology(a, l).values)
+        (tech,) = certify_techniques(inputs[:1], labor[:1])
+        assert np.array_equal(tech.values, Technology(inputs[0], labor[0]).values)
 
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     def test_bad_row_raises_what_technology_raises(self, kind):
