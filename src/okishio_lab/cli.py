@@ -55,6 +55,7 @@ from .technical_change import (
 # run_suite is bound here for perfbench/tracing.py, which wraps each name
 # in every module that binds it, and for its tests.
 from .verify import (  # noqa: F401
+    SCENARIO_FLAG_NAMES,
     SUITE_CSV_COLUMNS,
     iter_suite,
     run_scenario,
@@ -275,17 +276,7 @@ def _scenario_payload(report) -> dict:
             "values": [float(x) for x in report.post_values],
             "exploitation": report.post_exploitation,
         },
-        "flags": {
-            "viable": flags.viable,
-            "culs": flags.culs,
-            "more_expensive": flags.more_expensive,
-            "value_constant": flags.value_constant,
-            "saving_bounded": flags.saving_bounded,
-            "admissible_pre": flags.admissible_pre,
-            "surplus_ok_post": flags.surplus_ok_post,
-            "region_feasible": flags.region_feasible,
-            "ratio_condition": flags.ratio_condition,
-        },
+        "flags": {name: getattr(flags, name) for name in SCENARIO_FLAG_NAMES},
         "verdict": report.verdict.value,
     }
 

@@ -22,6 +22,11 @@ radius is below one, and ``max_i (values @ inputs)_i / values_i`` bounds
 it from above (Collatz–Wielandt; Meyer, *Matrix Analysis*, ch. 8). Only
 when that certificate fails is the radius itself measured, by
 ``_left_perron``, which also solves the price system in ``equilibrium``.
+
+The certificate is written once, for a ``(k, n, n)`` stack, in
+``_certify_stack``: it returns each row's first failed check as a reason
+code. ``Technology`` is its one-row case and turns that code into its
+error; ``certify_techniques`` certifies many techniques in one call.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,28 +74,12 @@ def _require_square(inputs: np.ndarray) -> None:
         raise ValueError("input matrix must have at least one sector")
 
 
-def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
-    """Boolean reachability from ``start`` following directed edges."""
-    seen = np.zeros(adjacency.shape[0], dtype=bool)
-    frontier = seen.copy()
-    frontier[start] = True
-    while frontier.any():
-        seen |= frontier
-        frontier = adjacency[frontier].any(axis=0) & ~seen
-    return seen
-
-
-def _strongly_connected(inputs: np.ndarray) -> bool:
-    # Edge i -> j when good i enters sector j's recipe. Only an exact zero
-    # is no edge: that pattern alone survives a change of units.
-    adjacency = inputs > 0.0
-    return bool(_reachable(adjacency, 0).all() and _reachable(adjacency.T, 0).all())
-
-
 def _connected_rows(stack: np.ndarray) -> np.ndarray:
-    """``_strongly_connected`` for each matrix of a ``(k, n, n)`` stack.
+    """Strong connectivity of each matrix of a ``(k, n, n)`` stack.
 
-    One search: a ``(2k, n)`` frontier from sector 0, forward and on the
+    Edge i -> j when good i enters sector j's recipe. Only an exact zero
+    is no edge: that pattern alone survives a change of units. One
+    search: a ``(2k, n)`` frontier from sector 0, forward and on the
     transpose, propagated through the boolean adjacency by stacked
     products until no row grows.
     """
@@ -98,7 +88,7 @@ def _connected_rows(stack: np.ndarray) -> np.ndarray:
     seen = np.zeros(graphs.shape[:2], dtype=bool)
     seen[:, 0] = True
     frontier = seen.copy()
-    while frontier.any():
+    while np.count_nonzero(frontier):
         frontier = (frontier[:, None, :] @ graphs)[:, 0, :] & ~seen
         seen |= frontier
     return seen.reshape((2,) + adjacency.shape[:2]).all(axis=(0, 2))
@@ -300,7 +290,7 @@ def check_productive_indecomposable(inputs) -> ProductivityDiagnosis:
     """
     arr = np.asarray(inputs, dtype=float)
     _require_square(arr)
-    connected = _strongly_connected(arr)
+    connected = bool(_connected_rows(arr[None])[0])
     if connected and not np.any(arr < 0):
         rho = _perron_radius(arr)
     else:
@@ -309,62 +299,88 @@ def check_productive_indecomposable(inputs) -> ProductivityDiagnosis:
     return ProductivityDiagnosis(rho, connected, passed)
 
 
-def _solve_values(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, float]:
-    """Labor values and their Collatz–Wielandt bound on the spectral radius.
+def _value_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Labor values of a ``(k, n, n)`` stack, with residuals and bounds.
 
-    Solves ``values (I - inputs) = labor`` and returns ``values`` with
-    ``max_i (values @ inputs)_i / values_i``, which bounds the radius of
-    ``inputs`` from above because ``values`` is positive. Raises
-    SingularSystem if the solve fails, a value is not positive, or the
-    residual relative to the largest value exceeds VALUE_RESIDUAL_TOL.
-    """
-    n = inputs.shape[0]
-    # I - inputs^T built in place: one n x n array besides the solver's copy.
-    system = -inputs.T
-    system.flat[:: n + 1] += 1.0
-    try:
-        values = np.linalg.solve(system, labor)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystem(f"value accounting system is singular: {err}") from err
-    if not values.min() > 0.0:
-        raise SingularSystem(
-            f"value accounting system gives a value of {values.min():.3e}, not positive"
-        )
-    image = values @ inputs
-    # values @ inputs and labor are each at most values, so measuring the
-    # residual against the largest value makes it free of units.
-    residual = float(np.max(np.abs(values - image - labor))) / float(values.max())
-    if not residual <= VALUE_RESIDUAL_TOL:
-        raise SingularSystem(
-            f"value accounting residual {residual:.3e} relative to the largest "
-            f"value exceeds {VALUE_RESIDUAL_TOL:.0e}"
-        )
-    return values, float(np.max(image / values))
-
-
-def _value_rows(
-    inputs: np.ndarray, labor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_solve_values`` on a ``(k, n, n)`` stack, as one stacked solve.
-
-    Each row's arithmetic is that of ``_solve_values``. Returns every
-    row's values, residual and bound, whether or not they pass, and
-    raises LinAlgError if any row is singular. ``Technology`` keeps the
-    plain one-row solve: run through this at k = 1, a construction at 3
-    or 24 sectors took about 5% longer (3-4 µs, one BLAS thread), spent
-    on the stacked diagonal update, the ``errstate`` guard and the
-    stacked product.
+    Solves ``values (I - inputs) = labor`` for every row in one stacked
+    solve, and returns each row's values, its residual
+    ``max_i |values - values @ inputs - labor|_i`` relative to the largest
+    value, and its Collatz–Wielandt bound ``max_i (values @ inputs)_i /
+    values_i``, whether or not they pass. Raises LinAlgError if any row
+    is singular.
     """
     k, n, _ = inputs.shape
     system = np.negative(inputs, order="C")
     system.reshape(k, n * n)[:, :: n + 1] += 1.0
     values = np.linalg.solve(system.transpose(0, 2, 1), labor[:, :, None])[:, :, 0]
     image = (values[:, None, :] @ inputs)[:, 0, :]
-    # A value that is not positive fails its row anyway.
+    # values @ inputs and labor are each at most values, so measuring the
+    # residual against the largest value makes it free of units. A value
+    # that is not positive fails its row anyway.
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = np.abs(values - image - labor).max(axis=1) / values.max(axis=1)
         bound = (image / values).max(axis=1)
     return values, residual, bound
+
+
+# _certify_stack's reason codes: PASSED, or the first check a row fails.
+PASSED, NEGATIVE_INPUT, LABOR_NOT_POSITIVE, DECOMPOSABLE = range(4)
+SINGULAR, VALUE_NOT_POSITIVE, RESIDUAL_TOO_LARGE, BOUND_NOT_BELOW_ONE = range(4, 8)
+
+
+class _Certificate(NamedTuple):
+    """``_certify_stack``'s verdict on each row of a stack.
+
+    ``values``, ``residual`` and ``bound`` are meaningful only in rows
+    that reached the value solve and did not fail it. ``error`` is the
+    stacked solve's LinAlgError, which fails every row it solved.
+    """
+
+    reasons: np.ndarray
+    values: np.ndarray
+    residual: np.ndarray
+    bound: np.ndarray
+    error: np.linalg.LinAlgError | None
+
+
+def _certify_stack(inputs: np.ndarray, labor: np.ndarray) -> _Certificate:
+    """The technique certificate, for each row of a ``(k, n, n)`` stack.
+
+    Nonnegative inputs, positive labor, strong connectivity, then one
+    stacked value solve (``_value_rows``), positive values, the relative
+    residual against VALUE_RESIDUAL_TOL and the Collatz–Wielandt bound
+    against ``1 - PRODUCTIVITY_MARGIN``. Each check runs on the rows
+    that passed the checks before it, and a row that fails is only
+    marked with its reason. Entries must be finite. ``Technology`` is
+    the one-row case and turns the reason into its error.
+    """
+    k = inputs.shape[0]
+    reasons = np.zeros(k, dtype=int)  # PASSED
+    rows = np.arange(k)
+
+    def live(array):
+        # Rows are copied out of the stack only once some row has failed.
+        return array if rows.size == k else array[rows]
+
+    def fail(failed, reason):
+        nonlocal rows
+        if np.count_nonzero(failed):
+            reasons[rows[failed]] = reason
+            rows = rows[~failed]
+
+    fail((inputs < 0).any(axis=(1, 2)), NEGATIVE_INPUT)
+    fail((live(labor) <= 0).any(axis=1), LABOR_NOT_POSITIVE)
+    fail(~_connected_rows(live(inputs)), DECOMPOSABLE)
+    values, residual, bound = np.empty(labor.shape), np.empty(k), np.empty(k)
+    try:
+        values[rows], residual[rows], bound[rows] = _value_rows(live(inputs), live(labor))
+    except np.linalg.LinAlgError as err:
+        reasons[rows] = SINGULAR
+        return _Certificate(reasons, values, residual, bound, err)
+    fail(~(live(values).min(axis=1) > 0.0), VALUE_NOT_POSITIVE)
+    fail(~(live(residual) <= VALUE_RESIDUAL_TOL), RESIDUAL_TOO_LARGE)
+    fail(~(live(bound) < 1.0 - PRODUCTIVITY_MARGIN), BOUND_NOT_BELOW_ONE)
+    return _Certificate(reasons, values, residual, bound, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,8 +388,9 @@ class Technology:
     """An immutable (inputs, labor) pair describing production.
 
     Construction certifies nonnegative inputs, strictly positive direct
-    labor, indecomposability and productivity, or raises. Productivity
-    rests on the labor-value solve, whose bound must be below
+    labor, indecomposability and productivity, or raises: it is the
+    one-row case of ``_certify_stack``. Productivity rests on the
+    labor-value solve, whose Collatz–Wielandt bound must be below
     ``1 - PRODUCTIVITY_MARGIN``; its values are kept, read-only, as
     ``values``, and the bound as ``productivity_bound``. Only when that
     certificate fails is ``spectral_radius`` measured during
@@ -401,27 +418,38 @@ class Technology:
             )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labor", labor)
-        if np.any(inputs < 0):
+        certificate = _certify_stack(inputs[None], labor[None])
+        reason = int(certificate.reasons[0])
+        values = certificate.values[0]
+        if reason == NEGATIVE_INPUT:
             raise ValueError("input matrix must be nonnegative")
-        if np.any(labor <= 0):
+        if reason == LABOR_NOT_POSITIVE:
             raise ValueError("labor vector must be strictly positive")
-        if not _strongly_connected(inputs):
+        if reason == DECOMPOSABLE:
             raise Decomposable(
                 "economy is decomposable: sector input graph is not strongly connected"
             )
-        try:
-            values, bound = _solve_values(inputs, labor)
-        except SingularSystem:
+        if reason != PASSED:
+            # Unusable values, or a bound that reads 1 (it is 1 - min_i
+            # labor_i / values_i up to rounding, so it does once some labor
+            # is negligible next to its value): the measured radius decides.
             self._require_productive()
-            raise
-        if not bound < 1.0 - PRODUCTIVITY_MARGIN:
-            # The bound is 1 - min_i labor_i / values_i up to rounding, so
-            # it reads 1 once some labor is negligible next to its value;
-            # the measured radius then decides.
-            self._require_productive()
+        if reason == SINGULAR:
+            raise SingularSystem(
+                f"value accounting system is singular: {certificate.error}"
+            ) from certificate.error
+        if reason == VALUE_NOT_POSITIVE:
+            raise SingularSystem(
+                f"value accounting system gives a value of {values.min():.3e}, not positive"
+            )
+        if reason == RESIDUAL_TOO_LARGE:
+            raise SingularSystem(
+                f"value accounting residual {certificate.residual[0]:.3e} relative to "
+                f"the largest value exceeds {VALUE_RESIDUAL_TOL:.0e}"
+            )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "productivity_bound", bound)
+        object.__setattr__(self, "productivity_bound", float(certificate.bound[0]))
 
     @classmethod
     def _certified(cls, inputs, labor, values, bound) -> "Technology":
@@ -458,61 +486,32 @@ class Technology:
         return self.inputs[:, sector]
 
 
-def _certify_stack(
-    inputs: np.ndarray, labor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Technology``'s checks on a ``(k, n, n)`` stack, in its order, as masks.
-
-    Finite entries, nonnegative inputs, positive labor, strong
-    connectivity, then one stacked value solve for the rows still in,
-    positive values, the relative residual and the Collatz–Wielandt
-    bound. Returns the ``(k,)`` mask of rows that pass every check, and
-    the values and bounds, meaningful where the mask is set. A row that
-    fails is only marked, and a singular row, which fails the stacked
-    solve as a whole, marks every row it was solved with: ``Technology``
-    gives the reason.
-    """
-    passed = (
-        np.isfinite(inputs).all(axis=(1, 2))
-        & np.isfinite(labor).all(axis=1)
-        & ~(inputs < 0).any(axis=(1, 2))
-        & (labor > 0).all(axis=1)
-    )
-    passed[passed] = _connected_rows(inputs[passed])
-    rows = np.flatnonzero(passed)
-    values, bounds = np.empty(labor.shape), np.empty(labor.shape[0])
-    try:
-        values[rows], residual, bounds[rows] = _value_rows(inputs[rows], labor[rows])
-    except np.linalg.LinAlgError:
-        passed[rows] = False
-        return passed, values, bounds
-    passed[rows] = (
-        (values[rows].min(axis=1) > 0.0)
-        & (residual <= VALUE_RESIDUAL_TOL)
-        & (bounds[rows] < 1.0 - PRODUCTIVITY_MARGIN)
-    )
-    return passed, values, bounds
-
-
 def certify_techniques(inputs, labor) -> list[Technology]:
     """``Technology(inputs[i], labor[i])`` for each i, certified together.
 
-    The square rows of each size with a labor vector to match form one
-    ``(k, n, n)`` stack, checked by one ``_certify_stack`` call. A row
-    alone of its size, a row of another shape and a row that fails a
-    check are built by ``Technology`` itself, in order, so the first
-    failing row raises what ``Technology`` raises for it, and a row whose
-    bound reads 1 is still accepted on its measured radius. Each row's
-    arithmetic is that of ``Technology``, so a technique does not depend
-    on the rows certified beside it.
+    The finite square rows of each size with a labor vector to match
+    form one ``(k, n, n)`` stack, checked by one ``_certify_stack`` call.
+    A row alone of its size, a row of another shape, a row with an entry
+    that is not finite and a row that fails a check are built by
+    ``Technology`` itself, in order, so the first failing row raises what
+    ``Technology`` raises for it, and a row whose bound reads 1 is still
+    accepted on its measured radius. Each row's arithmetic is that of
+    ``Technology``, so a technique does not depend on the rows certified
+    beside it.
     """
     if len(inputs) != len(labor):
         raise ValueError(f"{len(inputs)} input matrices but {len(labor)} labor vectors")
     inputs = [np.asarray(matrix, dtype=float) for matrix in inputs]
     labor = [np.asarray(vector, dtype=float) for vector in labor]
-    # Size 0 marks a row of the wrong shape, which only Technology reports.
+    # Size 0 marks a row that only Technology reports: one of the wrong
+    # shape, or with an entry that is not finite.
     sizes = [
-        len(l) if l.ndim == 1 and a.shape == (len(l), len(l)) else 0
+        len(l)
+        if l.ndim == 1
+        and a.shape == (len(l),) * 2
+        and np.isfinite(a).all()
+        and np.isfinite(l).all()
+        else 0
         for a, l in zip(inputs, labor)
     ]
     techs: list = [None] * len(inputs)
@@ -521,10 +520,10 @@ def certify_techniques(inputs, labor) -> list[Technology]:
             continue
         stack = np.array([inputs[row] for row in rows])
         labor_stack = np.array([labor[row] for row in rows])
-        passed, values, bounds = _certify_stack(stack, labor_stack)
-        for j in np.flatnonzero(passed):
+        certificate = _certify_stack(stack, labor_stack)
+        for j in np.flatnonzero(certificate.reasons == PASSED):
             techs[rows[j]] = Technology._certified(
-                stack[j], labor_stack[j], values[j], bounds[j]
+                stack[j], labor_stack[j], certificate.values[j], certificate.bound[j]
             )
     return [
         Technology(a, l) if tech is None else tech

@@ -66,6 +66,17 @@ class ChangeClassification:
     break_even_wage: float
 
 
+def _require_fit(tech: Technology, change: TechChange) -> None:
+    """Raise unless ``change`` names a sector of ``tech`` with a column of its length."""
+    if change.sector >= tech.n:
+        raise InvalidSector(f"sector {change.sector} outside range 0..{tech.n - 1}")
+    if change.new_column.shape[0] != tech.n:
+        raise ValueError(
+            f"replacement column length {change.new_column.shape[0]} does not "
+            f"match {tech.n} sectors"
+        )
+
+
 def classify(
     tech: Technology,
     equilibrium: Equilibrium,
@@ -88,13 +99,7 @@ def classify(
     The classification is invariant to rescaling prices and the wage by
     a common factor.
     """
-    if change.sector >= tech.n:
-        raise InvalidSector(f"sector {change.sector} outside range 0..{tech.n - 1}")
-    if change.new_column.shape[0] != tech.n:
-        raise ValueError(
-            f"replacement column length {change.new_column.shape[0]} does not "
-            f"match {tech.n} sectors"
-        )
+    _require_fit(tech, change)
     prices = equilibrium.prices
     old_column = tech.input_column(change.sector)
     old_labor = float(tech.labor[change.sector])
@@ -206,8 +211,10 @@ def check_properties(
 def apply_change(tech: Technology, change: TechChange) -> Technology:
     """Patch one sector's recipe and revalidate the economy.
 
-    Raises NotProductive or Decomposable if the patched technique is no
-    longer acceptable. ``apply_changes`` with one case.
+    Raises InvalidSector or ValueError if the change does not fit ``tech``,
+    as ``classify`` does, and NotProductive or Decomposable if the
+    patched technique is no longer acceptable. ``apply_changes`` with one
+    case.
     """
     return apply_changes([(tech, change)])[0]
 
@@ -221,8 +228,7 @@ def apply_changes(cases) -> list[Technology]:
     """
     inputs, labor = [], []
     for tech, change in cases:
-        if change.sector >= tech.n:
-            raise InvalidSector(f"sector {change.sector} outside range 0..{tech.n - 1}")
+        _require_fit(tech, change)
         patched, new_labor = tech.inputs.copy(), tech.labor.copy()
         patched[:, change.sector] = change.new_column
         new_labor[change.sector] = change.new_labor

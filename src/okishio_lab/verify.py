@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,6 +82,10 @@ class ScenarioFlags:
     surplus_ok_post: bool
     region_feasible: bool
     ratio_condition: bool
+
+
+# The flags' names, in field order: their CSV columns and JSON keys.
+SCENARIO_FLAG_NAMES = tuple(flag.name for flag in fields(ScenarioFlags))
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,15 +569,7 @@ SUITE_CSV_COLUMNS = [
     "index",
     "seed",
     "n",
-    "viable",
-    "culs",
-    "more_expensive",
-    "value_constant",
-    "saving_bounded",
-    "admissible_pre",
-    "surplus_ok_post",
-    "region_feasible",
-    "ratio_condition",
+    *SCENARIO_FLAG_NAMES,
     "profit_pre",
     "profit_post",
     "exploitation_pre",
@@ -597,15 +593,7 @@ def suite_csv_row(record: SweepRecord) -> list:
         record.index,
         record.seed,
         record.n,
-        flags.viable,
-        flags.culs,
-        flags.more_expensive,
-        flags.value_constant,
-        flags.saving_bounded,
-        flags.admissible_pre,
-        flags.surplus_ok_post,
-        flags.region_feasible,
-        flags.ratio_condition,
+        *(getattr(flags, name) for name in SCENARIO_FLAG_NAMES),
         repr(record.scenario.pre_profit),
         repr(record.scenario.post_profit),
         repr(record.scenario.pre_exploitation),

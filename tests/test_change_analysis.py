@@ -75,6 +75,16 @@ class TestAnalyzeChange:
         with pytest.raises(NotProductive):
             analyze_change(ref_tech, ref_bundle, equilibrium, heavy)
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_column_of_the_wrong_length_is_named(self, ref_tech, ref_bundle, length):
+        change = TechChange(sector=1, new_column=np.full(length, 0.1), new_labor=0.1)
+        equilibrium = uniform_profit_rate(ref_tech, ref_bundle)
+        message = f"replacement column length {length} does not match 3 sectors"
+        with pytest.raises(ValueError, match=message):
+            apply_change(ref_tech, change)
+        with pytest.raises(ValueError, match=message):
+            analyze_change(ref_tech, ref_bundle, equilibrium, change)
+
 
 def _assert_same_report(batched, single):
     for field in fields(single):
@@ -158,7 +168,6 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
     linear_economy = okishio_lab.linear_economy
     original_perron = linear_economy._left_perron
     original_rows = linear_economy._value_rows
-    original_values = linear_economy._solve_values
     original_certify = linear_economy._certify_stack
     original_init = Technology.__post_init__
 
@@ -171,10 +180,6 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
         value_rows.append(inputs.shape[0])
         return original_rows(inputs, labor)
 
-    def counted_values(inputs, labor):
-        value_rows.append(1)
-        return original_values(inputs, labor)
-
     def counted_certify(inputs, labor):
         certified.append(inputs.shape[:2])
         return original_certify(inputs, labor)
@@ -185,7 +190,6 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
 
     _wrap_everywhere(monkeypatch, original_perron, counted_perron)
     _wrap_everywhere(monkeypatch, original_rows, counted_rows)
-    _wrap_everywhere(monkeypatch, original_values, counted_values)
     _wrap_everywhere(monkeypatch, original_certify, counted_certify)
     monkeypatch.setattr(Technology, "__post_init__", counted_init)
     rounds = _count_draws(monkeypatch)
@@ -194,11 +198,11 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
     assert len(matrices) <= MATRICES_PER_ECONOMY * count
     # Stacked by sector count: three stacks (draw, pre, post) per size.
     assert len(stacks) <= 3 * len({m.shape[0] for m in matrices})
-    # Each candidate and each patched technique (the producer's and the
-    # verifier's) reaches the value solve once, through one stack or alone.
+    # Every value solve is a stacked one. Each candidate and each patched
+    # technique (the producer's and the verifier's) reaches it once.
     candidates = sum(map(len, rounds))
     assert sum(value_rows) == candidates + 2 * count
-    assert sum(k for k, _ in certified) + len(one_row) == sum(value_rows)
+    assert sum(k for k, _ in certified) == sum(value_rows)
     # One stacked certification per size for each draw round, the
     # producer's patched techniques and the verifier's. Every size is
     # drawn at least twice at this seed, so no technique is certified alone.

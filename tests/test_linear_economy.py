@@ -32,12 +32,18 @@ from okishio_lab import (
     value_system,
 )
 from okishio_lab.linear_economy import (
+    BOUND_NOT_BELOW_ONE,
     CW_TOL,
+    DECOMPOSABLE,
+    LABOR_NOT_POSITIVE,
+    NEGATIVE_INPUT,
+    PASSED,
     PRODUCTIVITY_MARGIN,
+    RESIDUAL_TOO_LARGE,
+    SINGULAR,
+    VALUE_NOT_POSITIVE,
     _certify_stack,
     _connected_rows,
-    _solve_values,
-    _strongly_connected,
     certify_techniques,
 )
 
@@ -146,6 +152,10 @@ def _reference_strongly_connected(adjacency: np.ndarray) -> bool:
     return bool(np.all(reach > 0))
 
 
+def _connected(inputs: np.ndarray) -> bool:
+    return bool(_connected_rows(inputs[None])[0])
+
+
 class TestConnectivity:
     def test_closure_matches_matrix_power_reference(self):
         # Edge densities c * ln(n) / n straddle the connectivity threshold,
@@ -158,9 +168,24 @@ class TestConnectivity:
             adjacency = (rng.random((n, n)) < density).astype(float)
             inputs = adjacency * rng.uniform(0.01, 0.3, (n, n))
             expected = _reference_strongly_connected(adjacency)
-            assert _strongly_connected(inputs) is expected, adjacency
+            assert _connected(inputs) is expected, adjacency
             verdicts[expected] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_cycles_need_every_edge(self):
+        # One cycle through every sector in a random order is the deepest
+        # connected graph, n levels of the search; cutting any one of its
+        # edges disconnects it.
+        rng = np.random.default_rng(2207)
+        for n in (1, 2, 3, 7, 30, 64):
+            order = rng.permutation(n)
+            cycle = np.zeros((n, n))
+            cycle[order, np.roll(order, -1)] = rng.uniform(0.01, 0.3, n)
+            assert _connected(cycle) and _reference_strongly_connected(cycle)
+            if n > 1:
+                cut = cycle.copy()
+                cut[order[0], order[1]] = 0.0
+                assert not _connected(cut) and not _reference_strongly_connected(cut)
 
     def test_stacked_search_matches_one_matrix_at_a_time(self):
         rng = np.random.default_rng(2206)
@@ -169,7 +194,7 @@ class TestConnectivity:
             n, k = int(rng.integers(1, 13)), int(rng.integers(1, 9))
             density = rng.uniform(0.05, 0.6)
             stack = (rng.random((k, n, n)) < density) * rng.uniform(0.01, 0.3, (k, n, n))
-            expected = [_strongly_connected(matrix) for matrix in stack]
+            expected = [_reference_strongly_connected(matrix) for matrix in stack]
             assert _connected_rows(stack).tolist() == expected
             verdicts.update(expected)
         assert verdicts[True] > 100 and verdicts[False] > 100
@@ -179,11 +204,11 @@ class TestConnectivity:
         # Only an exact zero is missing: a 1e-14 input is an input in
         # some other unit of that good.
         cycle = np.roll(np.eye(4), 1, axis=1) * 0.2
-        assert _strongly_connected(cycle)
+        assert _connected(cycle)
         cycle[0, 1] = 1e-14
-        assert _strongly_connected(cycle)
+        assert _connected(cycle)
         cycle[0, 1] = 0.0
-        assert not _strongly_connected(cycle)
+        assert not _connected(cycle)
 
 
 class TestLaborValues:
@@ -263,13 +288,18 @@ class TestValueCertificate:
         # Sector 1's labor is rounded away next to its value, so the bound
         # 1 - min_i L_i / v_i reads 1 although the radius is 0.65.
         labor = np.array([1e-16, 1.0, 1.0])
-        assert _solve_values(ref_inputs, labor)[1] >= 1.0 - PRODUCTIVITY_MARGIN
+        certificate = _certify_stack(ref_inputs[None], labor[None])
+        assert certificate.reasons.tolist() == [BOUND_NOT_BELOW_ONE]
+        assert certificate.bound[0] >= 1.0 - PRODUCTIVITY_MARGIN
         tech = Technology(ref_inputs, labor)
         assert tech.spectral_radius == pytest.approx(0.65, rel=1e-14)
         assert np.all(tech.values > 0)
 
     def test_productivity_bound_is_kept(self, ref_tech):
-        assert ref_tech.productivity_bound == _solve_values(ref_tech.inputs, ref_tech.labor)[1]
+        certificate = _certify_stack(ref_tech.inputs[None], ref_tech.labor[None])
+        assert certificate.reasons.tolist() == [PASSED]
+        assert ref_tech.productivity_bound == certificate.bound[0]
+        assert np.array_equal(ref_tech.values, certificate.values[0])
         assert ref_tech.productivity_bound >= ref_tech.spectral_radius * (1.0 - CW_TOL)
         assert ref_tech.productivity_bound < 1.0 - PRODUCTIVITY_MARGIN
 
@@ -300,10 +330,47 @@ class TestValueCertificate:
         # Both matrices have equal column sums, so measuring their radius
         # needs no solve of its own.
         monkeypatch.setattr(np.linalg, "solve", failing)
-        with pytest.raises(SingularSystem, match="singular"):
+        with pytest.raises(SingularSystem) as singular:
             Technology(ref_inputs, np.array([0.2, 0.15, 0.25]))
+        # The solver's own message is kept.
+        assert str(singular.value) == "value accounting system is singular: Singular matrix"
         with pytest.raises(NotProductive, match="1.200000"):
             Technology(np.full((2, 2), 0.6), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "factor, reason, message",
+        [
+            (
+                -1.0,
+                VALUE_NOT_POSITIVE,
+                "value accounting system gives a value of -5.714e-01, not positive",
+            ),
+            (
+                1.0 + 1e-6,
+                RESIDUAL_TOO_LARGE,
+                "value accounting residual 5.778e-07 relative to the largest value "
+                "exceeds 1e-10",
+            ),
+        ],
+    )
+    def test_unusable_values_of_a_productive_technique_are_singular(
+        self, ref_inputs, monkeypatch, factor, reason, message
+    ):
+        # The solve's first value is scaled by factor: the technique stays
+        # productive (radius 0.65), so its values are what is wrong.
+        solve = np.linalg.solve
+
+        def perturbed(*args):
+            out = solve(*args)
+            out.flat[0] *= factor
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        labor = np.array([0.2, 0.15, 0.25])
+        assert _certify_stack(ref_inputs[None], labor[None]).reasons.tolist() == [reason]
+        with pytest.raises(SingularSystem) as raised:
+            Technology(ref_inputs, labor)
+        assert str(raised.value) == message
 
 
 @st.composite
@@ -322,8 +389,11 @@ class TestCertificateProperties:
         # The technique, and the same economy's wage-augmented matrix
         # (radius 1/(1 + pi) < 1) with the bundle counted in 10^-k units.
         augmented = augmented_inputs(rescaled, WageBundle(bundle.quantities * 10.0**-k))
-        for inputs in (tech.inputs, augmented):
-            values, bound = _solve_values(inputs, labor)
+        stack = np.array([tech.inputs, augmented])
+        certificate = _certify_stack(stack, np.array([labor, labor]))
+        # Both value solves succeed; only the bound may read 1.
+        assert set(certificate.reasons.tolist()) <= {PASSED, BOUND_NOT_BELOW_ONE}
+        for inputs, values, bound in zip(stack, certificate.values, certificate.bound):
             assert np.all(values > 0)
             assert bound >= eigvals_radius(inputs) * (1.0 - CW_TOL)
 
@@ -372,6 +442,33 @@ BAD_ROWS = {
 }
 BOUND_READS_ONE = (_ref_inputs(), np.array([1e-16, 1.0, 1.0]))
 
+# What each bad row raises, written out, and the reason _certify_stack
+# gives for it (a non-finite row never reaches it).
+BAD_ROW_ERRORS = {
+    "negative entry": (ValueError, "input matrix must be nonnegative", NEGATIVE_INPUT),
+    "non-finite entry": (ValueError, "array entries must be finite", None),
+    "labor not positive": (
+        ValueError,
+        "labor vector must be strictly positive",
+        LABOR_NOT_POSITIVE,
+    ),
+    "decomposable": (
+        Decomposable,
+        "economy is decomposable: sector input graph is not strongly connected",
+        DECOMPOSABLE,
+    ),
+    "not productive": (
+        NotProductive,
+        "input matrix is not productive: spectral radius 1.200000 is not below 1",
+        VALUE_NOT_POSITIVE,
+    ),
+    "singular": (
+        NotProductive,
+        "input matrix is not productive: spectral radius 1.000000 is not below 1",
+        SINGULAR,
+    ),
+}
+
 
 class TestStackedCertificate:
     def test_good_rows_equal_one_at_a_time(self):
@@ -412,24 +509,61 @@ class TestStackedCertificate:
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     def test_bad_row_raises_what_technology_raises(self, kind):
         bad_inputs, bad_labor = BAD_ROWS[kind]
+        error, message, reason = BAD_ROW_ERRORS[kind]
         with pytest.raises(Exception) as alone:
             Technology(bad_inputs, bad_labor)
+        assert type(alone.value) is error and str(alone.value) == message
         inputs, labor = _good_rows(np.random.default_rng(407), 3, 5)
         inputs.insert(2, bad_inputs)
         labor.insert(2, bad_labor)
-        passed, values, _ = _certify_stack(np.array(inputs), np.array(labor))
-        assert not passed[2]
-        for row in np.flatnonzero(passed):
-            assert np.array_equal(values[row], Technology(inputs[row], labor[row]).values)
-        # A singular row fails every row solved with it; Technology then
-        # certifies the others one at a time.
-        assert passed.sum() == (0 if kind == "singular" else len(inputs) - 1)
-        with pytest.raises(type(alone.value)) as stacked:
+        with pytest.raises(error) as stacked:
             certify_techniques(inputs, labor)
-        assert str(stacked.value) == str(alone.value)
+        assert type(stacked.value) is error and str(stacked.value) == message
         # The rows before the bad one certify on their own.
         for tech, a, l in zip(certify_techniques(inputs[:2], labor[:2]), inputs, labor):
             assert np.array_equal(tech.values, Technology(a, l).values)
+        if reason is None:
+            return
+        assert _certify_stack(bad_inputs[None], bad_labor[None]).reasons.tolist() == [reason]
+        certificate = _certify_stack(np.array(inputs), np.array(labor))
+        # A singular row fails every row solved with it; Technology then
+        # certifies the others one at a time.
+        others = SINGULAR if kind == "singular" else PASSED
+        assert certificate.reasons.tolist() == [others] * 2 + [reason] + [others] * 3
+        for row in np.flatnonzero(certificate.reasons == PASSED):
+            assert np.array_equal(
+                certificate.values[row], Technology(inputs[row], labor[row]).values
+            )
+
+    def test_reasons_of_a_mixed_stack(self):
+        # Every finite bad row but the singular one, which would fail the
+        # whole solve, between good rows: each keeps its own first failure.
+        (g0, g1, g2), good_labor = _good_rows(np.random.default_rng(411), 3, 3)
+        rows = [
+            BAD_ROWS["decomposable"],
+            (g0, good_labor[0]),
+            BAD_ROWS["negative entry"],
+            BAD_ROWS["not productive"],
+            (g1, good_labor[1]),
+            BOUND_READS_ONE,
+            (g2, good_labor[2]),
+            BAD_ROWS["labor not positive"],
+        ]
+        inputs, labor = [list(column) for column in zip(*rows)]
+        certificate = _certify_stack(np.array(inputs), np.array(labor))
+        assert certificate.reasons.tolist() == [
+            DECOMPOSABLE,
+            PASSED,
+            NEGATIVE_INPUT,
+            VALUE_NOT_POSITIVE,
+            PASSED,
+            BOUND_NOT_BELOW_ONE,
+            PASSED,
+            LABOR_NOT_POSITIVE,
+        ]
+        assert certificate.error is None
+        with pytest.raises(Decomposable):
+            certify_techniques(inputs, labor)
 
     def test_row_of_another_shape_raises_what_technology_raises(self):
         inputs, labor = _good_rows(np.random.default_rng(410), 3, 3)
@@ -454,11 +588,12 @@ class TestStackedCertificate:
         inputs, labor = _good_rows(np.random.default_rng(409), 3, 4)
         inputs.insert(1, BOUND_READS_ONE[0])
         labor.insert(1, BOUND_READS_ONE[1])
-        passed, _, _ = _certify_stack(np.array(inputs), np.array(labor))
-        assert passed.tolist() == [True, False, True, True, True]
+        certificate = _certify_stack(np.array(inputs), np.array(labor))
+        assert certificate.reasons.tolist() == [PASSED, BOUND_NOT_BELOW_ONE] + [PASSED] * 3
         stacked = certify_techniques(inputs, labor)[1]
         single = Technology(*BOUND_READS_ONE)
         assert np.array_equal(stacked.values, single.values)
+        assert stacked.productivity_bound == single.productivity_bound == 1.0
         assert stacked.spectral_radius == single.spectral_radius == pytest.approx(0.65)
 
 

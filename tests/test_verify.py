@@ -33,7 +33,7 @@ from okishio_lab import (
     uniform_profit_rate,
     value_of_bundle,
 )
-from okishio_lab.linear_economy import _strongly_connected
+from okishio_lab.linear_economy import _connected_rows
 from okishio_lab.verify import _connect_cycle, suite_csv_row
 
 
@@ -265,15 +265,11 @@ class TestRandomEconomy:
         assert len(certified) == verify.DRAW_ATTEMPTS
 
     def test_cycle_patch_connects_decomposable_draws(self):
-        from okishio_lab.linear_economy import _strongly_connected
-        from okishio_lab.verify import _connect_cycle
-
         block = np.zeros((4, 4))
         block[0, 1] = block[1, 0] = 0.2  # two isolated 2-blocks
         block[2, 3] = block[3, 2] = 0.2
-        assert not _strongly_connected(block)
         patched = _connect_cycle(block, np.random.default_rng(3))
-        assert _strongly_connected(patched)
+        assert _connected_rows(np.array([block, patched])).tolist() == [False, True]
 
 
 def _picky_admissibility(prices, values, bundle_value):
@@ -291,7 +287,7 @@ def _reference_draw(rng, n, admissible=admissibility):
     """
     for attempt in range(1, verify.DRAW_ATTEMPTS + 1):
         inputs = rng.uniform(0.0, 0.3, (n, n))
-        if not _strongly_connected(inputs):
+        if not _connected_rows(inputs[None])[0]:
             inputs = _connect_cycle(inputs, rng)
         radius = float(np.max(np.abs(np.linalg.eigvals(inputs))))
         if radius <= 0:
