@@ -12,9 +12,9 @@ Commands:
 
 Exit codes: 0 success, 1 golden-replay mismatch, 2 input validation
 failure, 3 internal guarantee violation. Text output rounds to 7
-significant digits; JSON carries full precision. The environment
-variable OKISHIO_LAB_TOL overrides the equilibrium residual tolerance
-(relative to the largest price).
+significant digits; JSON carries full precision. No command takes a
+solver tolerance: every price solve is certified by its Collatz–Wielandt
+bracket and checked against the fixed ``equilibrium.RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import os
 import sys
 
 from .errors import EconomyError
-from .equilibrium import (
-    DEFAULT_RESIDUAL_TOL,
-    admissibility,
-    max_profit_rate,
-    uniform_profit_rate,
-)
+from .equilibrium import admissibility, max_profit_rate, uniform_profit_rate
 from .linear_economy import (
     load_economy,
     load_wage,
@@ -82,20 +77,9 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _residual_tol() -> float:
-    raw = os.environ.get("OKISHIO_LAB_TOL")
-    if raw is None:
-        return DEFAULT_RESIDUAL_TOL
-    tol = float(raw)
-    if not 0.0 < tol < float("inf"):
-        raise ValueError(f"OKISHIO_LAB_TOL must be positive and finite, got {raw}")
-    return tol
-
-
 def cmd_analyze(args) -> int:
     tech, bundle = load_economy(args.economy)
-    tol = _residual_tol()
-    equilibrium = uniform_profit_rate(tech, bundle, tol)
+    equilibrium = uniform_profit_rate(tech, bundle)
     system = value_system(tech, bundle)
     values, bundle_value = system.values, system.bundle_value
     flags = admissibility(equilibrium.prices, values, bundle_value)
@@ -145,8 +129,7 @@ def cmd_analyze(args) -> int:
 def cmd_check_tc(args) -> int:
     tech, bundle = load_economy(args.economy)
     change = load_tech_change(args.tc)
-    tol = _residual_tol()
-    equilibrium = uniform_profit_rate(tech, bundle, tol)
+    equilibrium = uniform_profit_rate(tech, bundle)
     properties = None
     if args.wage is None:
         # Pricing alone: a patched technique that is not productive still classifies.
@@ -204,8 +187,7 @@ def cmd_check_tc(args) -> int:
 
 def cmd_synth_tc(args) -> int:
     tech, bundle = load_economy(args.economy)
-    tol = _residual_tol()
-    equilibrium = uniform_profit_rate(tech, bundle, tol)
+    equilibrium = uniform_profit_rate(tech, bundle)
     if args.sector is None:
         raise ValueError("synth-tc requires --sector (1-based)")
     if args.sector < 1 or args.sector > tech.n:
@@ -236,8 +218,7 @@ def cmd_synth_wage(args) -> int:
         raise ValueError("--pivot and --pivot-value apply only to --strategy equal-off-pivot")
     tech, bundle = load_economy(args.economy)
     change = load_tech_change(args.tc)
-    tol = _residual_tol()
-    equilibrium = uniform_profit_rate(tech, bundle, tol)
+    equilibrium = uniform_profit_rate(tech, bundle)
     region = analyze_change(tech, bundle, equilibrium, change).region
     if region is None:
         raise ValueError("wage region is only defined for a viable change")
@@ -285,7 +266,7 @@ def cmd_verify(args) -> int:
     tech, bundle = load_economy(args.economy)
     change = load_tech_change(args.tc)
     new_bundle = load_wage(args.wage) if args.wage is not None else bundle
-    report = run_scenario(tech, bundle, change, new_bundle, _residual_tol())
+    report = run_scenario(tech, bundle, change, new_bundle)
     if args.format == "json":
         _emit_json(_scenario_payload(report))
         return 0
@@ -352,12 +333,7 @@ def cmd_reproduce_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    records = iter_suite(
-        seed=args.seed,
-        count=args.count,
-        n_range=(args.n_min, args.n_max),
-        residual_tol=_residual_tol(),
-    )
+    records = iter_suite(seed=args.seed, count=args.count, n_range=(args.n_min, args.n_max))
     if args.format == "csv":
         records = _echoed_as_csv(records)
     try:

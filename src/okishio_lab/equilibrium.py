@@ -19,7 +19,11 @@ iteration (Numer. Math. 17, 1971) takes over, which converges
 quadratically however close the second eigenvalue is to ``rho``. The
 bracket does not depend on the units of goods or labor, and neither
 does the returned residual, which is measured relative to the largest
-price.
+price. The bracket also bounds that residual: for prices from an iterate
+whose bracket has relative width ``w``, it is at most ``w/2`` plus a
+few ulps per sector of rounding. A solve is rejected only if its
+residual exceeds the fixed RESIDUAL_TOL, far above that bound, so the
+check guards the solver's arithmetic and leaves no tolerance to choose.
 
 ``solve_equilibria`` prices many economies at once: the matrices of one
 size form a ``(k, n, n)`` stack, and ``_left_perron`` runs its plain
@@ -38,8 +42,9 @@ import numpy as np
 from .errors import DegenerateNormalization, NoConvergence
 from .linear_economy import CW_TOL, Technology, WageBundle, _by_size, _left_perron
 
-DEFAULT_RESIDUAL_TOL = 1e-9
-_EPS = float(np.finfo(float).eps)
+# Fixed-point residual, relative to the largest price, above which a
+# certified solve is rejected.
+RESIDUAL_TOL = 1e-9
 # Strictness margin for price-value ratio, cost and elementwise comparisons.
 STRICT_MARGIN = 1e-12
 
@@ -104,34 +109,26 @@ def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     return tech.inputs + np.outer(bundle.quantities, tech.labor)
 
 
-def uniform_profit_rate(
-    tech: Technology,
-    bundle: WageBundle,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> Equilibrium:
+def uniform_profit_rate(tech: Technology, bundle: WageBundle) -> Equilibrium:
     """Solve for prices of production and the uniform profit rate.
 
     Args:
         tech: validated production data.
         bundle: wage bundle, also the price normalizer (bundle costs one).
-        residual_tol: acceptance bound on the fixed-point residual,
-            relative to the largest price.
 
     Returns:
         Equilibrium with strictly positive prices.
 
     Raises:
         NoConvergence: the Collatz–Wielandt bracket could not be
-            narrowed to CW_TOL, or the residual check failed.
+            narrowed to CW_TOL, or the residual exceeds RESIDUAL_TOL.
         DegenerateNormalization: the bundle has zero cost at the raw
             eigenvector, so prices cannot be scaled to it.
     """
-    return solve_equilibria([(tech, bundle)], residual_tol)[0]
+    return solve_equilibria([(tech, bundle)])[0]
 
 
-def solve_equilibria(
-    systems, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> list[Equilibrium]:
+def solve_equilibria(systems) -> list[Equilibrium]:
     """``uniform_profit_rate`` for each ``(tech, bundle)`` pair, in order.
 
     The wage-augmented matrices of all pairs with the same number of
@@ -148,8 +145,7 @@ def solve_equilibria(
         certified = zip(rows, pairs, stack, *_left_perron(stack))
         for index, (_, bundle), augmented, rho, raw, steps, bounds in certified:
             solved[index] = _equilibrium(
-                augmented, bundle, float(rho), raw, int(steps), tuple(bounds.tolist()),
-                residual_tol,
+                augmented, bundle, float(rho), raw, int(steps), tuple(bounds.tolist())
             )
     return solved
 
@@ -161,7 +157,6 @@ def _equilibrium(
     raw: np.ndarray,
     steps: int,
     bounds: tuple[float, float],
-    residual_tol: float,
 ) -> Equilibrium:
     """Prices from one certified eigenvector: normalize, then check the residual.
 
@@ -178,13 +173,10 @@ def _equilibrium(
     image = (1.0 + profit) * (prices @ augmented)
     scale = float(prices.max())
     residual = float(np.abs(prices - image).max()) / scale
-    # Evaluating the residual rounds each entry by up to about n + 1 ulps
-    # of the image, so no tolerance below that can be certified.
-    rounding = (bundle.n + 1) * _EPS * float(image.max()) / scale
-    if residual + rounding > residual_tol:
+    # Written so that a NaN residual fails too.
+    if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
-            f"equilibrium residual {residual:.3e} (rounding {rounding:.1e}) "
-            f"exceeds tolerance {residual_tol:.3e}"
+            f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
     return Equilibrium(prices, profit, rho, residual, steps, bounds)
 

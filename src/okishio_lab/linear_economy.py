@@ -118,9 +118,8 @@ def _left_perron(
     ``hi >= rho`` the shifted matrix is an M-matrix and ``z`` stays
     positive. A start bracket that is not positive, a shifted step that
     does not shrink the width, a failed solve or an iterate that is not
-    strictly positive raises NoConvergence, whichever row it happens in.
-    The width starts below one, so there are at most 14 power steps
-    before the switch.
+    strictly positive raises NoConvergence. The width starts below one,
+    so there are at most 14 power steps before the switch.
 
     One row (k = 1) runs a plain loop on that matrix: the masked loop's
     bookkeeping would make a lone solve about twice as slow. More rows
@@ -128,16 +127,20 @@ def _left_perron(
     and one stacked solve for the rows that have switched, and a row
     leaves the working set once it has converged. Each row's arithmetic
     is the same in both, so a row's result does not depend on the rows
-    beside it or on which loop ran.
+    beside it or on which loop ran. The masked loop only detects a
+    failure; the rows are then run one at a time through the plain loop,
+    so the first failing row in stack order raises its own error.
 
     Returns, per row, the bracket's midpoint, the iterate it certifies,
     the number of steps and the bracket, as arrays of shape ``(k,)``,
     ``(k, n)``, ``(k,)`` and ``(k, 2)``.
     """
-    if stack.shape[0] == 1:
-        rho, vec, steps, bounds = _perron_one(stack[0])
-        return np.array([rho]), vec[None], np.array([steps]), np.array([bounds])
-    return _perron_stack(stack)
+    if stack.shape[0] > 1:
+        solved = _perron_stack(stack)
+        if solved is not None:
+            return solved
+    rho, vectors, steps, bounds = zip(*map(_perron_one, stack))
+    return np.array(rho), np.array(vectors), np.array(steps), np.array(bounds)
 
 
 def _perron_one(matrix: np.ndarray) -> tuple[float, np.ndarray, int, tuple[float, float]]:
@@ -182,27 +185,13 @@ def _perron_one(matrix: np.ndarray) -> tuple[float, np.ndarray, int, tuple[float
     return 0.5 * (lo + hi), vec, steps, (lo, hi)
 
 
-def _first_failure(failed: np.ndarray, lo: np.ndarray, hi: np.ndarray, message: str):
-    """Raise NoConvergence with the bracket of the first failed row, if any."""
-    if failed.any():
-        row = int(np.argmax(failed))
-        raise NoConvergence(message.format(f"[{float(lo[row])!r}, {float(hi[row])!r}]"))
-
-
-def _singular(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.solve(matrix, np.ones(matrix.shape[0]))
-    except np.linalg.LinAlgError:
-        return True
-    return False
-
-
-def _perron_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _perron_stack(stack: np.ndarray):
     """``_left_perron`` on several matrices, as one masked loop.
 
     Mirrors ``_perron_one`` operation by operation over the rows still
     working; ``matrices`` stays C-ordered so each row's transpose is laid
-    out as ``matrix.T`` is in the plain loop.
+    out as ``matrix.T`` is in the plain loop. Returns None as soon as any
+    row fails a check that makes ``_perron_one`` raise.
     """
     k, n, _ = stack.shape
     rho, vectors = np.empty(k), np.empty((k, n))
@@ -211,7 +200,8 @@ def _perron_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     vec = np.ones((k, n))
     image = (matrices.transpose(0, 2, 1) @ vec[:, :, None])[:, :, 0]
     lo, hi = image.min(axis=1), image.max(axis=1)
-    _first_failure(~(hi > 0.0), lo, hi, "dominant eigenvalue bracket {} is not positive")
+    if not (hi > 0.0).all():
+        return None
     width = (hi - lo) / hi
     shifted = np.zeros(k, dtype=bool)
     diagonal = np.arange(n)
@@ -237,25 +227,18 @@ def _perron_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
             system[:, diagonal, diagonal] += hi[shifted][:, None]
             try:
                 solved = np.linalg.solve(system, np.ones(scale.shape + (1,)))
-            except np.linalg.LinAlgError as err:
-                # The stacked solve fails as a whole; name a row it fails on.
-                singular = np.array([_singular(matrix) for matrix in system])
-                _first_failure(
-                    singular, lo[shifted], hi[shifted], "shifted solve failed with bracket {}"
-                )
-                raise NoConvergence(f"shifted solve failed: {err}") from err
+            except np.linalg.LinAlgError:
+                return None
             step[shifted] = scale * solved[:, :, 0]
         step /= step.max(axis=1, keepdims=True)
-        _first_failure(
-            ~(step.min(axis=1) > 0.0), lo, hi, "iterate lost positivity with bracket {}"
-        )
+        if not (step.min(axis=1) > 0.0).all():
+            return None
         image = (transposed @ step[:, :, None])[:, :, 0]
         ratios = image / step
         lo, hi = ratios.min(axis=1), ratios.max(axis=1)
         new_width = (hi - lo) / hi
-        _first_failure(
-            shifted & ~(new_width < width), lo, hi, "shifted step did not narrow the bracket {}"
-        )
+        if (shifted & ~(new_width < width)).any():
+            return None
         shifted |= ~(new_width <= 0.1 * width)
         vec, width = step, new_width
         count += 1

@@ -78,45 +78,28 @@ def _require_fit(tech: Technology, change: TechChange) -> None:
 
 
 def classify(
-    tech: Technology,
-    equilibrium: Equilibrium,
-    change: TechChange,
-    *,
-    wage: float = 1.0,
-    weak_culs: bool = False,
+    tech: Technology, equilibrium: Equilibrium, change: TechChange
 ) -> ChangeClassification:
     """Price out a candidate change against the current technique.
 
-    Args:
-        tech: current production data.
-        equilibrium: prices to evaluate costs at.
-        change: the candidate recipe.
-        wage: nominal wage per unit of labor (the default of one matches
-            prices normalized on the wage bundle).
-        weak_culs: accept columns that rise only weakly (no entry falls)
-            instead of requiring every entry to rise strictly.
-
-    The classification is invariant to rescaling prices and the wage by
-    a common factor.
+    Costs are taken at the equilibrium prices with a nominal wage of one,
+    the unit of account when the wage bundle costs one. Every input
+    requirement must rise strictly for the change to be capital-using.
     """
     _require_fit(tech, change)
     prices = equilibrium.prices
     old_column = tech.input_column(change.sector)
     old_labor = float(tech.labor[change.sector])
-    cost_pre = float(prices @ old_column + wage * old_labor)
-    cost_post = float(prices @ change.new_column + wage * change.new_labor)
+    cost_pre = float(prices @ old_column + old_labor)
+    cost_post = float(prices @ change.new_column + change.new_labor)
     cost_drop = cost_pre - cost_post
     # Each margin is relative to the quantity compared, so no verdict
     # depends on the units of labor or of any good.
     viable = cost_drop > STRICT_MARGIN * cost_pre
-    rise = change.new_column - old_column
-    if weak_culs:
-        column_rises = bool(np.all(rise >= -STRICT_MARGIN * old_column))
-    else:
-        # A zero requirement must become strictly positive.
-        column_rises = bool(np.all(rise > STRICT_MARGIN * old_column))
+    # A zero requirement must become strictly positive.
+    column_rises = bool(np.all(change.new_column - old_column > STRICT_MARGIN * old_column))
     labor_falls = old_labor - change.new_labor > STRICT_MARGIN * old_labor
-    saving_rate = cost_drop / (wage * change.new_labor)
+    saving_rate = cost_drop / change.new_labor
     return ChangeClassification(
         viable=viable,
         culs=column_rises and labor_falls,
@@ -124,7 +107,7 @@ def classify(
         cost_post=cost_post,
         cost_drop=cost_drop,
         saving_rate=saving_rate,
-        break_even_wage=wage * (1.0 + saving_rate),
+        break_even_wage=1.0 + saving_rate,
     )
 
 

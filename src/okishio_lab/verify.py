@@ -2,7 +2,10 @@
 
 A *scenario* is: solve an economy, apply a technical change together
 with a replacement wage bundle, solve again, and compare. The verdict
-names what happened to the profit rate and the exploitation rate.
+names what happened to the profit rate and the exploitation rate. The
+profit rate ``1/rho - 1`` counts as fallen or risen only when the
+Collatz–Wielandt brackets on ``rho`` before and after the change are
+disjoint, so no verdict rests on a margin in the units of the rates.
 
 The oracles here deliberately avoid the production code paths: the
 spectral-radius oracle brackets the dominant eigenvalue by testing
@@ -25,7 +28,6 @@ from .errors import EconomyError, OracleLimit
 # uniform_profit_rate is bound here for perfbench/tracing.py, which wraps
 # each name in every module that binds it, and for its tests.
 from .equilibrium import (  # noqa: F401
-    DEFAULT_RESIDUAL_TOL,
     admissibility,
     solve_equilibria,
     uniform_profit_rate,
@@ -55,9 +57,7 @@ from .technical_change import TechChange, check_properties
 SUITE_BLOCK = 128
 # Candidate draws random_economy makes before giving up.
 DRAW_ATTEMPTS = 200
-PROFIT_FALL_MARGIN = 1e-12
 EXPLOITATION_MATCH_TOL = 1e-9
-CONTROL_SLACK = 1e-9
 
 
 class Verdict(enum.Enum):
@@ -90,7 +90,12 @@ SCENARIO_FLAG_NAMES = tuple(flag.name for flag in fields(ScenarioFlags))
 
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    """Before/after snapshot of one technical-change scenario."""
+    """Before/after snapshot of one technical-change scenario.
+
+    ``pre_rho_bounds`` and ``post_rho_bounds`` are the verifier's own
+    Collatz–Wielandt brackets on the wage-augmented spectral radius,
+    from which the verdict is decided.
+    """
 
     pre_profit: float
     pre_prices: np.ndarray
@@ -100,21 +105,30 @@ class ScenarioReport:
     post_prices: np.ndarray
     post_values: np.ndarray
     post_exploitation: float
+    pre_rho_bounds: tuple[float, float]
+    post_rho_bounds: tuple[float, float]
     flags: ScenarioFlags
     verdict: Verdict
 
 
+def _profit_fell(pre_bounds, post_bounds) -> bool:
+    """The profit rate ``1/rho - 1`` certainly fell: ``rho`` certainly rose."""
+    return post_bounds[0] > pre_bounds[1]
+
+
 def _verdict(
-    pre_profit: float,
-    post_profit: float,
+    pre_bounds: tuple[float, float],
+    post_bounds: tuple[float, float],
     pre_exploitation: float,
     post_exploitation: float,
 ) -> Verdict:
-    fell = post_profit < pre_profit - PROFIT_FALL_MARGIN
-    rose = post_profit > pre_profit + PROFIT_FALL_MARGIN
-    if fell and abs(post_exploitation - pre_exploitation) <= EXPLOITATION_MATCH_TOL:
+    fell = _profit_fell(pre_bounds, post_bounds)
+    # It rose when rho certainly fell: the same test, sides swapped.
+    rose = _profit_fell(post_bounds, pre_bounds)
+    change = post_exploitation - pre_exploitation
+    if fell and abs(change) <= EXPLOITATION_MATCH_TOL:
         return Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT
-    if fell and post_exploitation > pre_exploitation + PROFIT_FALL_MARGIN:
+    if fell and change > EXPLOITATION_MATCH_TOL:
         return Verdict.PROFIT_FELL_EXPLOITATION_ROSE
     if rose:
         return Verdict.OKISHIO_RISE
@@ -126,7 +140,6 @@ def run_scenarios(
     bundle: WageBundle,
     change: TechChange,
     new_bundles: tuple,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[ScenarioReport]:
     """Solve before a change once, then after it under each new bundle.
 
@@ -134,10 +147,10 @@ def run_scenarios(
     is shared with whatever produced the change or the bundles. Module
     errors propagate with scenario context prepended.
     """
-    return _verify([(tech, bundle, change, tuple(new_bundles))], residual_tol)[0]
+    return _verify([(tech, bundle, change, tuple(new_bundles))])[0]
 
 
-def _verify(cases: list, residual_tol: float) -> list[list[ScenarioReport]]:
+def _verify(cases: list) -> list[list[ScenarioReport]]:
     """``run_scenarios`` for each ``(tech, bundle, change, new_bundles)``.
 
     One stacked solve prices every pre-change state, one stacked check
@@ -147,11 +160,11 @@ def _verify(cases: list, residual_tol: float) -> list[list[ScenarioReport]]:
     case's, with its context.
     """
     try:
-        return _verify_stacked(cases, residual_tol)
+        return _verify_stacked(cases)
     except EconomyError as err:
         if len(cases) > 1:
             for case in cases:
-                _verify([case], residual_tol)
+                _verify([case])
             raise
         tech, _, change, _ = cases[0]
         context = f"scenario with {tech.n} sectors, change in sector {change.sector + 1}"
@@ -161,10 +174,8 @@ def _verify(cases: list, residual_tol: float) -> list[list[ScenarioReport]]:
         raise type(err)(f"{err} ({context})") from err
 
 
-def _verify_stacked(cases: list, residual_tol: float) -> list[list[ScenarioReport]]:
-    pre_eqs = solve_equilibria(
-        [(tech, bundle) for tech, bundle, _, _ in cases], residual_tol
-    )
+def _verify_stacked(cases: list) -> list[list[ScenarioReport]]:
+    pre_eqs = solve_equilibria([(tech, bundle) for tech, bundle, _, _ in cases])
     analyses = analyze_changes(
         [
             (tech, bundle, pre_eq, change)
@@ -177,8 +188,7 @@ def _verify_stacked(cases: list, residual_tol: float) -> list[list[ScenarioRepor
                 (analysis.patched, new_bundle)
                 for analysis, case in zip(analyses, cases)
                 for new_bundle in case[3]
-            ],
-            residual_tol,
+            ]
         )
     )
     return [
@@ -205,6 +215,8 @@ def _report(case, pre_eq, analysis, new_bundle, post_eq) -> ScenarioReport:
         post_prices=post_eq.prices,
         post_values=new_values,
         post_exploitation=post_exploit,
+        pre_rho_bounds=pre_eq.rho_bounds,
+        post_rho_bounds=post_eq.rho_bounds,
         flags=ScenarioFlags(
             viable=classification.viable,
             culs=classification.culs,
@@ -217,7 +229,7 @@ def _report(case, pre_eq, analysis, new_bundle, post_eq) -> ScenarioReport:
             ratio_condition=region is not None and ratio_condition_holds(region),
         ),
         verdict=_verdict(
-            pre_eq.profit_rate, post_eq.profit_rate, pre.exploitation, post_exploit
+            pre_eq.rho_bounds, post_eq.rho_bounds, pre.exploitation, post_exploit
         ),
     )
 
@@ -227,10 +239,9 @@ def run_scenario(
     bundle: WageBundle,
     change: TechChange,
     new_bundle: WageBundle,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> ScenarioReport:
     """Solve before and after a change: ``run_scenarios`` with one bundle."""
-    return run_scenarios(tech, bundle, change, (new_bundle,), residual_tol)[0]
+    return run_scenarios(tech, bundle, change, (new_bundle,))[0]
 
 
 ORACLE_MAX_SECTORS = 6
@@ -457,35 +468,25 @@ class SweepRecord:
 
     @property
     def okishio_ok(self) -> bool:
-        """Old bundle kept: the profit rate must not fall."""
-        return self.okishio.post_profit >= self.okishio.pre_profit - CONTROL_SLACK
+        """Old bundle kept: the profit rate must not certainly fall."""
+        return not _profit_fell(self.okishio.pre_rho_bounds, self.okishio.post_rho_bounds)
 
     @property
     def rising_ok(self) -> bool:
         return self.rising.verdict is Verdict.PROFIT_FELL_EXPLOITATION_ROSE
 
 
-def run_suite(
-    seed: int = 1000,
-    count: int = 500,
-    n_range: tuple = (2, 8),
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list[SweepRecord]:
+def run_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)) -> list[SweepRecord]:
     """Generate ``count`` economies and run the three branches on each.
 
     Fully deterministic in ``seed``: economy number ``index`` is drawn
     from a generator keyed on (seed, index), so records are reproducible
     individually. ``iter_suite``, collected.
     """
-    return list(iter_suite(seed, count, n_range, residual_tol))
+    return list(iter_suite(seed, count, n_range))
 
 
-def iter_suite(
-    seed: int = 1000,
-    count: int = 500,
-    n_range: tuple = (2, 8),
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-):
+def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
     """``run_suite``'s records in index order, SUITE_BLOCK economies at a time.
 
     Arguments are checked at the call. The records of one block are made
@@ -505,13 +506,11 @@ def iter_suite(
     return (
         record
         for start in range(0, count, SUITE_BLOCK)
-        for record in _sweep_block(
-            seed, range(start, min(start + SUITE_BLOCK, count)), (lo, hi), residual_tol
-        )
+        for record in _sweep_block(seed, range(start, min(start + SUITE_BLOCK, count)), (lo, hi))
     )
 
 
-def _sweep_block(seed: int, indices: range, sizes: tuple, residual_tol: float) -> list:
+def _sweep_block(seed: int, indices: range, sizes: tuple) -> list:
     """Records for the economies ``indices``: draw, synthesize, verify.
 
     The producer draws every economy's knobs, synthesizes each change at
@@ -561,7 +560,7 @@ def _sweep_block(seed: int, indices: range, sizes: tuple, residual_tol: float) -
     ]
     return [
         SweepRecord(**fields, scenario=scenario, okishio=okishio, rising=rising)
-        for fields, (scenario, okishio, rising) in zip(produced, _verify(cases, residual_tol))
+        for fields, (scenario, okishio, rising) in zip(produced, _verify(cases))
     ]
 
 

@@ -150,33 +150,6 @@ class TestAnalyze:
         assert "'b'" in capsys.readouterr().err
 
 
-class TestEnvironmentTolerance:
-    def test_unreachable_tolerance_fails(self, economy_file, capsys, monkeypatch):
-        monkeypatch.setenv("OKISHIO_LAB_TOL", "1e-30")
-        assert main(["analyze", "--economy", economy_file]) == 2
-        assert "residual" in capsys.readouterr().err
-
-    def test_loose_tolerance_passes(self, economy_file, capsys, monkeypatch):
-        monkeypatch.setenv("OKISHIO_LAB_TOL", "0.5")
-        assert main(["analyze", "--economy", economy_file]) == 0
-
-    def test_nonpositive_rejected(self, economy_file, capsys, monkeypatch):
-        monkeypatch.setenv("OKISHIO_LAB_TOL", "-1")
-        assert main(["analyze", "--economy", economy_file]) == 2
-        assert "must be positive" in capsys.readouterr().err
-
-    def test_garbage_rejected(self, economy_file, capsys, monkeypatch):
-        monkeypatch.setenv("OKISHIO_LAB_TOL", "three")
-        assert main(["analyze", "--economy", economy_file]) == 2
-
-    @pytest.mark.parametrize("raw", ["nan", "inf"])
-    def test_non_finite_rejected(self, raw, economy_file, capsys, monkeypatch):
-        # nan would switch the residual check off: residual > nan is never true.
-        monkeypatch.setenv("OKISHIO_LAB_TOL", raw)
-        assert main(["analyze", "--economy", economy_file]) == 2
-        assert "finite" in capsys.readouterr().err
-
-
 class TestCheckTc:
     def test_text_classification(self, economy_file, tc_file, capsys):
         assert main(["check-tc", "--economy", economy_file, "--tc", tc_file]) == 0

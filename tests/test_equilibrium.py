@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from okishio_lab import (
     NoConvergence,
+    NotProductive,
+    TechChange,
     Technology,
     WageBundle,
     admissibility,
@@ -25,8 +27,9 @@ from okishio_lab import (
     uniform_profit_rate,
     value_of_bundle,
 )
+from okishio_lab import equilibrium
 from okishio_lab.equilibrium import CW_TOL, _left_perron
-from okishio_lab.verify import SUITE_BLOCK
+from okishio_lab.verify import SUITE_BLOCK, _verify
 
 
 def cubic_dominant_root(matrix):
@@ -207,9 +210,13 @@ class TestSolverContract:
                 1.0, abs=1e-12
             )
 
-    def test_tight_tolerance_rejected(self, ref_tech, ref_bundle):
+    def test_tight_tolerance_rejected(self, monkeypatch):
+        tech, bundle = random_economy(np.random.default_rng(29), 6)
+        residual = uniform_profit_rate(tech, bundle).residual
+        assert residual > 0.0
+        monkeypatch.setattr(equilibrium, "RESIDUAL_TOL", 0.5 * residual)
         with pytest.raises(NoConvergence, match="residual"):
-            uniform_profit_rate(ref_tech, ref_bundle, residual_tol=1e-30)
+            uniform_profit_rate(tech, bundle)
 
     def test_bundle_length_mismatch(self, ref_tech):
         with pytest.raises(ValueError, match="match"):
@@ -333,6 +340,29 @@ class TestCertificate:
         assert eq.spectral_radius == pytest.approx(0.85, rel=1e-15)
         assert eq.profit_rate == pytest.approx(3.0 / 17.0, rel=1e-15)
         assert eq.iterations > 0
+
+    def test_residual_within_half_the_bracket(self):
+        # With x the certified iterate and rho the bracket's midpoint, the
+        # residual of p = x / cost is max_i p_i |rho - r_i| / (rho max p),
+        # r_i = (x M)_i / x_i, which is at most (hi - lo) / (2 rho) when
+        # every r_i lies in [lo, hi]. Rounding adds, in units u = eps / 2:
+        # (n + 1) u to the solver's ratios (an n-term product of
+        # nonnegative terms and a division), n u to the check's own
+        # product, 2 u to scaling x into p (once in p, once in its image),
+        # 3 u to 1 + pi = 1 + (1/rho - 1), 1 u each to the midpoint rho
+        # and to scaling the image. In all (2n + 8) u = (n + 4) eps, at
+        # most 3 n eps for n >= 2.
+        rng = np.random.default_rng(31)
+        economies = [random_economy(rng, n) for n in range(2, 9) for _ in range(6)]
+        economies += [
+            two_block_economy(rng, coupling, target)
+            for coupling, target in [(1e-9, 0.999), (1e-6, 0.9985), (1e-4, 0.99), (1e-3, 0.9)]
+        ]
+        eps = np.finfo(float).eps
+        for tech, bundle in economies:
+            eq = uniform_profit_rate(tech, bundle)
+            lo, hi = eq.rho_bounds
+            assert eq.residual <= 0.5 * (hi - lo) / eq.spectral_radius + 3 * tech.n * eps
 
     def test_one_sector_needs_no_steps(self, one_sector_tech, one_sector_bundle):
         eq = uniform_profit_rate(one_sector_tech, one_sector_bundle)
@@ -494,15 +524,30 @@ class TestStackedSolve:
         with pytest.raises(NoConvergence, match="not positive"):
             _left_perron(np.stack([good, np.zeros((3, 3)), good]))
 
-    def test_suite_error_names_its_scenario(self):
-        # The draw solves at the default tolerance; the verifier's
-        # pre-change re-solve is the first to use this one.
-        with pytest.raises(NoConvergence) as excinfo:
-            run_suite(seed=1000, count=3, residual_tol=1e-300)
+    def test_first_failing_row_raises_its_own_error(self):
+        # Row 0 fails on its second step, row 1 at the start bracket: the
+        # error is row 0's, worded as its solve alone words it.
+        first = np.diag([0.5, 0.3])
+        with pytest.raises(NoConvergence) as alone:
+            _left_perron(first[None])
+        with pytest.raises(NoConvergence) as stacked:
+            _left_perron(np.stack([first, np.zeros((2, 2))]))
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == "shifted solve failed with bracket [0.3, 0.5]"
+
+    def test_suite_error_names_its_scenario(self, ref_tech, ref_bundle, ref_change):
+        # The second case's patched technique is not productive, so the
+        # stacked verification fails and the cases are run one at a time.
+        heavy = TechChange(sector=1, new_column=ref_tech.input_column(1) + 1.0, new_labor=0.1)
+        cases = [
+            (ref_tech, ref_bundle, ref_change, (ref_bundle,)),
+            (ref_tech, ref_bundle, heavy, (ref_bundle,)),
+        ]
+        with pytest.raises(NotProductive) as excinfo:
+            _verify(cases)
         err = excinfo.value
         text = str(err) + "".join(getattr(err, "__notes__", []))
-        assert "residual" in text
-        assert "scenario with" in text
+        assert "scenario with 3 sectors, change in sector 2" in text
 
     def test_record_does_not_depend_on_its_block(self):
         # SUITE_BLOCK + 5 economies span two blocks; the first 20 share

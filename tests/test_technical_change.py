@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from okishio_lab import (
-    Equilibrium,
     InvalidSector,
     NotProductive,
     TechChange,
@@ -30,17 +29,6 @@ from okishio_lab import (
 @pytest.fixture
 def ref_eq(ref_tech, ref_bundle):
     return uniform_profit_rate(ref_tech, ref_bundle)
-
-
-def scaled_equilibrium(eq, factor):
-    return Equilibrium(
-        prices=eq.prices * factor,
-        profit_rate=eq.profit_rate,
-        spectral_radius=eq.spectral_radius,
-        residual=eq.residual,
-        iterations=eq.iterations,
-        rho_bounds=eq.rho_bounds,
-    )
 
 
 class TestClassify:
@@ -78,27 +66,6 @@ class TestClassify:
         cls = classify(ref_tech, ref_eq, cheaper)
         assert cls.viable
         assert not cls.culs
-
-    def test_weak_culs_accepts_flat_entry(self, ref_tech, ref_eq):
-        column = ref_tech.input_column(2).copy()
-        column[0] += 0.02  # one entry rises, the others stay put
-        change = TechChange(sector=2, new_column=column, new_labor=0.18)
-        strict = classify(ref_tech, ref_eq, change)
-        weak = classify(ref_tech, ref_eq, change, weak_culs=True)
-        assert not strict.culs
-        assert weak.culs
-
-    def test_scaling_invariance(self, ref_tech, ref_eq, ref_change):
-        base = classify(ref_tech, ref_eq, ref_change)
-        scaled = classify(
-            ref_tech, scaled_equilibrium(ref_eq, 3.7), ref_change, wage=3.7
-        )
-        assert scaled.viable == base.viable
-        assert scaled.culs == base.culs
-        assert scaled.saving_rate == pytest.approx(base.saving_rate, rel=1e-12)
-        assert scaled.break_even_wage == pytest.approx(
-            3.7 * base.break_even_wage, rel=1e-12
-        )
 
     def test_sector_out_of_range(self, ref_tech, ref_eq):
         with pytest.raises(InvalidSector):

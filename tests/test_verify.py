@@ -1,5 +1,7 @@
 """Scenario runner, oracles, generator, and the random suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,57 @@ class TestRunScenario:
         if report.verdict is Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT:
             assert report.post_profit < report.pre_profit - 1e-12
             assert abs(report.post_exploitation - report.pre_exploitation) <= 1e-9
+
+
+class TestBracketVerdicts:
+    """The profit rate 1/rho - 1 moved only when the brackets on rho are disjoint."""
+
+    PRE = (0.80, 0.81)
+
+    @pytest.mark.parametrize(
+        "post, change, verdict",
+        [
+            # Overlapping: the midpoints differ by 5e-3, yet nothing is certain.
+            ((0.805, 0.815), 0.0, Verdict.INCONCLUSIVE),
+            ((0.795, 0.805), 0.0, Verdict.INCONCLUSIVE),
+            # Touching at one end is not disjoint.
+            ((0.81, 0.82), 0.0, Verdict.INCONCLUSIVE),
+            ((0.82, 0.83), 0.0, Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT),
+            ((0.82, 0.83), 5e-10, Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT),
+            ((0.82, 0.83), 2e-9, Verdict.PROFIT_FELL_EXPLOITATION_ROSE),
+            ((0.82, 0.83), -2e-9, Verdict.INCONCLUSIVE),
+            ((0.78, 0.79), 0.0, Verdict.OKISHIO_RISE),
+            ((0.78, 0.79), 2e-9, Verdict.OKISHIO_RISE),
+        ],
+        ids=[
+            "overlap-above", "overlap-below", "touching", "fell-constant", "fell-within-tol",
+            "fell-rose", "fell-exploitation-fell", "rose", "rose-exploitation-rose",
+        ],
+    )
+    def test_verdict_from_brackets(self, post, change, verdict):
+        assert verify._verdict(self.PRE, post, 0.75, 0.75 + change) is verdict
+
+    def test_reports_carry_the_verifiers_brackets(self, ref_tech, ref_bundle, ref_change):
+        report = run_scenario(ref_tech, ref_bundle, ref_change, WageBundle(SOLVED_BUNDLE))
+        pre_lo, pre_hi = report.pre_rho_bounds
+        post_lo, post_hi = report.post_rho_bounds
+        assert report.pre_rho_bounds == uniform_profit_rate(ref_tech, ref_bundle).rho_bounds
+        assert pre_lo <= pre_hi < post_lo <= post_hi
+
+    def test_control_fails_exactly_when_its_profit_rate_certainly_fell(self, records):
+        record = records[0]
+        lo, hi = record.okishio.pre_rho_bounds
+
+        def control(post_lo, post_hi):
+            report = dataclasses.replace(record.okishio, post_rho_bounds=(post_lo, post_hi))
+            return dataclasses.replace(record, okishio=report).okishio_ok
+
+        above = np.nextafter(hi, np.inf)
+        assert control(hi, hi + 1e-3)
+        assert not control(above, hi + 1e-3)
+        # A midpoint far above the old bracket, but the brackets overlap.
+        assert control(lo, hi + 1e-3)
+        assert control(lo - 1e-3, lo)
 
 
 class TestSpectralRadiusOracle:
