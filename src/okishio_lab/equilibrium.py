@@ -25,22 +25,25 @@ few ulps per sector of rounding. A solve is rejected only if its
 residual exceeds the fixed RESIDUAL_TOL, far above that bound, so the
 check guards the solver's arithmetic and leaves no tolerance to choose.
 
-``solve_equilibria`` prices many economies at once: the matrices of one
-size form a ``(k, n, n)`` stack, and ``_left_perron`` runs its plain
-loop for one row and a masked loop over stacked products and solves
-for more. Each row takes the same steps with the same arithmetic
-either way, so an equilibrium does not depend on what was solved
-beside it. ``uniform_profit_rate`` is its one-row case.
+``_price_rows`` prices a ``(k, n, n)`` stack of economies of one size:
+``_left_perron`` runs its plain loop for one row and a masked loop over
+stacked products and solves for more, and the normalization and
+residual are array expressions that round as the 1-d products do. So
+an equilibrium does not depend on what was solved beside it.
+``uniform_profit_rate`` is its one-row call.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
-from .linear_economy import CW_TOL, Technology, WageBundle, _by_size, _left_perron
+from .linear_economy import (
+    CW_TOL, Technology, WageBundle, _by_size, _dots, _left_perron, _require_size
+)
 
 # Fixed-point residual, relative to the largest price, above which a
 # certified solve is rejected.
@@ -97,20 +100,56 @@ class WageAdmissibility:
 
     @property
     def admissible(self) -> bool:
-        return self.nonnegative_surplus and self.ratio_headroom
+        return self.nonnegative_surplus & self.ratio_headroom
 
 
 def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     """Input matrix with wage goods folded into each sector's recipe."""
-    if bundle.n != tech.n:
-        raise ValueError(
-            f"wage bundle length {bundle.n} does not match {tech.n} sectors"
-        )
-    return tech.inputs + np.outer(bundle.quantities, tech.labor)
+    _require_size(bundle, tech.n)
+    return _augmented(tech.inputs[None], tech.labor[None], bundle.quantities[None])[0]
+
+
+def _augmented(inputs, labor, quantities) -> np.ndarray:
+    """``augmented_inputs`` for ``(k, n, n)`` inputs, ``(k, n)`` labor and bundles."""
+    return inputs + quantities[:, :, None] * labor[:, None, :]
+
+
+# _price_rows' equilibria, an Equilibrium's fields one row each, and the
+# cost of each row's bundle at its eigenvector.
+_Prices = namedtuple("_Prices", "prices profit rho residual steps bounds cost")
+
+
+def _price_rows(augmented: np.ndarray, quantities: np.ndarray) -> _Prices:
+    """Prices of each row of a ``(k, n, n)`` augmented stack, scaled so that
+    its bundle costs one; ``_check_prices`` raises a failed row's error."""
+    rho, raw, steps, bounds = _left_perron(augmented)
+    cost = _dots(raw, quantities)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prices = raw / cost[:, None]
+        profit = 1.0 / rho - 1.0
+        image = (1.0 + profit)[:, None] * (prices[:, None, :] @ augmented)[:, 0, :]
+        residual = np.abs(prices - image).max(axis=1) / prices.max(axis=1)
+    return _Prices(prices, profit, rho, residual, steps, bounds, cost)
+
+
+def _check_prices(priced: _Prices) -> None:
+    """Raise the error of the first row that failed; a bundle lacks a price
+    only by underflow, raw being positive. NaN fails too."""
+    for row in (~((priced.cost > 0.0) & (priced.residual <= RESIDUAL_TOL))).nonzero()[0][:1]:
+        if not priced.cost[row] > 0.0:
+            raise DegenerateNormalization("wage bundle has zero cost at the eigenvector")
+        residual = priced.residual[row]
+        raise NoConvergence(f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+
+
+def _equilibria(priced: _Prices) -> list[Equilibrium]:
+    """One ``Equilibrium`` per row, each owning its prices."""
+    rows = zip(priced.prices, *(field.tolist() for field in priced[1:6]))
+    return [Equilibrium(p.copy(), *rest[:4], tuple(rest[4])) for p, *rest in rows]
 
 
 def uniform_profit_rate(tech: Technology, bundle: WageBundle) -> Equilibrium:
-    """Solve for prices of production and the uniform profit rate.
+    """Prices of production and the uniform profit rate: ``_price_rows`` on one row.
 
     Args:
         tech: validated production data.
@@ -125,60 +164,28 @@ def uniform_profit_rate(tech: Technology, bundle: WageBundle) -> Equilibrium:
         DegenerateNormalization: the bundle has zero cost at the raw
             eigenvector, so prices cannot be scaled to it.
     """
-    return solve_equilibria([(tech, bundle)])[0]
+    priced = _price_rows(augmented_inputs(tech, bundle)[None], bundle.quantities[None])
+    _check_prices(priced)
+    return _equilibria(priced)[0]
 
 
 def solve_equilibria(systems) -> list[Equilibrium]:
     """``uniform_profit_rate`` for each ``(tech, bundle)`` pair, in order.
 
-    The wage-augmented matrices of all pairs with the same number of
-    sectors go to ``_left_perron`` as one stack, so the number of solver
-    calls grows with the number of distinct sizes, not of pairs. Each
-    certified row is then priced on its own by ``_equilibrium``, so an
-    equilibrium does not depend on the pairs solved beside it. A pair
-    that fails raises what ``uniform_profit_rate`` raises for it.
+    The pairs of one size are priced by one ``_price_rows`` call, with
+    the one-row call's arithmetic, so an equilibrium does not depend on
+    the pairs beside it, and a failing pair raises what
+    ``uniform_profit_rate`` raises for it.
     """
     solved: list = [None] * len(systems)
     for rows in _by_size([tech.n for tech, _ in systems]).values():
         pairs = [systems[index] for index in rows]
         stack = np.array([augmented_inputs(tech, bundle) for tech, bundle in pairs])
-        certified = zip(rows, pairs, stack, *_left_perron(stack))
-        for index, (_, bundle), augmented, rho, raw, steps, bounds in certified:
-            solved[index] = _equilibrium(
-                augmented, bundle, float(rho), raw, int(steps), tuple(bounds.tolist())
-            )
+        priced = _price_rows(stack, np.array([bundle.quantities for _, bundle in pairs]))
+        _check_prices(priced)
+        for index, equilibrium in zip(rows, _equilibria(priced)):
+            solved[index] = equilibrium
     return solved
-
-
-def _equilibrium(
-    augmented: np.ndarray,
-    bundle: WageBundle,
-    rho: float,
-    raw: np.ndarray,
-    steps: int,
-    bounds: tuple[float, float],
-) -> Equilibrium:
-    """Prices from one certified eigenvector: normalize, then check the residual.
-
-    Row by row, with 1-d products: a stacked product need not round as
-    the single one does.
-    """
-    cost = float(raw @ bundle.quantities)
-    # raw is strictly positive and the bundle nonzero, so only underflow
-    # leaves the bundle without a price.
-    if not cost > 0.0:
-        raise DegenerateNormalization("wage bundle has zero cost at the eigenvector")
-    prices = raw / cost
-    profit = 1.0 / rho - 1.0
-    image = (1.0 + profit) * (prices @ augmented)
-    scale = float(prices.max())
-    residual = float(np.abs(prices - image).max()) / scale
-    # Written so that a NaN residual fails too.
-    if not residual <= RESIDUAL_TOL:
-        raise NoConvergence(
-            f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
-    return Equilibrium(prices, profit, rho, residual, steps, bounds)
 
 
 def max_profit_rate(tech: Technology) -> float:
@@ -188,13 +195,13 @@ def max_profit_rate(tech: Technology) -> float:
     return 1.0 / tech.spectral_radius - 1.0
 
 
-def admissibility(
-    prices: np.ndarray, values: np.ndarray, bundle_value: float
-) -> WageAdmissibility:
-    """Admissibility flags from already-computed prices and values."""
+def admissibility(prices, values, bundle_value) -> WageAdmissibility:
+    """Admissibility flags from already-computed prices and values: of one
+    economy, or of ``(k, n)`` stacks with ``(k,)`` bundle values, row by row."""
     ratios = np.asarray(prices, dtype=float) / np.asarray(values, dtype=float)
-    sector = int(np.argmax(ratios))
-    max_ratio = float(ratios[sector])
-    surplus_ok = 0.0 < bundle_value <= 1.0
-    headroom = surplus_ok and max_ratio > 1.0 / bundle_value + STRICT_MARGIN
-    return WageAdmissibility(surplus_ok, headroom, max_ratio, sector)
+    max_ratio, bundle_value = ratios.max(axis=-1), np.asarray(bundle_value, dtype=float)
+    surplus_ok = (0.0 < bundle_value) & (bundle_value <= 1.0)
+    with np.errstate(divide="ignore"):
+        headroom = surplus_ok & (max_ratio > 1.0 / bundle_value + STRICT_MARGIN)
+    flags = (surplus_ok, headroom, max_ratio, ratios.argmax(axis=-1))
+    return WageAdmissibility(*(flag if ratios.ndim > 1 else flag.item() for flag in flags))

@@ -61,7 +61,7 @@ def _as_readonly(values, *, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("array entries must be finite")
     arr.setflags(write=False)
     return arr
@@ -85,7 +85,7 @@ def _connected_rows(stack: np.ndarray) -> np.ndarray:
     """
     adjacency = stack > 0.0
     graphs = np.concatenate((adjacency, adjacency.transpose(0, 2, 1)))
-    seen = np.zeros(graphs.shape[:2], dtype=bool)
+    seen = graphs[:, 0, :].copy()  # sector 0 and the sectors it reaches directly
     seen[:, 0] = True
     frontier = seen.copy()
     while np.count_nonzero(frontier):
@@ -100,6 +100,25 @@ def _by_size(sizes) -> dict[int, list[int]]:
     for position, size in enumerate(sizes):
         groups.setdefault(size, []).append(position)
     return groups
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row of two ``(k, n)`` stacks, rounded as that is:
+    a stacked ``matmul`` rounds as the 1-d product, ``einsum`` does not."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _column_dots(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``_dots`` rounded as ``a @ matrix[:, j]``: BLAS sums a strided column
+    in another order than a contiguous one, so the columns get a stride."""
+    spaced = np.empty(columns.shape + (2,))
+    spaced[:, :, 0] = columns
+    return (a[:, None, :] @ spaced[:, :, :1])[:, 0, 0]
+
+
+def _stack(arrays) -> np.ndarray:
+    """Equal-shaped arrays as one stack; a lone array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _left_perron(
@@ -121,24 +140,22 @@ def _left_perron(
     strictly positive raises NoConvergence. The width starts below one,
     so there are at most 14 power steps before the switch.
 
-    One row (k = 1) runs a plain loop on that matrix: the masked loop's
-    bookkeeping would make a lone solve about twice as slow. More rows
-    run one masked loop: a stacked ``matmul`` for every row's power step
-    and one stacked solve for the rows that have switched, and a row
-    leaves the working set once it has converged. Each row's arithmetic
-    is the same in both, so a row's result does not depend on the rows
-    beside it or on which loop ran. The masked loop only detects a
-    failure; the rows are then run one at a time through the plain loop,
-    so the first failing row in stack order raises its own error.
+    One row (k = 1) runs a plain loop; more run one masked loop of
+    stacked products and solves, each row leaving once converged, with
+    the same arithmetic, so a result does not depend on the rows beside
+    it. On a failure there the rows run one at a time, so the first
+    failing row raises its own error.
 
     Returns, per row, the bracket's midpoint, the iterate it certifies,
     the number of steps and the bracket, as arrays of shape ``(k,)``,
     ``(k, n)``, ``(k,)`` and ``(k, 2)``.
     """
-    if stack.shape[0] > 1:
-        solved = _perron_stack(stack)
-        if solved is not None:
-            return solved
+    if stack.shape[0] == 1:
+        rho, vector, steps, bounds = _perron_one(stack[0])
+        return np.array([rho]), vector[None], np.array([steps]), np.array([bounds])
+    solved = _perron_stack(stack)
+    if solved is not None:
+        return solved
     rho, vectors, steps, bounds = zip(*map(_perron_one, stack))
     return np.array(rho), np.array(vectors), np.array(steps), np.array(bounds)
 
@@ -153,29 +170,29 @@ def _perron_one(matrix: np.ndarray) -> tuple[float, np.ndarray, int, tuple[float
     if not hi > 0.0:
         raise NoConvergence(f"dominant eigenvalue bracket [{lo!r}, {hi!r}] is not positive")
     width = (hi - lo) / hi
-    steps, shifted = 0, False
+    steps, shifted, ones = 0, False, np.ones(n)
     while not width <= CW_TOL:
         if shifted:
             # Solved in the iterate's own scale, D^-1 (hi I - T) D with
             # D = diag(vec), so rounding stays relative to each entry.
-            # Built in place: one n x n array besides the solver's copy.
-            system = transposed * vec
-            system /= -vec[:, None]
-            system.flat[:: n + 1] += hi
+            # Built in place as its C-ordered transpose, the faster layout.
+            system = np.multiply(matrix, vec[:, None], order="C")
+            system /= -vec
+            system.reshape(-1)[:: n + 1] += hi
             try:
-                step = vec * np.linalg.solve(system, np.ones(n))
+                step = vec * np.linalg.solve(system.T, ones)
             except np.linalg.LinAlgError as err:
                 raise NoConvergence(
                     f"shifted solve failed with bracket [{lo!r}, {hi!r}]"
                 ) from err
         else:
             step = image
-        step = step / step.max()
-        if not step.min() > 0.0:
+        step /= np.maximum.reduce(step)
+        if not np.minimum.reduce(step) > 0.0:
             raise NoConvergence(f"iterate lost positivity with bracket [{lo!r}, {hi!r}]")
         image = transposed @ step
         ratios = image / step
-        lo, hi = float(ratios.min()), float(ratios.max())
+        lo, hi = float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
         new_width = (hi - lo) / hi
         if shifted and not new_width < width:
             raise NoConvergence(f"shifted step did not narrow the bracket [{lo!r}, {hi!r}]")
@@ -214,10 +231,10 @@ def _perron_stack(stack: np.ndarray):
             vectors[out], steps[out] = vec[done], count
             bounds[out, 0], bounds[out, 1] = lo[done], hi[done]
             left = ~done
-            if not left.any():
-                return rho, vectors, steps, bounds
             rows, matrices, vec, image = rows[left], matrices[left], vec[left], image[left]
             lo, hi, width, shifted = lo[left], hi[left], width[left], shifted[left]
+        if not rows.size:
+            return rho, vectors, steps, bounds
         transposed = matrices.transpose(0, 2, 1)
         step = image.copy()
         if shifted.any():
@@ -489,22 +506,17 @@ def certify_techniques(inputs, labor) -> list[Technology]:
     # Size 0 marks a row that only Technology reports: one of the wrong
     # shape, or with an entry that is not finite.
     sizes = [
-        len(l)
-        if l.ndim == 1
-        and a.shape == (len(l),) * 2
-        and np.isfinite(a).all()
-        and np.isfinite(l).all()
-        else 0
+        len(l) if l.ndim == 1 and a.shape == (len(l),) * 2
+        and np.isfinite(a).all() and np.isfinite(l).all() else 0
         for a, l in zip(inputs, labor)
     ]
     techs: list = [None] * len(inputs)
     for n, rows in _by_size(sizes).items():
         if n < 1 or len(rows) < 2:
             continue
-        stack = np.array([inputs[row] for row in rows])
-        labor_stack = np.array([labor[row] for row in rows])
+        stack, labor_stack = (np.array([part[row] for row in rows]) for part in (inputs, labor))
         certificate = _certify_stack(stack, labor_stack)
-        for j in np.flatnonzero(certificate.reasons == PASSED):
+        for j in (certificate.reasons == PASSED).nonzero()[0].tolist():
             techs[rows[j]] = Technology._certified(
                 stack[j], labor_stack[j], certificate.values[j], certificate.bound[j]
             )
@@ -512,6 +524,18 @@ def certify_techniques(inputs, labor) -> list[Technology]:
         Technology(a, l) if tech is None else tech
         for tech, a, l in zip(techs, inputs, labor)
     ]
+
+
+def _certify_rows(inputs: np.ndarray, labor: np.ndarray):
+    """``certify_techniques`` on a stack, as its values and, by row, the
+    techniques ``Technology`` built: a lone row, and in order each row that
+    fails the stacked check, so the first of them raises its own error."""
+    if len(inputs) == 1:
+        tech = Technology(inputs[0], labor[0])
+        return tech.values[None], {0: tech}
+    certificate = _certify_stack(inputs, labor)
+    failed = certificate.reasons.nonzero()[0].tolist()
+    return certificate.values, {row: Technology(inputs[row], labor[row]) for row in failed}
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,6 +555,12 @@ class WageBundle:
     @property
     def n(self) -> int:
         return self.quantities.shape[0]
+
+
+def _require_size(bundle: WageBundle, n: int) -> None:
+    """Raise unless ``bundle`` has one quantity for each of ``n`` sectors."""
+    if bundle.n != n:
+        raise ValueError(f"wage bundle length {bundle.n} does not match {n} sectors")
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,19 +593,22 @@ def value_of_bundle(values: np.ndarray, bundle: WageBundle) -> float:
     return float(values @ bundle.quantities)
 
 
-def exploitation_rate(bundle_value: float) -> float:
-    """Unpaid over paid labor: ``(1 - bundle_value) / bundle_value``.
+def exploitation_rate(bundle_value):
+    """Unpaid over paid labor: ``(1 - bundle_value) / bundle_value``, of one
+    bundle value or an array of them.
 
     The bundle value is labor received per unit of labor performed, so it
     must be positive. A value above one whole day makes the rate negative;
     that is flagged with NegativeExploitationWarning rather than rejected.
     """
-    if bundle_value <= 0:
-        raise NonPositiveValue(f"bundle value must be positive, got {bundle_value}")
+    values = np.ravel(bundle_value)
+    if not values.min(initial=np.inf) > 0:
+        raise NonPositiveValue(f"bundle value must be positive, got {values[~(values > 0)][0]}")
     rate = (1.0 - bundle_value) / bundle_value
-    if rate < 0:
+    if values.max(initial=-np.inf) > 1.0:
+        first = float(values[values > 1.0][0])
         warnings.warn(
-            f"bundle value {bundle_value:.6g} exceeds one working day; "
+            f"bundle value {first:.6g} exceeds one working day; "
             "exploitation rate is negative",
             NegativeExploitationWarning,
             stacklevel=2,
@@ -603,10 +636,7 @@ def load_economy(path) -> tuple[Technology, WageBundle]:
             raise ValueError(f"economy file is missing key '{key}'")
     tech = Technology(np.array(raw["A"], dtype=float), np.array(raw["L"], dtype=float))
     bundle = WageBundle(np.array(raw["b"], dtype=float))
-    if bundle.n != tech.n:
-        raise ValueError(
-            f"wage bundle length {bundle.n} does not match {tech.n} sectors"
-        )
+    _require_size(bundle, tech.n)
     return tech, bundle
 
 

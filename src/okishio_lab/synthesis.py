@@ -15,9 +15,8 @@ is the same as some sector's price to new-value ratio exceeding the
 product of the two markups (one plus exploitation, one plus saving
 rate). Both forms are computed; they must always agree.
 
-``analyze_changes`` is the one place a candidate change is classified,
-applied, revalued and given its region; ``analyze_change`` is its
-one-case form.
+``analyze_change`` is the one place a candidate change is classified,
+applied, revalued and given its region: ``_analyze_rows`` for one row.
 
 Samplers draw bundles from that region (or strictly inside the price
 side of it, for rising exploitation) by rejection with a fixed proposal
@@ -32,6 +31,7 @@ labor into a window whose endpoints the headroom dictates.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +39,12 @@ import numpy as np
 from .errors import Infeasible, InvalidFraction, InvalidSector, NotInB, SamplingExhausted
 from .equilibrium import STRICT_MARGIN, Equilibrium, admissibility
 from .linear_economy import (
-    Technology, ValueSystem, WageBundle, labor_values, value_of_bundle, value_system
+    Technology, ValueSystem, WageBundle, _certify_rows, _dots, exploitation_rate
 )
-from .technical_change import ChangeClassification, TechChange, apply_changes, classify
+from .technical_change import (
+    ChangeClassification, TechChange, _change_rows, _classifications, _classify_rows,
+    _patch_rows, _require_fit,
+)
 
 ON_PLANE_TOL = 1e-10
 PROPOSAL_BUDGET = 10_000
@@ -72,6 +75,29 @@ class WageRegion:
         return self.prices.shape[0]
 
 
+# WageRegion's fields, one row each: the array form of regions.
+_Regions = namedtuple("_Regions", WageRegion.__dataclass_fields__)
+
+
+def _region_rows(prices, new_values, bundle_value, break_even_wage) -> _Regions:
+    """``build_region`` for ``(k, n)`` prices and new values and ``(k,)`` offsets."""
+    x, y = break_even_wage[:, None] / prices, bundle_value[:, None] / new_values
+    return _Regions(prices, new_values, break_even_wage, bundle_value, x, y, y > x, (y > x).any(1))
+
+
+def _one_region(region: WageRegion) -> _Regions:
+    """A ``WageRegion`` as a one-row ``_Regions``."""
+    return _Regions(*(np.asarray(field)[None] for field in vars(region).values()))
+
+
+def _wage_regions(regions: _Regions, rows) -> list[WageRegion]:
+    """A ``WageRegion`` owning copies of its arrays for each of ``rows``."""
+    return [
+        WageRegion(*(part[row].copy() if part.ndim > 1 else part[row].item() for part in regions))
+        for row in rows
+    ]
+
+
 def build_region(
     equilibrium: Equilibrium,
     new_values: np.ndarray,
@@ -79,6 +105,8 @@ def build_region(
     classification: ChangeClassification,
 ) -> WageRegion:
     """Assemble the wage region of a viable classified change.
+
+    The one-row call of ``_region_rows``.
 
     Args:
         equilibrium: pre-change prices (wage-bundle numeraire).
@@ -93,21 +121,9 @@ def build_region(
         raise ValueError("post-change labor values must be strictly positive")
     if bundle_value <= 0:
         raise ValueError(f"bundle value must be positive, got {bundle_value}")
-    prices = equilibrium.prices
-    price_offset = classification.break_even_wage
-    x = price_offset / prices
-    y = bundle_value / new_values
-    feasible_sectors = y > x
-    return WageRegion(
-        prices=prices,
-        new_values=new_values,
-        price_offset=price_offset,
-        value_offset=bundle_value,
-        price_plane_intercepts=x,
-        value_plane_intercepts=y,
-        feasible_sectors=feasible_sectors,
-        feasible=bool(feasible_sectors.any()),
-    )
+    offsets = np.array([bundle_value], dtype=float), np.array([classification.break_even_wage])
+    regions = _region_rows(equilibrium.prices[None], new_values[None], *offsets)
+    return _wage_regions(regions, [0])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +141,23 @@ class ChangeAnalysis:
     region: WageRegion | None
 
 
+# _analyze_rows' results, one row each; certified is _certify_rows' for the patched rows.
+_Analyses = namedtuple("_Analyses", "bundle_value exploitation costs patched patched_labor "
+                       "certified regions")
+
+
+def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_columns, new_labor):
+    """``analyze_change`` for each row, certifying the patched techniques in one
+    stacked check; a row's region means something only if its change is viable."""
+    bundle_value = _dots(values, quantities)
+    costs = _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor)
+    patched = _patch_rows(inputs, labor, sectors, new_columns, new_labor)
+    certified = _certify_rows(*patched)
+    regions = _region_rows(prices, certified[0], bundle_value, 1.0 + costs.saving_rate)
+    return _Analyses(bundle_value, exploitation_rate(bundle_value), costs, *patched, certified,
+                     regions)
+
+
 def analyze_change(
     tech: Technology, bundle: WageBundle, equilibrium: Equilibrium, change: TechChange
 ) -> ChangeAnalysis:
@@ -132,32 +165,21 @@ def analyze_change(
 
     ``equilibrium`` prices ``tech`` with ``bundle`` as numeraire. Raises
     NotProductive or Decomposable if the patched technique is no longer
-    acceptable. ``analyze_changes`` with one case.
+    acceptable. The one-row call of ``_analyze_rows``.
     """
-    return analyze_changes([(tech, bundle, equilibrium, change)])[0]
+    _require_fit(tech, change)
+    rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
+    done = _analyze_rows(*(row[None] for row in rows), *_change_rows([change]))
+    classification, patched = _classifications(done.costs)[0], done.certified[1][0]
+    values = ValueSystem(tech.values, done.bundle_value[0].item(), done.exploitation[0].item())
+    region = _wage_regions(done.regions, [0])[0] if classification.viable else None
+    return ChangeAnalysis(values, classification, patched, patched.values, region)
 
 
-def analyze_changes(cases) -> list[ChangeAnalysis]:
-    """``analyze_change`` for each ``(tech, bundle, equilibrium, change)``.
-
-    Every case is valued and classified first; then ``apply_changes``
-    certifies all the patched techniques, one stacked check per size.
-    """
-    priced = [
-        (value_system(tech, bundle), classify(tech, equilibrium, change))
-        for tech, bundle, equilibrium, change in cases
-    ]
-    patched = apply_changes([(tech, change) for tech, _, _, change in cases])
-    analyses = []
-    for (_, _, equilibrium, _), (pre, classification), technique in zip(
-        cases, priced, patched
-    ):
-        new_values = labor_values(technique)
-        region = None
-        if classification.viable:
-            region = build_region(equilibrium, new_values, pre.bundle_value, classification)
-        analyses.append(ChangeAnalysis(pre, classification, technique, new_values, region))
-    return analyses
+def _ratio_rows(regions: _Regions) -> np.ndarray:
+    """``ratio_condition_sectors`` for each row."""
+    threshold = (1.0 / regions.value_offset) * regions.price_offset
+    return regions.prices / regions.new_values > threshold[:, None]
 
 
 def ratio_condition_sectors(region: WageRegion) -> np.ndarray:
@@ -165,10 +187,10 @@ def ratio_condition_sectors(region: WageRegion) -> np.ndarray:
 
     Sector j passes when its pre-change price over post-change labor
     value exceeds ``(1/value_offset) * price_offset``, i.e. one plus
-    exploitation times one plus the saving rate.
+    exploitation times one plus the saving rate. The one-row call of
+    ``_ratio_rows``.
     """
-    threshold = (1.0 / region.value_offset) * region.price_offset
-    return region.prices / region.new_values > threshold
+    return _ratio_rows(_one_region(region))[0]
 
 
 def ratio_condition_holds(region: WageRegion) -> bool:
@@ -206,65 +228,95 @@ class EqualOffPivot:
     value: float | None = None
 
 
-def _best_pivot(region: WageRegion) -> int:
-    gaps = region.value_plane_intercepts / region.price_plane_intercepts
-    return int(np.argmax(gaps))
-
-
-def _propose(region: WageRegion, rng: np.random.Generator, strategy) -> np.ndarray | None:
-    """One candidate bundle on the value plane, or None if ill-posed."""
-    x = region.price_plane_intercepts
-    y = region.value_plane_intercepts
-    values = region.new_values
+def _propose(regions: _Regions, rngs, strategy):
+    """A candidate on each row's value plane, and which are well posed: a pivot
+    coordinate, from ``rngs[i]`` unless fixed, and the rest of the value spread
+    equally (EqualOffPivot) or by weight, all on the pivot if no weight is left."""
+    values, value_offset = regions.new_values, regions.value_offset
+    x, y = regions.price_plane_intercepts, regions.value_plane_intercepts
+    (k, n), rows = values.shape, np.arange(len(values))
+    if not isinstance(strategy, (PivotUniform, EqualOffPivot)):
+        raise TypeError(f"unknown sampling strategy {strategy!r}")
+    pivots = (y / x).argmax(axis=1)
+    if getattr(strategy, "pivot", None) is not None:
+        if not 0 <= strategy.pivot < n:
+            raise InvalidSector(f"pivot {strategy.pivot} outside range 0..{n - 1}")
+        pivots[:] = strategy.pivot
+    given = getattr(strategy, "weights", None)
+    weights = np.ones((k, n)) if given is None else np.array([given] * k, dtype=float)
+    if given is not None and (weights.shape != (k, n) or (weights < 0).any()):
+        raise ValueError("weights must be nonnegative, one per sector")
+    if getattr(strategy, "value", None) is None:
+        bounds = zip(rngs, x[rows, pivots].tolist(), y[rows, pivots].tolist())
+        coords = np.array([rng.uniform(lo, hi) for rng, lo, hi in bounds])
+    else:
+        coords = np.full(k, float(strategy.value))
+    pivot_values = values[rows, pivots]
+    rest = value_offset - pivot_values * coords
     if isinstance(strategy, EqualOffPivot):
-        pivot = _best_pivot(region) if strategy.pivot is None else int(strategy.pivot)
-        if pivot < 0 or pivot >= region.n:
-            raise InvalidSector(f"pivot {pivot} outside range 0..{region.n - 1}")
-        coord = (
-            rng.uniform(x[pivot], y[pivot]) if strategy.value is None
-            else float(strategy.value)
-        )
-        rest = region.value_offset - values[pivot] * coord
-        off_weight = values.sum() - values[pivot]
-        if rest < 0 or off_weight <= 0:
-            return None
-        candidate = np.full(region.n, rest / off_weight)
-        candidate[pivot] = coord
-        return candidate
-    if isinstance(strategy, PivotUniform):
-        pivot = _best_pivot(region)
-        if strategy.weights is None:
-            weights = np.ones(region.n)
+        off_weight = values.sum(axis=1) - pivot_values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            candidates = np.repeat((rest / off_weight)[:, None], n, axis=1)
+        posed = ~((rest < 0) | (off_weight <= 0))
+    else:
+        weights[rows, pivots] = 0.0
+        off_value = _dots(values, weights)
+        # With nothing to spread the rest over, it all goes on the pivot.
+        bare = (off_value <= 0).nonzero()[0]
+        if bare.size:
+            off_value[bare], weights[bare] = 1.0, 0.0
+            coords[bare] = value_offset[bare] / pivot_values[bare]
+        candidates, posed = weights * (rest / off_value)[:, None], ~(rest < 0)
+    candidates[rows, pivots] = coords
+    return candidates, posed
+
+
+def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
+    """The samplers for each row, row i drawing from ``default_rng(seeds[i])``.
+
+    Each round proposes for the rows still open, each from its own
+    generator in its own order, so a row is what the sampler alone gives
+    it. ``shrink`` scales on-plane samples inside, for rising exploitation.
+    """
+    if not regions.feasible.all():
+        raise Infeasible("wage region does not meet the nonnegative orthant")
+    (k, n), strategy = regions.prices.shape, PivotUniform() if strategy is None else strategy
+    # With one sector the plane is a single point; feasibility already
+    # placed it above the price plane.
+    if n == 1 and not shrink:
+        return regions.value_offset[:, None] / regions.new_values
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sampled, rows = np.empty((k, n)), np.arange(k)
+    for _ in range(PROPOSAL_BUDGET):
+        if n == 1:
+            base, accepted = regions.value_offset[:, None] / regions.new_values, True
         else:
-            weights = np.array(strategy.weights, dtype=float)
-            if weights.shape[0] != region.n or np.any(weights < 0):
-                raise ValueError("weights must be nonnegative, one per sector")
-        weights = weights.copy()
-        weights[pivot] = 0.0
-        coord = rng.uniform(x[pivot], y[pivot])
-        rest = region.value_offset - values[pivot] * coord
-        off_value = float(values @ weights)
-        if rest < 0:
-            return None
-        if off_value <= 0:
-            # Nothing to spread the remainder over; put it all on the pivot.
-            candidate = np.zeros(region.n)
-            candidate[pivot] = region.value_offset / values[pivot]
-            return candidate
-        candidate = weights * (rest / off_value)
-        candidate[pivot] = coord
-        return candidate
-    raise TypeError(f"unknown sampling strategy {strategy!r}")
-
-
-def _accept_on_plane(region: WageRegion, candidate: np.ndarray) -> bool:
-    if np.any(candidate < 0):
-        return False
-    cost = float(region.prices @ candidate)
-    worth = float(region.new_values @ candidate)
-    return (
-        cost > region.price_offset + STRICT_MARGIN
-        and abs(worth - region.value_offset) <= ON_PLANE_TOL
+            base, posed = _propose(regions, [rngs[row] for row in rows.tolist()], strategy)
+            accepted = posed & ~(base.min(axis=1) < 0) & (
+                np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
+        # With one sector this holds whenever the shrink below can succeed.
+        cost = _dots(regions.prices, base)
+        accepted &= cost > regions.price_offset + STRICT_MARGIN
+        if shrink:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo = (regions.price_offset + STRICT_MARGIN) / cost
+            hi = 1.0 - STRICT_MARGIN / regions.value_offset
+            accepted &= lo < hi
+            scale = np.ones(len(rows))
+            for i in accepted.nonzero()[0].tolist():
+                # Away from both endpoints, so the strict margins are macroscopic.
+                scale[i] = lo[i] + rngs[rows[i]].uniform(0.25, 0.75) * (hi[i] - lo[i])
+            base = scale[:, None] * base
+            accepted &= (_dots(regions.prices, base) > regions.price_offset + STRICT_MARGIN) & (
+                _dots(regions.new_values, base) < regions.value_offset - STRICT_MARGIN)
+        sampled[rows[accepted]] = base[accepted]
+        if accepted.all():
+            return sampled
+        rows, regions = rows[~accepted], _Regions(*(field[~accepted] for field in regions))
+    raise SamplingExhausted(
+        f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else
+        f"no admissible bundle in {PROPOSAL_BUDGET} proposals; "
+        "check the strategy's pivot and value against the region"
     )
 
 
@@ -277,25 +329,10 @@ def sample_constant_exploitation(
 
     Deterministic for a given (region, seed, strategy). Raises Infeasible
     when the region misses the nonnegative orthant and SamplingExhausted
-    if the proposal budget runs out (pathological strategies only).
+    if the proposal budget runs out (pathological strategies only). The
+    one-row call of ``_sample_rows``.
     """
-    if not region.feasible:
-        raise Infeasible("wage region does not meet the nonnegative orthant")
-    if strategy is None:
-        strategy = PivotUniform()
-    if region.n == 1:
-        # The plane is a single point; feasibility already placed it above.
-        point = np.array([region.value_offset / region.new_values[0]])
-        return WageBundle(point)
-    rng = np.random.default_rng(seed)
-    for _ in range(PROPOSAL_BUDGET):
-        candidate = _propose(region, rng, strategy)
-        if candidate is not None and _accept_on_plane(region, candidate):
-            return WageBundle(candidate)
-    raise SamplingExhausted(
-        f"no admissible bundle in {PROPOSAL_BUDGET} proposals; "
-        "check the strategy's pivot and value against the region"
-    )
+    return WageBundle(_sample_rows(_one_region(region), [seed], strategy)[0])
 
 
 def sample_rising_exploitation(region: WageRegion, seed: int = 1000) -> WageBundle:
@@ -303,35 +340,10 @@ def sample_rising_exploitation(region: WageRegion, seed: int = 1000) -> WageBund
 
     Takes an on-plane sample and shrinks it radially: scaling preserves
     positivity and the price-plane side while pushing the labor value
-    strictly below the old bundle's, so exploitation rises.
+    strictly below the old bundle's, so exploitation rises. The one-row
+    call of ``_sample_rows``.
     """
-    if not region.feasible:
-        raise Infeasible("wage region does not meet the nonnegative orthant")
-    rng = np.random.default_rng(seed)
-    for _ in range(PROPOSAL_BUDGET):
-        if region.n == 1:
-            base = np.array([region.value_offset / region.new_values[0]])
-        else:
-            base = _propose(region, rng, PivotUniform())
-            if base is None or not _accept_on_plane(region, base):
-                continue
-        cost = float(region.prices @ base)
-        lo = (region.price_offset + STRICT_MARGIN) / cost
-        hi = 1.0 - STRICT_MARGIN / region.value_offset
-        if not lo < hi:
-            continue
-        # Stay away from both endpoints so the strict margins are macroscopic.
-        scale = lo + rng.uniform(0.25, 0.75) * (hi - lo)
-        candidate = scale * base
-        if (
-            float(region.prices @ candidate) > region.price_offset + STRICT_MARGIN
-            and float(region.new_values @ candidate)
-            < region.value_offset - STRICT_MARGIN
-        ):
-            return WageBundle(candidate)
-    raise SamplingExhausted(
-        f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals"
-    )
+    return WageBundle(_sample_rows(_one_region(region), [seed], shrink=True)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,6 +367,45 @@ class SynthesizedChange:
         return self.change.sector
 
 
+# _synthesize_rows' changes and their knobs, one row each.
+_Synthesized = namedtuple("_Synthesized", "sectors new_columns new_labor pivot interval_ratio "
+                          "increment lower upper")
+
+
+def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon_frac, labor_frac):
+    """``synthesize_culs_change`` for each row, its arguments checked: the first
+    row whose bundle is not admissible raises NotInB."""
+    bundle_value = _dots(values, quantities)
+    flags = admissibility(prices, values, bundle_value)
+    failed = (~flags.admissible).argmax()
+    if not flags.admissible[failed]:
+        detail = ("bundle value outside (0, 1]" if not flags.nonnegative_surplus[failed]
+                  else "no price-value ratio exceeds one plus exploitation")
+        raise NotInB(f"wage bundle is not admissible: {detail}")
+    # The pivot's headroom fixes how deep the labor cut may go.
+    interval_ratio = bundle_value * flags.max_ratio
+    rows = np.arange(len(sectors))
+    old_labor, price_sum = labor[rows, sectors], prices.sum(axis=1)
+    increment = epsilon_frac * old_labor / price_sum
+    upper = old_labor - increment * price_sum
+    lower = upper / interval_ratio
+    new_labor = lower + labor_frac * (upper - lower)
+    new_columns = inputs[rows, :, sectors] + increment[:, None]
+    return _Synthesized(sectors, new_columns, new_labor, flags.max_ratio_sector, interval_ratio,
+                        increment, lower, upper)
+
+
+def _synthesized_changes(synthesized: _Synthesized) -> list[SynthesizedChange]:
+    return [
+        SynthesizedChange(TechChange(sector, column, new_labor), pivot, ratio, increment,
+                          (lower, upper))
+        for sector, column, new_labor, pivot, ratio, increment, lower, upper in zip(
+            synthesized.sectors.tolist(), synthesized.new_columns,
+            *(field.tolist() for field in synthesized[2:]),
+        )
+    ]
+
+
 def synthesize_culs_change(
     tech: Technology,
     bundle: WageBundle,
@@ -374,39 +425,13 @@ def synthesize_culs_change(
     The construction guarantees, at the pre-change equilibrium: unit
     cost strictly falls, every input requirement strictly rises, direct
     labor strictly falls, and the wage region of the change meets the
-    nonnegative orthant.
+    nonnegative orthant. The one-row call of ``_synthesize_rows``.
     """
     for name, frac in (("epsilon_frac", epsilon_frac), ("labor_frac", labor_frac)):
         if not 0.0 < frac < 1.0:
             raise InvalidFraction(f"{name} must lie strictly between 0 and 1, got {frac}")
     if sector < 0 or sector >= tech.n:
         raise InvalidSector(f"sector {sector} outside range 0..{tech.n - 1}")
-    values = labor_values(tech)
-    bundle_value = value_of_bundle(values, bundle)
-    flags = admissibility(equilibrium.prices, values, bundle_value)
-    if not flags.admissible:
-        detail = (
-            "bundle value outside (0, 1]" if not flags.nonnegative_surplus
-            else "no price-value ratio exceeds one plus exploitation"
-        )
-        raise NotInB(f"wage bundle is not admissible: {detail}")
-    # The pivot's headroom fixes how deep the labor cut may go.
-    interval_ratio = bundle_value * flags.max_ratio
-    old_labor = float(tech.labor[sector])
-    price_sum = float(equilibrium.prices.sum())
-    increment = epsilon_frac * old_labor / price_sum
-    upper = old_labor - increment * price_sum
-    lower = upper / interval_ratio
-    new_labor = lower + labor_frac * (upper - lower)
-    change = TechChange(
-        sector=sector,
-        new_column=tech.input_column(sector) + increment,
-        new_labor=new_labor,
-    )
-    return SynthesizedChange(
-        change=change,
-        pivot_sector=flags.max_ratio_sector,
-        interval_ratio=interval_ratio,
-        column_increment=increment,
-        labor_interval=(lower, upper),
-    )
+    rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
+    knobs = np.array([sector]), np.array([epsilon_frac], float), np.array([labor_frac], float)
+    return _synthesized_changes(_synthesize_rows(*(row[None] for row in rows), *knobs))[0]

@@ -11,14 +11,15 @@ unit of new labor cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 import json
 
 import numpy as np
 
 from .errors import InvalidSector
 from .equilibrium import STRICT_MARGIN, Equilibrium
-from .linear_economy import Technology, WageBundle, _as_readonly, certify_techniques
+from .linear_economy import Technology, WageBundle, _as_readonly, _column_dots, _dots, _stack
 
 # Sameness tolerance for the bundle-value comparison.
 VALUE_MATCH_TOL = 1e-9
@@ -77,6 +78,35 @@ def _require_fit(tech: Technology, change: TechChange) -> None:
         )
 
 
+# _classify_rows' cost arithmetic, a ChangeClassification's fields one row each.
+_Costs = namedtuple("_Costs", "viable culs cost_pre cost_post cost_drop saving_rate")
+
+
+def _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor) -> _Costs:
+    """``classify`` for each row: row i replaces sector ``sectors[i]`` of
+    ``(inputs[i], labor[i])`` with ``new_columns[i]`` and ``new_labor[i]``."""
+    rows = np.arange(len(sectors))
+    old_columns, old_labor = inputs[rows, :, sectors], labor[rows, sectors]
+    cost_pre = _column_dots(prices, old_columns) + old_labor
+    cost_post = _dots(prices, new_columns) + new_labor
+    cost_drop = cost_pre - cost_post
+    # Each margin is relative to the quantity compared, so no verdict
+    # depends on the units of labor or of any good.
+    viable = cost_drop > STRICT_MARGIN * cost_pre
+    # A zero requirement must become strictly positive.
+    column_rises = (new_columns - old_columns > STRICT_MARGIN * old_columns).all(axis=1)
+    labor_falls = old_labor - new_labor > STRICT_MARGIN * old_labor
+    return _Costs(
+        viable, column_rises & labor_falls, cost_pre, cost_post, cost_drop, cost_drop / new_labor
+    )
+
+
+def _change_rows(changes):
+    """Changes as the sectors, new columns and new labor of an array call."""
+    columns = _stack([change.new_column for change in changes])
+    return np.array([c.sector for c in changes]), columns, np.array([c.new_labor for c in changes])
+
+
 def classify(
     tech: Technology, equilibrium: Equilibrium, change: TechChange
 ) -> ChangeClassification:
@@ -85,30 +115,15 @@ def classify(
     Costs are taken at the equilibrium prices with a nominal wage of one,
     the unit of account when the wage bundle costs one. Every input
     requirement must rise strictly for the change to be capital-using.
+    The one-row call of ``_classify_rows``.
     """
     _require_fit(tech, change)
-    prices = equilibrium.prices
-    old_column = tech.input_column(change.sector)
-    old_labor = float(tech.labor[change.sector])
-    cost_pre = float(prices @ old_column + old_labor)
-    cost_post = float(prices @ change.new_column + change.new_labor)
-    cost_drop = cost_pre - cost_post
-    # Each margin is relative to the quantity compared, so no verdict
-    # depends on the units of labor or of any good.
-    viable = cost_drop > STRICT_MARGIN * cost_pre
-    # A zero requirement must become strictly positive.
-    column_rises = bool(np.all(change.new_column - old_column > STRICT_MARGIN * old_column))
-    labor_falls = old_labor - change.new_labor > STRICT_MARGIN * old_labor
-    saving_rate = cost_drop / change.new_labor
-    return ChangeClassification(
-        viable=viable,
-        culs=column_rises and labor_falls,
-        cost_pre=cost_pre,
-        cost_post=cost_post,
-        cost_drop=cost_drop,
-        saving_rate=saving_rate,
-        break_even_wage=1.0 + saving_rate,
-    )
+    rows = (equilibrium.prices[None], tech.inputs[None], tech.labor[None], *_change_rows([change]))
+    return _classifications(_classify_rows(*rows))[0]
+
+
+def _classifications(costs: _Costs) -> list[ChangeClassification]:
+    return [ChangeClassification(*row, 1.0 + row[-1]) for row in zip(*(f.tolist() for f in costs))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +166,19 @@ class PropertyReport:
         )
 
 
+def _property_rows(costs: _Costs, prices, new_labor, value_pre, value_post, new_quantities):
+    """``check_properties`` for each row, from its change's ``_Costs`` and the
+    labor values of the old bundle before and of the new one after it."""
+    new_bundle_cost, margin = _dots(prices, new_quantities), STRICT_MARGIN * costs.cost_pre
+    labor_cost_margin = new_labor * (new_bundle_cost - 1.0)
+    return PropertyReport(
+        new_bundle_cost > 1.0 + STRICT_MARGIN, np.abs(value_pre - value_post) <= VALUE_MATCH_TOL,
+        costs.viable & (labor_cost_margin - costs.cost_drop > margin),
+        (0.0 < value_post) & (value_post <= 1.0), new_bundle_cost, value_pre, value_post,
+        costs.cost_drop, labor_cost_margin,
+    )
+
+
 def check_properties(
     tech: Technology,
     change: TechChange,
@@ -164,31 +192,23 @@ def check_properties(
 
     ``values`` must belong to ``tech`` and ``new_values`` to the technique
     after ``change``; ``equilibrium`` prices the old technique with the
-    old ``bundle`` as numeraire.
+    old ``bundle`` as numeraire. The one-row call of ``_property_rows``.
     """
-    prices = equilibrium.prices
-    old_column = tech.input_column(change.sector)
-    old_labor = float(tech.labor[change.sector])
-    cost_pre = float(prices @ old_column + old_labor)
-    cost_drop = cost_pre - float(prices @ change.new_column + change.new_labor)
-    new_bundle_cost = float(prices @ new_bundle.quantities)
-    bundle_value_pre = float(np.asarray(values) @ bundle.quantities)
-    bundle_value_post = float(np.asarray(new_values) @ new_bundle.quantities)
-    labor_cost_margin = change.new_labor * (new_bundle_cost - 1.0)
-    return PropertyReport(
-        more_expensive=new_bundle_cost > 1.0 + STRICT_MARGIN,
-        value_constant=abs(bundle_value_pre - bundle_value_post) <= VALUE_MATCH_TOL,
-        saving_bounded=(
-            cost_drop > STRICT_MARGIN * cost_pre
-            and labor_cost_margin - cost_drop > STRICT_MARGIN * cost_pre
-        ),
-        surplus_ok_post=0.0 < bundle_value_post <= 1.0,
-        new_bundle_cost=new_bundle_cost,
-        bundle_value_pre=bundle_value_pre,
-        bundle_value_post=bundle_value_post,
-        cost_drop=cost_drop,
-        labor_cost_margin=labor_cost_margin,
-    )
+    prices, (sectors, columns, labor) = equilibrium.prices[None], _change_rows([change])
+    costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], sectors, columns, labor)
+    value_pre = _dots(np.asarray(values, dtype=float)[None], bundle.quantities[None])
+    value_post = _dots(np.asarray(new_values, dtype=float)[None], new_bundle.quantities[None])
+    rows = _property_rows(costs, prices, labor, value_pre, value_post, new_bundle.quantities[None])
+    return PropertyReport(*(getattr(rows, field.name)[0].item() for field in fields(rows)))
+
+
+def _patch_rows(inputs, labor, sectors, new_columns, new_labor):
+    """Copies of ``(k, n, n)`` inputs and ``(k, n)`` labor with each row's change made."""
+    rows = np.arange(len(sectors))
+    patched, patched_labor = inputs.copy(), labor.copy()
+    patched[rows, :, sectors] = new_columns
+    patched_labor[rows, sectors] = new_labor
+    return patched, patched_labor
 
 
 def apply_change(tech: Technology, change: TechChange) -> Technology:
@@ -196,28 +216,11 @@ def apply_change(tech: Technology, change: TechChange) -> Technology:
 
     Raises InvalidSector or ValueError if the change does not fit ``tech``,
     as ``classify`` does, and NotProductive or Decomposable if the
-    patched technique is no longer acceptable. ``apply_changes`` with one
-    case.
+    patched technique is no longer acceptable.
     """
-    return apply_changes([(tech, change)])[0]
-
-
-def apply_changes(cases) -> list[Technology]:
-    """``apply_change`` for each ``(tech, change)``, certified together.
-
-    Every patched technique of one size is validated in one stacked
-    check by ``certify_techniques``. A failing case raises what
-    ``apply_change`` raises for it.
-    """
-    inputs, labor = [], []
-    for tech, change in cases:
-        _require_fit(tech, change)
-        patched, new_labor = tech.inputs.copy(), tech.labor.copy()
-        patched[:, change.sector] = change.new_column
-        new_labor[change.sector] = change.new_labor
-        inputs.append(patched)
-        labor.append(new_labor)
-    return certify_techniques(inputs, labor)
+    _require_fit(tech, change)
+    patched, labor = _patch_rows(tech.inputs[None], tech.labor[None], *_change_rows([change]))
+    return Technology(patched[0], labor[0])
 
 
 def load_tech_change(path) -> TechChange:

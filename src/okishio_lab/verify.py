@@ -6,6 +6,8 @@ names what happened to the profit rate and the exploitation rate. The
 profit rate ``1/rho - 1`` counts as fallen or risen only when the
 Collatz–Wielandt brackets on ``rho`` before and after the change are
 disjoint, so no verdict rests on a margin in the units of the rates.
+``run_scenario`` is the one-row call of ``_verify_rows``, which the
+sweep runs on each size group of economies as arrays.
 
 The oracles here deliberately avoid the production code paths: the
 spectral-radius oracle brackets the dominant eigenvalue by testing
@@ -20,7 +22,9 @@ from __future__ import annotations
 import csv
 import enum
 import io
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,30 +32,17 @@ from .errors import EconomyError, OracleLimit
 # uniform_profit_rate is bound here for perfbench/tracing.py, which wraps
 # each name in every module that binds it, and for its tests.
 from .equilibrium import (  # noqa: F401
-    admissibility,
-    solve_equilibria,
-    uniform_profit_rate,
+    _augmented, _check_prices, _price_rows, admissibility, uniform_profit_rate
 )
 from .linear_economy import (
-    Technology,
-    WageBundle,
-    _by_size,
-    _connected_rows,
-    certify_techniques,
-    exploitation_rate,
-    labor_values,
-    value_of_bundle,
+    Technology, WageBundle, _by_size, _connected_rows, _dots, _require_size, _stack,
+    certify_techniques, exploitation_rate,
 )
 from .synthesis import (
-    WageRegion,
-    analyze_changes,
-    ratio_condition_holds,
-    sample_constant_exploitation,
-    sample_rising_exploitation,
-    synthesize_culs_change,
-    SynthesizedChange,
+    SynthesizedChange, WageRegion, _analyze_rows, _ratio_rows, _sample_rows, _synthesize_rows,
+    _synthesized_changes, _wage_regions,
 )
-from .technical_change import TechChange, check_properties
+from .technical_change import TechChange, _change_rows, _Costs, _property_rows, _require_fit
 
 # Economies that run_suite draws, solves and verifies together.
 SUITE_BLOCK = 128
@@ -111,28 +102,30 @@ class ScenarioReport:
     verdict: Verdict
 
 
-def _profit_fell(pre_bounds, post_bounds) -> bool:
-    """The profit rate ``1/rho - 1`` certainly fell: ``rho`` certainly rose."""
-    return post_bounds[0] > pre_bounds[1]
+def _profit_fell(pre_bounds, post_bounds):
+    """The profit rate ``1/rho - 1`` certainly fell (``rho`` certainly rose),
+    from one ``(lo, hi)`` bracket a side or ``(k, 2)`` arrays of them."""
+    return np.asarray(post_bounds)[..., 0] > np.asarray(pre_bounds)[..., 1]
 
 
-def _verdict(
-    pre_bounds: tuple[float, float],
-    post_bounds: tuple[float, float],
-    pre_exploitation: float,
-    post_exploitation: float,
-) -> Verdict:
-    fell = _profit_fell(pre_bounds, post_bounds)
-    # It rose when rho certainly fell: the same test, sides swapped.
-    rose = _profit_fell(post_bounds, pre_bounds)
-    change = post_exploitation - pre_exploitation
-    if fell and abs(change) <= EXPLOITATION_MATCH_TOL:
-        return Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT
-    if fell and change > EXPLOITATION_MATCH_TOL:
-        return Verdict.PROFIT_FELL_EXPLOITATION_ROSE
-    if rose:
-        return Verdict.OKISHIO_RISE
-    return Verdict.INCONCLUSIVE
+# Verdicts by the codes _verdict_codes gives them.
+_VERDICTS = tuple(Verdict)
+
+
+def _verdict_codes(pre_bounds, post_bounds, pre_exploitation, post_exploitation):
+    """Each row's verdict, as its position in ``_VERDICTS``."""
+    fell, change = _profit_fell(pre_bounds, post_bounds), post_exploitation - pre_exploitation
+    constant = fell & (np.abs(change) <= EXPLOITATION_MATCH_TOL)
+    rising = fell & (change > EXPLOITATION_MATCH_TOL)
+    # It rose when rho certainly fell (the same test, sides swapped) and no verdict above holds.
+    rose = _profit_fell(post_bounds, pre_bounds) & ~(constant | rising)
+    return 3 - 3 * constant - 2 * rising - rose
+
+
+def _verdict(pre_bounds, post_bounds, pre_exploitation, post_exploitation) -> Verdict:
+    """The one-row call of ``_verdict_codes``."""
+    rows = pre_bounds, post_bounds, pre_exploitation, post_exploitation
+    return _VERDICTS[_verdict_codes(*(np.array([row]) for row in rows))[0]]
 
 
 def run_scenarios(
@@ -153,11 +146,9 @@ def run_scenarios(
 def _verify(cases: list) -> list[list[ScenarioReport]]:
     """``run_scenarios`` for each ``(tech, bundle, change, new_bundles)``.
 
-    One stacked solve prices every pre-change state, one stacked check
-    per size certifies the patched techniques, and one stacked solve
-    prices every post-change state. When any step fails, the cases are
-    run again one at a time, so the error raised is the first failing
-    case's, with its context.
+    The cases of one size form one ``_verify_rows`` call. When any step
+    fails, the cases are run again one at a time, so the error raised is
+    the first failing case's, with its context.
     """
     try:
         return _verify_stacked(cases)
@@ -175,63 +166,75 @@ def _verify(cases: list) -> list[list[ScenarioReport]]:
 
 
 def _verify_stacked(cases: list) -> list[list[ScenarioReport]]:
-    pre_eqs = solve_equilibria([(tech, bundle) for tech, bundle, _, _ in cases])
-    analyses = analyze_changes(
-        [
-            (tech, bundle, pre_eq, change)
-            for (tech, bundle, change, _), pre_eq in zip(cases, pre_eqs)
-        ]
-    )
-    post_eqs = iter(
-        solve_equilibria(
-            [
-                (analysis.patched, new_bundle)
-                for analysis, case in zip(analyses, cases)
-                for new_bundle in case[3]
-            ]
-        )
-    )
-    return [
-        [_report(case, pre_eq, analysis, new_bundle, next(post_eqs)) for new_bundle in case[3]]
-        for case, pre_eq, analysis in zip(cases, pre_eqs, analyses)
+    for tech, bundle, change, new_bundles in cases:
+        for each in (bundle, *new_bundles):
+            _require_size(each, tech.n)
+        _require_fit(tech, change)
+    reports: list = [None] * len(cases)
+    for rows in _by_size([case[0].n for case in cases]).values():
+        techs, bundles, changes, new_bundles = zip(*(cases[row] for row in rows))
+        counts = [len(each) for each in new_bundles]
+        # None when each case has one new bundle: row j is then case j.
+        owner = None if counts == [1] * len(rows) else np.repeat(np.arange(len(rows)), counts)
+        news = [bundle.quantities for each in new_bundles for bundle in each]
+        arrays = ([getattr(t, part) for t in techs] for part in ("inputs", "labor", "values"))
+        made = iter(_verify_rows(
+            techs, *map(_stack, arrays), _stack([b.quantities for b in bundles]),
+            *_change_rows(changes), _stack(news) if news else np.empty((0, techs[0].n)), owner,
+        ))
+        for row, count in zip(rows, counts):
+            reports[row] = [next(made) for _ in range(count)]
+    return reports
+
+
+def _verify_rows(techs, inputs, labor, values, quantities, sectors, columns, labors, news, owner):
+    """A ScenarioReport per new bundle j, of case ``owner[j]`` (j if None).
+
+    Case i is ``techs[i]`` as arrays, with its bundle and the change of
+    sector ``sectors[i]``. Each step is one array call, whose first
+    failing row raises its error; the reports are built only at the end.
+    """
+    per_bundle = (lambda array: array) if owner is None else itemgetter(owner)
+    pre = _price_rows(_augmented(inputs, labor, quantities), quantities)
+    _check_prices(pre)
+    analysis = _analyze_rows(inputs, labor, values, quantities, pre.prices, sectors, columns,
+                             labors)
+    patched = map(per_bundle, (analysis.patched, analysis.patched_labor))
+    post = _price_rows(_augmented(*patched, news), news)
+    _check_prices(post)
+    value_post = _dots(per_bundle(analysis.certified[0]), news)
+    costs, value_pre = _Costs(*map(per_bundle, analysis.costs)), analysis.bundle_value
+    properties = _property_rows(costs, per_bundle(pre.prices), per_bundle(labors),
+                                per_bundle(value_pre), value_post, news)
+    # A change that is not viable has no region.
+    viable, regions = analysis.costs.viable, analysis.regions
+    admissible_pre = admissibility(pre.prices, values, value_pre).admissible
+    flags = [
+        costs.viable, costs.culs, properties.more_expensive, properties.value_constant,
+        properties.saving_bounded, per_bundle(admissible_pre), properties.surplus_ok_post,
+        per_bundle(viable & regions.feasible),
+        per_bundle(viable & _ratio_rows(regions).any(axis=1)),
     ]
-
-
-def _report(case, pre_eq, analysis, new_bundle, post_eq) -> ScenarioReport:
-    tech, bundle, change, _ = case
-    pre, new_values = analysis.values, analysis.new_values
-    classification, region = analysis.classification, analysis.region
-    flags_pre = admissibility(pre_eq.prices, pre.values, pre.bundle_value)
-    post_exploit = exploitation_rate(value_of_bundle(new_values, new_bundle))
-    properties = check_properties(
-        tech, change, pre_eq, pre.values, new_values, bundle, new_bundle
-    )
-    return ScenarioReport(
-        pre_profit=pre_eq.profit_rate,
-        pre_prices=pre_eq.prices,
-        pre_values=pre.values,
-        pre_exploitation=pre.exploitation,
-        post_profit=post_eq.profit_rate,
-        post_prices=post_eq.prices,
-        post_values=new_values,
-        post_exploitation=post_exploit,
-        pre_rho_bounds=pre_eq.rho_bounds,
-        post_rho_bounds=post_eq.rho_bounds,
-        flags=ScenarioFlags(
-            viable=classification.viable,
-            culs=classification.culs,
-            more_expensive=properties.more_expensive,
-            value_constant=properties.value_constant,
-            saving_bounded=properties.saving_bounded,
-            admissible_pre=flags_pre.admissible,
-            surplus_ok_post=properties.surplus_ok_post,
-            region_feasible=region is not None and region.feasible,
-            ratio_condition=region is not None and ratio_condition_holds(region),
-        ),
-        verdict=_verdict(
-            pre_eq.rho_bounds, post_eq.rho_bounds, pre.exploitation, post_exploit
-        ),
-    )
+    exploitation_post = exploitation_rate(value_post)
+    verdicts = _verdict_codes(per_bundle(pre.bounds), post.bounds,
+                              per_bundle(analysis.exploitation), exploitation_post)
+    cases = np.arange(len(news)) if owner is None else owner
+    pre_prices = [row.copy() for row in pre.prices]
+    new_values = [row.copy() for row in analysis.certified[0]]
+    pre_profit, pre_bounds = pre.profit.tolist(), pre.bounds.tolist()
+    exploitation = analysis.exploitation.tolist()
+    rows = zip(cases.tolist(), post.profit.tolist(), post.prices, exploitation_post.tolist(),
+               post.bounds.tolist(), verdicts.tolist(), *(flag.tolist() for flag in flags))
+    return [
+        ScenarioReport(
+            pre_profit[case], pre_prices[case], techs[case].values, exploitation[case],
+            post_profit, post_prices.copy(), new_values[case], post_exploitation,
+            tuple(pre_bounds[case]), tuple(post_bounds), ScenarioFlags(*row_flags),
+            _VERDICTS[verdict],
+        )
+        for case, post_profit, post_prices, post_exploitation, post_bounds, verdict, *row_flags
+        in rows
+    ]
 
 
 def run_scenario(
@@ -376,72 +379,59 @@ def random_economy(rng: np.random.Generator, n: int) -> tuple[Technology, WageBu
             f"a random economy needs at least 2 sectors, got {n}: with one, "
             "no wage bundle is admissible"
         )
-    tech, bundle, _ = _draw_economies([rng], [n])[0]
-    return tech, bundle
+    drawn = _draw_group([rng], n)
+    return drawn.techs[0], WageBundle(drawn.quantities[0])
 
 
-def _draw_economies(rngs: list, sizes: list) -> list:
-    """``random_economy`` for several generators, with its equilibria.
+# _draw_group's economies: techniques, their arrays, bundles and prices.
+_Drawn = namedtuple("_Drawn", "techs inputs labor values quantities prices")
 
-    Each round draws one candidate per economy still open, from that
-    economy's own generator, in phases: raw inputs; one connectivity
-    check per size, patching a cycle into each matrix that fails it; one
-    stacked ``eigvals`` per size for the radius; scale and labor; one
-    stacked certification per size; the bundle; and one
-    ``solve_equilibria`` call for all. Only rejected economies draw
-    again, so each generator is consumed as ``random_economy`` alone
+
+def _draw_group(rngs: list, n: int) -> _Drawn:
+    """``random_economy`` for several generators, all for ``n`` sectors.
+
+    Each round draws a candidate per economy still open, from its own
+    generator, in phases of one array call each. Only rejected economies
+    draw again, so a generator is consumed as ``random_economy`` alone
     consumes it: a candidate whose radius is not positive is dropped
-    before its scale is drawn, and an economy that has made
-    DRAW_ATTEMPTS draws raises RuntimeError. Returns
-    ``(tech, bundle, equilibrium)`` per generator.
+    before its scale is drawn, and one that has made DRAW_ATTEMPTS draws
+    raises RuntimeError.
     """
-    drawn: list = [None] * len(rngs)
-    attempts = [0] * len(rngs)
-    pending = list(range(len(rngs)))
-    while pending:
-        for index in pending:
-            if attempts[index] == DRAW_ATTEMPTS:
-                raise RuntimeError(
-                    f"no admissible {sizes[index]}-sector economy in {DRAW_ATTEMPTS} draws"
-                )
-            attempts[index] += 1
-        raw = {index: rngs[index].uniform(0.0, 0.3, (sizes[index],) * 2) for index in pending}
-        radii = {}
-        for rows in _by_size([sizes[index] for index in pending]).values():
-            group = [pending[row] for row in rows]
-            connected = _connected_rows(np.array([raw[index] for index in group]))
-            for index, ok in zip(group, connected):
-                if not ok:
-                    raw[index] = _connect_cycle(raw[index], rngs[index])
-            moduli = np.abs(np.linalg.eigvals(np.array([raw[index] for index in group])))
-            radii.update(zip(group, moduli.max(axis=1).tolist()))
-        live = [index for index in pending if radii[index] > 0]
-        labor = []
-        for index in live:
-            raw[index] *= rngs[index].uniform(0.3, 0.8) / radii[index]
-            labor.append(rngs[index].uniform(0.05, 0.5, sizes[index]))
-        candidates = []
-        for index, tech in zip(live, certify_techniques([raw[i] for i in live], labor)):
-            values = labor_values(tech)
-            direction = rngs[index].uniform(0.1, 1.0, sizes[index])
-            target = rngs[index].uniform(0.3, 0.9)
-            candidates.append(
-                (tech, WageBundle(direction * (target / float(values @ direction))))
-            )
-        rejected = [index for index in pending if not radii[index] > 0]
-        for index, (tech, bundle), equilibrium in zip(
-            live, candidates, solve_equilibria(candidates)
-        ):
-            values = labor_values(tech)
-            flags = admissibility(
-                equilibrium.prices, values, value_of_bundle(values, bundle)
-            )
-            if flags.admissible:
-                drawn[index] = (tech, bundle, equilibrium)
-            else:
-                rejected.append(index)
-        pending = sorted(rejected)
-    return drawn
+    k = len(rngs)
+    techs, pending, found = [None] * k, np.arange(k), None
+    for _ in range(DRAW_ATTEMPTS):
+        if not pending.size:
+            break
+        open_rngs = [rngs[row] for row in pending.tolist()]
+        raw = np.array([rng.uniform(0.0, 0.3, (n, n)) for rng in open_rngs])
+        for j in (~_connected_rows(raw)).nonzero()[0].tolist():
+            raw[j] = _connect_cycle(raw[j], open_rngs[j])
+        radii = np.abs(np.linalg.eigvals(raw)).max(axis=1)
+        live = (radii > 0).nonzero()[0]
+        live_rngs = [open_rngs[j] for j in live.tolist()]
+        scale = np.array([rng.uniform(0.3, 0.8) for rng in live_rngs]) / radii[live]
+        raw = raw[live] * scale[:, None, None]
+        labor = np.array([rng.uniform(0.05, 0.5, n) for rng in live_rngs]).reshape(-1, n)
+        drawn = certify_techniques(raw, labor)
+        values = np.array([tech.values for tech in drawn]).reshape(-1, n)
+        direction = np.array([rng.uniform(0.1, 1.0, n) for rng in live_rngs]).reshape(-1, n)
+        target = np.array([rng.uniform(0.3, 0.9) for rng in live_rngs])
+        bundles = direction * (target / _dots(values, direction))[:, None]
+        solved = _price_rows(_augmented(raw, labor, bundles), bundles)
+        _check_prices(solved)
+        flags = admissibility(solved.prices, values, _dots(values, bundles))
+        accepted = np.broadcast_to(flags.admissible, live.shape).nonzero()[0]
+        rows = pending[live[accepted]]
+        for row, j in zip(rows.tolist(), accepted.tolist()):
+            techs[row] = drawn[j]
+        parts = (raw, labor, values, bundles, solved.prices)
+        found = found or [np.empty((k,) + part.shape[1:]) for part in parts]
+        for whole, part in zip(found, parts):
+            whole[rows] = part[accepted]
+        pending = np.setdiff1d(pending, rows)
+    if pending.size:
+        raise RuntimeError(f"no admissible {n}-sector economy in {DRAW_ATTEMPTS} draws")
+    return _Drawn(techs, *found)
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,56 +501,51 @@ def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
 
 
 def _sweep_block(seed: int, indices: range, sizes: tuple) -> list:
-    """Records for the economies ``indices``: draw, synthesize, verify.
-
-    The producer draws every economy's knobs, synthesizes each change at
-    the equilibrium its draw solved, analyzes all the changes together
-    (one stacked certification per size) and samples the bundles; the
-    verifier then prices every economy again from its raw inputs, in one
-    stacked solve before the changes and one after.
-    """
+    """Records for the economies ``indices``, one ``_sweep_group`` per size."""
     rngs = [np.random.default_rng([seed, index]) for index in indices]
-    ns = [int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs]
-    drawn = _draw_economies(rngs, ns)
+    records: list = [None] * len(rngs)
+    for n, rows in _by_size([int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs]).items():
+        group = _sweep_group(seed, [indices[row] for row in rows], [rngs[row] for row in rows], n)
+        for row, record in zip(rows, group):
+            records[row] = record
+    return records
+
+
+def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> list:
+    """Records for economies of ``n`` sectors: draw, synthesize, verify.
+
+    The producer holds the group as arrays, one array call each to draw,
+    synthesize each change at its draw's equilibrium, analyze and sample.
+    Objects are built only then; the verifier prices every economy again
+    from those raw inputs, before and after the changes.
+    """
+    drawn = _draw_group(rngs, n)
     knobs = [
-        (
-            int(rng.integers(n)),
-            float(rng.uniform(0.1, 0.9)),
-            float(rng.uniform(0.1, 0.9)),
-            int(rng.integers(2**63 - 1)),
-            int(rng.integers(2**63 - 1)),
-        )
-        for rng, n in zip(rngs, ns)
+        (int(rng.integers(n)), float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9)),
+         int(rng.integers(2**63 - 1)), int(rng.integers(2**63 - 1)))
+        for rng in rngs
     ]
-    synthesized = [
-        synthesize_culs_change(tech, bundle, equilibrium, sector, epsilon_frac, labor_frac)
-        for (tech, bundle, equilibrium), (sector, epsilon_frac, labor_frac, _, _) in zip(
-            drawn, knobs
-        )
-    ]
-    analyses = analyze_changes(
-        [(*economy, synth.change) for economy, synth in zip(drawn, synthesized)]
-    )
-    produced = [
-        dict(
-            index=index, seed=seed, n=n, tech=tech, bundle=bundle,
-            synthesized=synth, region=analysis.region,
-            constant_bundle=sample_constant_exploitation(analysis.region, constant_seed),
-            rising_bundle=sample_rising_exploitation(analysis.region, rising_seed),
-        )
-        for index, n, (tech, bundle, _), (*_, constant_seed, rising_seed), synth, analysis
-        in zip(indices, ns, drawn, knobs, synthesized, analyses)
-    ]
+    sectors, epsilon_frac, labor_frac, constant_seeds, rising_seeds = map(np.array, zip(*knobs))
+    economies = drawn.inputs, drawn.labor, drawn.values, drawn.quantities, drawn.prices
+    synthesized = _synthesize_rows(*economies, sectors, epsilon_frac, labor_frac)
+    analysis = _analyze_rows(*economies, sectors, synthesized.new_columns, synthesized.new_labor)
+    if not analysis.costs.viable.all():
+        raise ValueError("wage region is only defined for a viable change")
+    regions = analysis.regions
+    constant = _sample_rows(regions, constant_seeds.tolist())
+    rising = _sample_rows(regions, rising_seeds.tolist(), shrink=True)
+    produced = list(zip(
+        indices, drawn.techs, map(WageBundle, drawn.quantities), _synthesized_changes(synthesized),
+        _wage_regions(regions, range(len(indices))),
+        *(map(WageBundle, rows) for rows in (constant, rising)),
+    ))
     cases = [
-        (
-            fields["tech"], fields["bundle"], fields["synthesized"].change,
-            (fields["constant_bundle"], fields["bundle"], fields["rising_bundle"]),
-        )
-        for fields in produced
+        (tech, bundle, synth.change, (constant, bundle, rising))
+        for _, tech, bundle, synth, _, constant, rising in produced
     ]
     return [
-        SweepRecord(**fields, scenario=scenario, okishio=okishio, rising=rising)
-        for fields, (scenario, okishio, rising) in zip(produced, _verify(cases))
+        SweepRecord(index, seed, n, *fields, *reports)
+        for (index, *fields), reports in zip(produced, _verify(cases))
     ]
 
 

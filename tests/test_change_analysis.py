@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 import okishio_lab
-from okishio_lab import verify
+from okishio_lab import equilibrium, synthesis, verify
 from okishio_lab import (
+    DegenerateNormalization,
+    EconomyError,
+    Infeasible,
+    NoConvergence,
+    NotInB,
     NotProductive,
     TechChange,
     Technology,
+    WageBundle,
     analyze_change,
     apply_change,
     build_region,
@@ -30,6 +36,7 @@ from okishio_lab import (
     uniform_profit_rate,
     value_system,
 )
+from okishio_lab.equilibrium import solve_equilibria
 
 
 class TestAnalyzeChange:
@@ -228,7 +235,7 @@ def test_sweep_eigensolves_only_to_draw_economies(monkeypatch):
     run_suite(seed=1000, count=20)
     candidates = [matrix for matrices in rounds for matrix in matrices]
     assert len(candidates) >= 20
-    assert callers and set(callers) == {"_draw_economies"}
+    assert callers and set(callers) == {"_draw_group"}
     # One stacked eigvals per size in each draw round.
     assert len(callers) == sum(len({m.shape for m in matrices}) for matrices in rounds)
     # Each candidate is its eigvals matrix rescaled: pair them one to one.
@@ -241,3 +248,84 @@ def test_sweep_eigensolves_only_to_draw_economies(monkeypatch):
             and np.allclose(candidate / candidate.max(), matrix / matrix.max(), rtol=1e-13)
         )
         unmatched.pop(match)
+
+
+def _raised(call, *args):
+    """The exception ``call(*args)`` raises, as (type, message)."""
+    with pytest.raises(EconomyError) as excinfo:
+        call(*args)
+    return type(excinfo.value), str(excinfo.value)
+
+
+def _stacked(regions):
+    """Wage regions of one size as the samplers' array form."""
+    rows = zip(*map(synthesis._one_region, regions))
+    return synthesis._Regions(*map(np.concatenate, rows))
+
+
+def _skewed_economy():
+    # Sector 1 prices at about 0.11 of sector 0, so a bundle of the
+    # smallest subnormal quantity of good 1 costs 0 at the eigenvector.
+    tech = Technology(np.array([[0.5, 0.05], [0.05, 0.05]]), np.array([0.2, 0.3]))
+    return tech, WageBundle(np.array([0.0, 5e-324]))
+
+
+class TestFailingRowRaisesItsOwnError:
+    """A row that fails inside an array form raises what its one-row call raises."""
+
+    def test_solve_equilibria_residual(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        pairs = [random_economy(rng, 4) for _ in range(6)]
+        residuals = [uniform_profit_rate(*pair).residual for pair in pairs]
+        good, bad = int(np.argmin(residuals)), int(np.argmax(residuals))
+        assert residuals[good] < residuals[bad]
+        tol = 0.5 * (residuals[good] + residuals[bad])
+        monkeypatch.setattr(equilibrium, "RESIDUAL_TOL", tol)
+        alone = _raised(uniform_profit_rate, *pairs[bad])
+        assert alone[0] is NoConvergence
+        assert _raised(solve_equilibria, [pairs[good], pairs[bad]]) == alone
+
+    def test_solve_equilibria_degenerate_normalization(self):
+        skewed = _skewed_economy()
+        alone = _raised(uniform_profit_rate, *skewed)
+        assert alone[0] is DegenerateNormalization
+        good = (Technology(skewed[0].inputs, skewed[0].labor), WageBundle(np.ones(2)))
+        assert _raised(solve_equilibria, [good, skewed]) == alone
+
+    def test_samplers_infeasible_region(self, ref_tech, ref_bundle, ref_change):
+        equilibrium_ = uniform_profit_rate(ref_tech, ref_bundle)
+        region = analyze_change(ref_tech, ref_bundle, equilibrium_, ref_change).region
+        squeezed = build_region(
+            equilibrium_, region.new_values * 2.0, region.value_offset,
+            classify(ref_tech, equilibrium_, ref_change),
+        )
+        assert region.feasible and not squeezed.feasible
+        samplers = ((False, sample_constant_exploitation), (True, sample_rising_exploitation))
+        for shrink, sampler in samplers:
+            alone = _raised(sampler, squeezed, 5)
+            assert alone[0] is Infeasible
+            group = _stacked([region, squeezed])
+            assert _raised(synthesis._sample_rows, group, [4, 5], None, shrink) == alone
+            # Feasible rows are what the one-row sampler returns.
+            both = synthesis._sample_rows(_stacked([region, region]), [4, 5], None, shrink)
+            for row, seed in zip(both, (4, 5)):
+                assert np.array_equal(row, sampler(region, seed).quantities)
+
+    def test_synthesis_bundle_not_admissible(
+        self, ref_tech, ref_bundle, equal_organic_tech, equal_organic_bundle
+    ):
+        cases = [(ref_tech, ref_bundle), (equal_organic_tech, equal_organic_bundle)]
+        equilibria = [uniform_profit_rate(*case) for case in cases]
+        alone = _raised(synthesize_culs_change, *cases[1], equilibria[1], 0)
+        assert alone[0] is NotInB
+        rows = [
+            np.array([getattr(tech, name) for tech, _ in cases])
+            for name in ("inputs", "labor", "values")
+        ]
+        group = (
+            *rows,
+            np.array([bundle.quantities for _, bundle in cases]),
+            np.array([equilibrium_.prices for equilibrium_ in equilibria]),
+            np.array([0, 0]), np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+        )
+        assert _raised(synthesis._synthesize_rows, *group) == alone

@@ -444,15 +444,59 @@ class TestCertificateProperties:
         assert_invariant_under_units(economy, k)
 
     # A two-block draw (coupling 1.4e-7) on which block 2's prices move by
-    # 2.3e-13 relative: its Perron vector is less well conditioned than
-    # the bracket that certifies it. Pinned so the known failure stays in
-    # view until the solver or the bound on the test is settled.
-    @pytest.mark.xfail(raises=AssertionError, reason="ill-conditioned block-2 prices")
+    # 2.3e-13 relative, against a units_bound of 7e-11 from its kappa of 399.
     def test_invariant_under_units_on_a_nearly_decomposable_draw(self):
         economy = two_block_economy(
             np.random.default_rng(1219610616), 10.0**-6.845137604422893, 0.9581007372115669
         )
         assert_invariant_under_units(economy, 3)
+
+
+def perron_condition(tech, bundle):
+    """``||B#||_1`` for the group inverse B# of ``B = I - M/rho`` (Meyer,
+    SIAM J. Matrix Anal. Appl. 15, 1994), M the wage-augmented matrix.
+
+    ``B# = (B + x y^T)^-1 - x y^T`` for B's right and left null vectors
+    with ``y x = 1``: the right Perron vector from numpy's ``eig`` and the
+    equilibrium prices. For row vectors ``||z B#||_inf <= ||z||_inf
+    ||B#||_1``, so this norm bounds how far a perturbation of the left
+    Perron vector reaches, relative to its largest entry.
+    """
+    matrix = augmented_inputs(tech, bundle)
+    equilibrium = uniform_profit_rate(tech, bundle)
+    moduli, vectors = np.linalg.eig(matrix)
+    right = np.abs(vectors[:, np.argmax(moduli.real)].real)
+    left = equilibrium.prices / float(equilibrium.prices @ right)
+    system = np.eye(tech.n) - matrix / equilibrium.spectral_radius
+    group = np.linalg.inv(system + np.outer(right, left)) - np.outer(right, left)
+    return float(np.linalg.norm(group, 1))
+
+
+def units_bound(tech, bundle):
+    """How far prices counted in two unit systems may differ, over the largest.
+
+    To first order, with u = eps / 2, kappa = perron_condition and z the
+    exact left Perron vector:
+
+    * the two matrices: A + b L rounds twice, A + (b 10^-k)(L 10^k) five
+      times (10^-k itself is rounded), so ``|dM| <= 7u M = 3.5 eps M``
+      entrywise; as z > 0, ``|z dM| <= 3.5 eps z M``, and z moves by at
+      most 3.5 eps kappa;
+    * each solve stops at a bracket of relative width at most CW_TOL, so
+      its relative residual is at most ``CW_TOL/2 + n eps`` (n-term
+      products) and its vector lies within kappa times that of z: two
+      solves give ``kappa (CW_TOL + 2 n eps)``;
+    * scaling a vector so that its bundle costs one at most doubles its
+      error, and rounds on its own: ``2u`` in ``b 10^-k``, ``n u`` in the
+      cost and u in the quotient, ``(n + 2) eps`` for the two solves.
+
+    In all ``c kappa n eps`` with ``c = 2 (5.5 + CW_TOL/eps)`` for any
+    n >= 1, plus ``(n + 2) eps``, which alone remains with one sector,
+    where the vector is fixed and kappa is 0.
+    """
+    eps = np.finfo(float).eps
+    kappa = perron_condition(tech, bundle)
+    return 2.0 * (5.5 + CW_TOL / eps) * kappa * tech.n * eps + (tech.n + 2) * eps
 
 
 def assert_invariant_under_units(economy, k):
@@ -467,7 +511,9 @@ def assert_invariant_under_units(economy, k):
     # 1 + pi = 1/rho: pi itself loses relative digits to the
     # cancellation in 1/rho - 1 when it is small.
     assert 1.0 + eq.profit_rate == pytest.approx(1.0 + base.profit_rate, rel=1e-14)
-    np.testing.assert_allclose(eq.prices, base.prices * 10.0**k, rtol=1e-13)
+    expected = base.prices * 10.0**k
+    bound = units_bound(tech, bundle) * expected.max()
+    np.testing.assert_allclose(eq.prices, expected, rtol=0, atol=bound)
 
 
 def assert_rows_match_single(stack):

@@ -35,7 +35,7 @@ from okishio_lab import (
     uniform_profit_rate,
     value_of_bundle,
 )
-from okishio_lab.linear_economy import _connected_rows
+from okishio_lab.linear_economy import _by_size, _connected_rows
 from okishio_lab.verify import _connect_cycle, suite_csv_row
 
 
@@ -278,9 +278,13 @@ class TestRandomEconomy:
         monkeypatch.setattr(verify, "admissibility", _picky_admissibility)
         sizes = [2, 3, 2, 8, 5, 3, 2, 2, 6, 4, 7, 2] * 4
         rngs = [np.random.default_rng([91, index]) for index in range(len(sizes))]
-        drawn = verify._draw_economies(rngs, sizes)
+        drawn = [None] * len(sizes)
+        for n, rows in _by_size(sizes).items():
+            group = verify._draw_group([rngs[row] for row in rows], n)
+            for row, tech, quantities in zip(rows, group.techs, group.quantities):
+                drawn[row] = tech, WageBundle(quantities)
         rounds = 0
-        for index, (n, rng, (tech, bundle, _)) in enumerate(zip(sizes, rngs, drawn)):
+        for index, (n, rng, (tech, bundle)) in enumerate(zip(sizes, rngs, drawn)):
             reference = np.random.default_rng([91, index])
             ref_tech, ref_bundle, attempts = _reference_draw(
                 reference, n, _picky_admissibility
@@ -326,11 +330,17 @@ class TestRandomEconomy:
 
 
 def _picky_admissibility(prices, values, bundle_value):
-    """``admissibility`` that also rejects about a third of all bundles."""
+    """``admissibility`` that also rejects about a third of all bundles.
+
+    Takes one economy or a stack of them, as ``admissibility`` does.
+    """
     flags = admissibility(prices, values, bundle_value)
-    if int(bundle_value * 1e6) % 3 == 0:
-        return WageAdmissibility(False, False, flags.max_ratio, flags.max_ratio_sector)
-    return flags
+    kept = np.asarray(bundle_value * 1e6).astype(int) % 3 != 0
+    surplus = np.logical_and(flags.nonnegative_surplus, kept)
+    headroom = np.logical_and(flags.ratio_headroom, kept)
+    if surplus.ndim == 0:
+        surplus, headroom = bool(surplus), bool(headroom)
+    return WageAdmissibility(surplus, headroom, flags.max_ratio, flags.max_ratio_sector)
 
 
 def _reference_draw(rng, n, admissible=admissibility):
@@ -438,10 +448,10 @@ class TestSuite:
         assert single.scenario.post_profit == batch.scenario.post_profit
 
 
-def _rebuilt_alone(seed, index):
+def _rebuilt_alone(seed, index, n_range=(2, 8)):
     """Sweep economy ``index`` made one call at a time through the public API."""
     rng = np.random.default_rng([seed, index])
-    n = int(rng.integers(2, 9))
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
     tech, bundle = random_economy(rng, n)
     equilibrium = uniform_profit_rate(tech, bundle)
     sector = int(rng.integers(n))
@@ -461,9 +471,23 @@ def _rebuilt_alone(seed, index):
     )
 
 
+@pytest.fixture(scope="module")
+def wide_records():
+    return run_suite(seed=1000, count=40, n_range=(2, 12))
+
+
 def test_sweep_rows_equal_economies_made_one_at_a_time(records):
+    assert_rows_equal_economies_made_one_at_a_time(records, (2, 8))
+
+
+def test_wide_sweep_rows_equal_economies_made_one_at_a_time(wide_records):
+    assert max(record.n for record in wide_records[:20]) > 8
+    assert_rows_equal_economies_made_one_at_a_time(wide_records, (2, 12))
+
+
+def assert_rows_equal_economies_made_one_at_a_time(records, n_range):
     for record in records[:20]:
-        alone = _rebuilt_alone(1000, record.index)
+        alone = _rebuilt_alone(1000, record.index, n_range)
         assert suite_csv_row(record) == suite_csv_row(alone)
         assert np.array_equal(record.tech.inputs, alone.tech.inputs)
         assert np.array_equal(record.tech.values, alone.tech.values)
@@ -474,13 +498,23 @@ def test_sweep_rows_equal_economies_made_one_at_a_time(records):
             (record.rising_bundle, alone.rising_bundle),
         ):
             assert np.array_equal(mine.quantities, theirs.quantities)
+        change, alone_change = record.synthesized.change, alone.synthesized.change
+        assert np.array_equal(change.new_column, alone_change.new_column)
+        assert change.new_labor == alone_change.new_labor
+        for name in ("price_plane_intercepts", "value_plane_intercepts", "feasible_sectors"):
+            assert np.array_equal(getattr(record.region, name), getattr(alone.region, name)), name
         for mine, theirs in (
             (record.scenario, alone.scenario),
             (record.okishio, alone.okishio),
             (record.rising, alone.rising),
         ):
+            assert np.array_equal(mine.pre_prices, theirs.pre_prices)
             assert np.array_equal(mine.post_prices, theirs.post_prices)
             assert np.array_equal(mine.post_values, theirs.post_values)
+            assert mine.pre_rho_bounds == theirs.pre_rho_bounds
+            assert mine.post_rho_bounds == theirs.post_rho_bounds
+            assert vars(mine.flags) == vars(theirs.flags)
+            assert mine.verdict is theirs.verdict
 
 
 def _in_other_units(record, labor, goods):
