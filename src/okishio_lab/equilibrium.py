@@ -135,11 +135,14 @@ def _price_rows(augmented: np.ndarray, quantities: np.ndarray) -> _Prices:
 def _check_prices(priced: _Prices) -> None:
     """Raise the error of the first row that failed; a bundle lacks a price
     only by underflow, raw being positive. NaN fails too."""
-    for row in (~((priced.cost > 0.0) & (priced.residual <= RESIDUAL_TOL))).nonzero()[0][:1]:
-        if not priced.cost[row] > 0.0:
-            raise DegenerateNormalization("wage bundle has zero cost at the eigenvector")
-        residual = priced.residual[row]
-        raise NoConvergence(f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    passed = (priced.cost > 0.0) & (priced.residual <= RESIDUAL_TOL)
+    if passed.all():
+        return
+    row = passed.argmin()
+    if not priced.cost[row] > 0.0:
+        raise DegenerateNormalization("wage bundle has zero cost at the eigenvector")
+    residual = priced.residual[row]
+    raise NoConvergence(f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
 
 def _equilibria(priced: _Prices) -> list[Equilibrium]:
@@ -198,10 +201,11 @@ def max_profit_rate(tech: Technology) -> float:
 def admissibility(prices, values, bundle_value) -> WageAdmissibility:
     """Admissibility flags from already-computed prices and values: of one
     economy, or of ``(k, n)`` stacks with ``(k,)`` bundle values, row by row."""
-    ratios = np.asarray(prices, dtype=float) / np.asarray(values, dtype=float)
-    max_ratio, bundle_value = ratios.max(axis=-1), np.asarray(bundle_value, dtype=float)
+    ratios = np.divide(prices, values)
+    max_ratio, sector = ratios.max(axis=-1), ratios.argmax(axis=-1)
     surplus_ok = (0.0 < bundle_value) & (bundle_value <= 1.0)
     with np.errstate(divide="ignore"):
-        headroom = surplus_ok & (max_ratio > 1.0 / bundle_value + STRICT_MARGIN)
-    flags = (surplus_ok, headroom, max_ratio, ratios.argmax(axis=-1))
-    return WageAdmissibility(*(flag if ratios.ndim > 1 else flag.item() for flag in flags))
+        headroom = surplus_ok & (max_ratio > np.divide(1.0, bundle_value) + STRICT_MARGIN)
+    if ratios.ndim > 1:
+        return WageAdmissibility(surplus_ok, headroom, max_ratio, sector)
+    return WageAdmissibility(bool(surplus_ok), bool(headroom), float(max_ratio), int(sector))

@@ -87,8 +87,9 @@ def _connected_rows(stack: np.ndarray) -> np.ndarray:
     graphs = np.concatenate((adjacency, adjacency.transpose(0, 2, 1)))
     seen = graphs[:, 0, :].copy()  # sector 0 and the sectors it reaches directly
     seen[:, 0] = True
-    frontier = seen.copy()
-    while np.count_nonzero(frontier):
+    frontier = seen
+    # A dense pattern is done here, before any product.
+    while not seen.all() and np.count_nonzero(frontier):
         frontier = (frontier[:, None, :] @ graphs)[:, 0, :] & ~seen
         seen |= frontier
     return seen.reshape((2,) + adjacency.shape[:2]).all(axis=(0, 2))
@@ -119,6 +120,30 @@ def _column_dots(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
 def _stack(arrays) -> np.ndarray:
     """Equal-shaped arrays as one stack; a lone array as a view."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+try:
+    # The gufuncs np.linalg.solve calls. Called directly, a small shifted
+    # solve skips the wrapper's argument handling, which costs about as
+    # much as the factorization of a 20-sector system.
+    from numpy.linalg._umath_linalg import solve as _solve_matrices, solve1 as _solve_vectors
+except ImportError:  # pragma: no cover - a numpy without them uses the wrapper
+    _solve_matrices = _solve_vectors = None
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for float ``a`` and ``b``, the same gufunc
+    under the same error state, so the same bits and the same LinAlgError."""
+    if _solve_vectors is None:
+        return np.linalg.solve(a, b)
+    gufunc = _solve_vectors if b.ndim == 1 else _solve_matrices
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return gufunc(a, b, signature="dd->d")
 
 
 def _left_perron(
@@ -180,7 +205,7 @@ def _perron_one(matrix: np.ndarray) -> tuple[float, np.ndarray, int, tuple[float
             system /= -vec
             system.reshape(-1)[:: n + 1] += hi
             try:
-                step = vec * np.linalg.solve(system.T, ones)
+                step = vec * _solve(system.T, ones)
             except np.linalg.LinAlgError as err:
                 raise NoConvergence(
                     f"shifted solve failed with bracket [{lo!r}, {hi!r}]"
@@ -243,7 +268,7 @@ def _perron_stack(stack: np.ndarray):
             system /= -scale[:, :, None]
             system[:, diagonal, diagonal] += hi[shifted][:, None]
             try:
-                solved = np.linalg.solve(system, np.ones(scale.shape + (1,)))
+                solved = _solve(system, np.ones(scale.shape + (1,)))
             except np.linalg.LinAlgError:
                 return None
             step[shifted] = scale * solved[:, :, 0]
@@ -595,24 +620,26 @@ def value_of_bundle(values: np.ndarray, bundle: WageBundle) -> float:
 
 def exploitation_rate(bundle_value):
     """Unpaid over paid labor: ``(1 - bundle_value) / bundle_value``, of one
-    bundle value or an array of them.
+    bundle value or, rate by rate, of an array of them.
 
     The bundle value is labor received per unit of labor performed, so it
     must be positive. A value above one whole day makes the rate negative;
-    that is flagged with NegativeExploitationWarning rather than rejected.
+    that is flagged with NegativeExploitationWarning, once for each such
+    value, rather than rejected. A NaN value gives a NaN rate.
     """
-    values = np.ravel(bundle_value)
-    if not values.min(initial=np.inf) > 0:
-        raise NonPositiveValue(f"bundle value must be positive, got {values[~(values > 0)][0]}")
+    # fmin passes over NaN, so only a value that is not positive fails.
+    if np.fmin.reduce(bundle_value, axis=None) <= 0:
+        low = np.extract(np.less_equal(bundle_value, 0), bundle_value)[0]
+        raise NonPositiveValue(f"bundle value must be positive, got {low}")
     rate = (1.0 - bundle_value) / bundle_value
-    if values.max(initial=-np.inf) > 1.0:
-        first = float(values[values > 1.0][0])
-        warnings.warn(
-            f"bundle value {first:.6g} exceeds one working day; "
-            "exploitation rate is negative",
-            NegativeExploitationWarning,
-            stacklevel=2,
-        )
+    if np.fmin.reduce(rate, axis=None) < 0:
+        for value in np.extract(np.less(rate, 0), bundle_value).tolist():
+            warnings.warn(
+                f"bundle value {value:.6g} exceeds one working day; "
+                "exploitation rate is negative",
+                NegativeExploitationWarning,
+                stacklevel=2,
+            )
     return rate
 
 

@@ -82,7 +82,9 @@ _Regions = namedtuple("_Regions", WageRegion.__dataclass_fields__)
 def _region_rows(prices, new_values, bundle_value, break_even_wage) -> _Regions:
     """``build_region`` for ``(k, n)`` prices and new values and ``(k,)`` offsets."""
     x, y = break_even_wage[:, None] / prices, bundle_value[:, None] / new_values
-    return _Regions(prices, new_values, break_even_wage, bundle_value, x, y, y > x, (y > x).any(1))
+    feasible = y > x
+    return _Regions(prices, new_values, break_even_wage, bundle_value, x, y, feasible,
+                    feasible.any(axis=1))
 
 
 def _one_region(region: WageRegion) -> _Regions:
@@ -228,47 +230,78 @@ class EqualOffPivot:
     value: float | None = None
 
 
-def _propose(regions: _Regions, rngs, strategy):
-    """A candidate on each row's value plane, and which are well posed: a pivot
-    coordinate, from ``rngs[i]`` unless fixed, and the rest of the value spread
-    equally (EqualOffPivot) or by weight, all on the pivot if no weight is left."""
-    values, value_offset = regions.new_values, regions.value_offset
-    x, y = regions.price_plane_intercepts, regions.value_plane_intercepts
-    (k, n), rows = values.shape, np.arange(len(values))
+# One sampler's rows still open: their generators, their regions' planes and
+# the parts of their proposals that stay fixed (see _open_rows).
+_Open = namedtuple("_Open", "rngs rows prices values value_offset price_floor pivots lows highs "
+                   "pivot_values weights off_value bare")
+
+_EXHAUSTED = (f"no admissible bundle in {PROPOSAL_BUDGET} proposals; "
+              "check the strategy's pivot and value against the region")
+
+
+def _open_rows(regions: _Regions, seeds, strategy) -> _Open:
+    """Each row's generator, planes and fixed proposal parts: the pivot, its
+    coordinate's bounds or fixed value, its new value, and the weights that
+    spread the rest of the value over the other goods, with their value."""
+    values, (k, n), rows = regions.new_values, regions.prices.shape, np.arange(len(regions.prices))
     if not isinstance(strategy, (PivotUniform, EqualOffPivot)):
         raise TypeError(f"unknown sampling strategy {strategy!r}")
+    x, y = regions.price_plane_intercepts, regions.value_plane_intercepts
     pivots = (y / x).argmax(axis=1)
     if getattr(strategy, "pivot", None) is not None:
         if not 0 <= strategy.pivot < n:
             raise InvalidSector(f"pivot {strategy.pivot} outside range 0..{n - 1}")
         pivots[:] = strategy.pivot
-    given = getattr(strategy, "weights", None)
-    weights = np.ones((k, n)) if given is None else np.array([given] * k, dtype=float)
-    if given is not None and (weights.shape != (k, n) or (weights < 0).any()):
-        raise ValueError("weights must be nonnegative, one per sector")
+    at, bare = (rows, pivots), None
     if getattr(strategy, "value", None) is None:
-        bounds = zip(rngs, x[rows, pivots].tolist(), y[rows, pivots].tolist())
-        coords = np.array([rng.uniform(lo, hi) for rng, lo, hi in bounds])
+        lows, highs = x[at], y[at]
     else:
-        coords = np.full(k, float(strategy.value))
-    pivot_values = values[rows, pivots]
-    rest = value_offset - pivot_values * coords
+        lows = highs = np.full(k, float(strategy.value))
+    pivot_values, weights = values[at], np.ones((k, n))
     if isinstance(strategy, EqualOffPivot):
-        off_weight = values.sum(axis=1) - pivot_values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            candidates = np.repeat((rest / off_weight)[:, None], n, axis=1)
-        posed = ~((rest < 0) | (off_weight <= 0))
+        # An equal split: the pivot's entry is overwritten.
+        off_value = values.sum(axis=1) - pivot_values
+        if not (off_value > 0).all():
+            # No proposal of such a row is ever well posed.
+            raise SamplingExhausted(_EXHAUSTED)
+    elif strategy.weights is None:
+        weights[at] = 0.0
+        off_value = _dots(values, weights)
     else:
-        weights[rows, pivots] = 0.0
+        given = np.array(strategy.weights, dtype=float)
+        if given.shape != (n,) or (given < 0).any():
+            raise ValueError("weights must be nonnegative, one per sector")
+        weights *= given
+        weights[at] = 0.0
         off_value = _dots(values, weights)
         # With nothing to spread the rest over, it all goes on the pivot.
-        bare = (off_value <= 0).nonzero()[0]
-        if bare.size:
+        bare = off_value <= 0
+        if bare.any():
             off_value[bare], weights[bare] = 1.0, 0.0
-            coords[bare] = value_offset[bare] / pivot_values[bare]
-        candidates, posed = weights * (rest / off_value)[:, None], ~(rest < 0)
-    candidates[rows, pivots] = coords
-    return candidates, posed
+        else:
+            bare = None
+    return _Open([np.random.default_rng(seed) for seed in seeds], rows, regions.prices, values,
+                 regions.value_offset, regions.price_offset + STRICT_MARGIN, pivots, lows, highs,
+                 pivot_values, weights, off_value, bare)
+
+
+def _propose(rows: _Open, fixed: bool):
+    """A candidate on each open row's value plane, drawing its pivot coordinate
+    from its generator unless ``fixed``, and which candidates are well posed."""
+    if fixed:
+        coords = rows.lows.copy()
+    else:
+        bounds = zip(rows.rngs, rows.lows.tolist(), rows.highs.tolist())
+        coords = np.array([rng.uniform(lo, hi) for rng, lo, hi in bounds])
+    rest = rows.value_offset - rows.pivot_values * coords
+    candidates = rows.weights * (rest / rows.off_value)[:, None]
+    if rows.bare is not None:
+        coords[rows.bare] = (rows.value_offset / rows.pivot_values)[rows.bare]
+    candidates[np.arange(len(coords)), rows.pivots] = coords
+    # Posed: the rest is not negative, nor is any entry. The other entries
+    # are nonnegative multiples of the rest, so only the pivot's is left.
+    # NaN fails here where the on-plane test would fail it.
+    return candidates, np.fmin(rest, coords) >= 0
 
 
 def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
@@ -283,41 +316,58 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     (k, n), strategy = regions.prices.shape, PivotUniform() if strategy is None else strategy
     # With one sector the plane is a single point; feasibility already
     # placed it above the price plane.
-    if n == 1 and not shrink:
-        return regions.value_offset[:, None] / regions.new_values
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    sampled, rows = np.empty((k, n)), np.arange(k)
+    if n == 1:
+        point = regions.value_offset[:, None] / regions.new_values
+        if not shrink:
+            return point
+        open_ = _Open([np.random.default_rng(seed) for seed in seeds], np.arange(k),
+                      regions.prices, regions.new_values, regions.value_offset,
+                      regions.price_offset + STRICT_MARGIN, *(None,) * 7)
+    else:
+        open_ = _open_rows(regions, seeds, strategy)
+    fixed, sampled = getattr(strategy, "value", None) is not None, None
     for _ in range(PROPOSAL_BUDGET):
         if n == 1:
-            base, accepted = regions.value_offset[:, None] / regions.new_values, True
+            base, posed = point[open_.rows], True
         else:
-            base, posed = _propose(regions, [rngs[row] for row in rows.tolist()], strategy)
-            accepted = posed & ~(base.min(axis=1) < 0) & (
-                np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
+            base, posed = _propose(open_, fixed)
+            posed = posed & (
+                np.abs(_dots(open_.values, base) - open_.value_offset) <= ON_PLANE_TOL)
         # With one sector this holds whenever the shrink below can succeed.
-        cost = _dots(regions.prices, base)
-        accepted &= cost > regions.price_offset + STRICT_MARGIN
+        cost = _dots(open_.prices, base)
+        accepted = posed & (cost > open_.price_floor)
         if shrink:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lo = (regions.price_offset + STRICT_MARGIN) / cost
-            hi = 1.0 - STRICT_MARGIN / regions.value_offset
-            accepted &= lo < hi
-            scale = np.ones(len(rows))
-            for i in accepted.nonzero()[0].tolist():
-                # Away from both endpoints, so the strict margins are macroscopic.
-                scale[i] = lo[i] + rngs[rows[i]].uniform(0.25, 0.75) * (hi[i] - lo[i])
-            base = scale[:, None] * base
-            accepted &= (_dots(regions.prices, base) > regions.price_offset + STRICT_MARGIN) & (
-                _dots(regions.new_values, base) < regions.value_offset - STRICT_MARGIN)
-        sampled[rows[accepted]] = base[accepted]
+            base, accepted = _shrink(open_, base, cost, accepted)
+        if sampled is None:
+            sampled = base
+        else:
+            sampled[open_.rows] = base
         if accepted.all():
             return sampled
-        rows, regions = rows[~accepted], _Regions(*(field[~accepted] for field in regions))
+        kept = ~accepted
+        open_ = _Open(
+            [rng for rng, keep in zip(open_.rngs, kept.tolist()) if keep],
+            *(part if part is None else part[kept] for part in open_[1:]),
+        )
     raise SamplingExhausted(
-        f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else
-        f"no admissible bundle in {PROPOSAL_BUDGET} proposals; "
-        "check the strategy's pivot and value against the region"
+        f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else _EXHAUSTED
     )
+
+
+def _shrink(rows: _Open, base, cost, accepted):
+    """Scale each accepted on-plane sample toward the origin, by a factor
+    drawn from its row's generator, strictly inside both planes."""
+    hi = 1.0 - STRICT_MARGIN / rows.value_offset
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo = rows.price_floor / cost
+        accepted = accepted & (lo < hi)
+        # Away from both endpoints, so the strict margins are macroscopic.
+        draws = [rng.uniform(0.25, 0.75) if drawn else 0.0
+                 for rng, drawn in zip(rows.rngs, accepted.tolist())]
+        base = (lo + np.array(draws) * (hi - lo))[:, None] * base
+    accepted &= (_dots(rows.prices, base) > rows.price_floor) & (
+        _dots(rows.values, base) < rows.value_offset - STRICT_MARGIN)
+    return base, accepted
 
 
 def sample_constant_exploitation(
@@ -377,8 +427,9 @@ def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon
     row whose bundle is not admissible raises NotInB."""
     bundle_value = _dots(values, quantities)
     flags = admissibility(prices, values, bundle_value)
-    failed = (~flags.admissible).argmax()
-    if not flags.admissible[failed]:
+    admissible = flags.admissible
+    if not admissible.all():
+        failed = admissible.argmin()
         detail = ("bundle value outside (0, 1]" if not flags.nonnegative_surplus[failed]
                   else "no price-value ratio exceeds one plus exploitation")
         raise NotInB(f"wage bundle is not admissible: {detail}")
@@ -433,5 +484,5 @@ def synthesize_culs_change(
     if sector < 0 or sector >= tech.n:
         raise InvalidSector(f"sector {sector} outside range 0..{tech.n - 1}")
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
-    knobs = np.array([sector]), np.array([epsilon_frac], float), np.array([labor_frac], float)
+    knobs = np.array([sector]), float(epsilon_frac), float(labor_frac)
     return _synthesized_changes(_synthesize_rows(*(row[None] for row in rows), *knobs))[0]

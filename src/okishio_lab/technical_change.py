@@ -12,7 +12,7 @@ unit of new labor cost.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -166,12 +166,16 @@ class PropertyReport:
         )
 
 
+# PropertyReport's fields, one row each: the array form of property reports.
+_Properties = namedtuple("_Properties", PropertyReport.__dataclass_fields__)
+
+
 def _property_rows(costs: _Costs, prices, new_labor, value_pre, value_post, new_quantities):
     """``check_properties`` for each row, from its change's ``_Costs`` and the
     labor values of the old bundle before and of the new one after it."""
     new_bundle_cost, margin = _dots(prices, new_quantities), STRICT_MARGIN * costs.cost_pre
     labor_cost_margin = new_labor * (new_bundle_cost - 1.0)
-    return PropertyReport(
+    return _Properties(
         new_bundle_cost > 1.0 + STRICT_MARGIN, np.abs(value_pre - value_post) <= VALUE_MATCH_TOL,
         costs.viable & (labor_cost_margin - costs.cost_drop > margin),
         (0.0 < value_post) & (value_post <= 1.0), new_bundle_cost, value_pre, value_post,
@@ -199,7 +203,7 @@ def check_properties(
     value_pre = _dots(np.asarray(values, dtype=float)[None], bundle.quantities[None])
     value_post = _dots(np.asarray(new_values, dtype=float)[None], new_bundle.quantities[None])
     rows = _property_rows(costs, prices, labor, value_pre, value_post, new_bundle.quantities[None])
-    return PropertyReport(*(getattr(rows, field.name)[0].item() for field in fields(rows)))
+    return PropertyReport(*(field[0].item() for field in rows))
 
 
 def _patch_rows(inputs, labor, sectors, new_columns, new_labor):

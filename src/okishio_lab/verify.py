@@ -109,17 +109,25 @@ def _profit_fell(pre_bounds, post_bounds):
 
 
 # Verdicts by the codes _verdict_codes gives them.
-_VERDICTS = tuple(Verdict)
+_VERDICTS = (
+    Verdict.INCONCLUSIVE,
+    Verdict.OKISHIO_RISE,
+    Verdict.PROFIT_FELL_EXPLOITATION_ROSE,
+    Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT,
+)
 
 
 def _verdict_codes(pre_bounds, post_bounds, pre_exploitation, post_exploitation):
-    """Each row's verdict, as its position in ``_VERDICTS``."""
-    fell, change = _profit_fell(pre_bounds, post_bounds), post_exploitation - pre_exploitation
-    constant = fell & (np.abs(change) <= EXPLOITATION_MATCH_TOL)
-    rising = fell & (change > EXPLOITATION_MATCH_TOL)
-    # It rose when rho certainly fell (the same test, sides swapped) and no verdict above holds.
-    rose = _profit_fell(post_bounds, pre_bounds) & ~(constant | rising)
-    return 3 - 3 * constant - 2 * rising - rose
+    """Each row's verdict, as its position in ``_VERDICTS``.
+
+    The profit rate rose when ``rho`` certainly fell, the same test with
+    the sides swapped; it cannot both rise and fall. A fall counts only
+    with the exploitation rate constant or rising.
+    """
+    change = post_exploitation - pre_exploitation
+    # A fall's code: 3 with exploitation constant, 2 with it rising, else 0.
+    fall = 3 * (np.abs(change) <= EXPLOITATION_MATCH_TOL) + 2 * (change > EXPLOITATION_MATCH_TOL)
+    return _profit_fell(post_bounds, pre_bounds) + _profit_fell(pre_bounds, post_bounds) * fall
 
 
 def _verdict(pre_bounds, post_bounds, pre_exploitation, post_exploitation) -> Verdict:
@@ -529,8 +537,7 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> list:
     economies = drawn.inputs, drawn.labor, drawn.values, drawn.quantities, drawn.prices
     synthesized = _synthesize_rows(*economies, sectors, epsilon_frac, labor_frac)
     analysis = _analyze_rows(*economies, sectors, synthesized.new_columns, synthesized.new_labor)
-    if not analysis.costs.viable.all():
-        raise ValueError("wage region is only defined for a viable change")
+    # Synthesis makes only viable changes, which have regions.
     regions = analysis.regions
     constant = _sample_rows(regions, constant_seeds.tolist())
     rising = _sample_rows(regions, rising_seeds.tolist(), shrink=True)
