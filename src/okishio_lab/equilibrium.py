@@ -138,8 +138,7 @@ def _check_prices(priced: _Prices) -> None:
     passed = (priced.cost > 0.0) & (priced.residual <= RESIDUAL_TOL)
     if passed.all():
         return
-    row = passed.argmin()
-    if not priced.cost[row] > 0.0:
+    if not priced.cost[row := passed.argmin()] > 0.0:
         raise DegenerateNormalization("wage bundle has zero cost at the eigenvector")
     residual = priced.residual[row]
     raise NoConvergence(f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")

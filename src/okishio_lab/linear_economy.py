@@ -122,13 +122,12 @@ def _stack(arrays) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-try:
-    # The gufuncs np.linalg.solve calls. Called directly, a small shifted
-    # solve skips the wrapper's argument handling, which costs about as
-    # much as the factorization of a 20-sector system.
-    from numpy.linalg._umath_linalg import solve as _solve_matrices, solve1 as _solve_vectors
-except ImportError:  # pragma: no cover - a numpy without them uses the wrapper
-    _solve_matrices = _solve_vectors = None
+try:  # np.linalg.solve's gufunc. Called directly, a small solve skips the
+    # wrapper's argument handling, which costs about as much as factoring
+    # a 20-sector system.
+    from numpy.linalg._umath_linalg import solve1 as _solve_gufunc
+except ImportError:  # pragma: no cover - a numpy that keeps it elsewhere
+    _solve_gufunc = None
 
 
 def _raise_singular(err, flag):
@@ -136,14 +135,13 @@ def _raise_singular(err, flag):
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for float ``a`` and ``b``, the same gufunc
-    under the same error state, so the same bits and the same LinAlgError."""
-    if _solve_vectors is None:
-        return np.linalg.solve(a, b)
-    gufunc = _solve_vectors if b.ndim == 1 else _solve_matrices
+    """``np.linalg.solve(a, b)`` for float ``(..., n, n)`` and ``(..., n)``:
+    the same gufunc under the same error state, so the same bits and errors."""
+    if _solve_gufunc is None:
+        return np.linalg.solve(a, b[..., None])[..., 0]
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
-        return gufunc(a, b, signature="dd->d")
+        return _solve_gufunc(a, b, signature="dd->d")
 
 
 def _left_perron(
@@ -268,10 +266,10 @@ def _perron_stack(stack: np.ndarray):
             system /= -scale[:, :, None]
             system[:, diagonal, diagonal] += hi[shifted][:, None]
             try:
-                solved = _solve(system, np.ones(scale.shape + (1,)))
+                solved = _solve(system, np.ones(scale.shape))
             except np.linalg.LinAlgError:
                 return None
-            step[shifted] = scale * solved[:, :, 0]
+            step[shifted] = scale * solved
         step /= step.max(axis=1, keepdims=True)
         if not (step.min(axis=1) > 0.0).all():
             return None
@@ -634,12 +632,8 @@ def exploitation_rate(bundle_value):
     rate = (1.0 - bundle_value) / bundle_value
     if np.fmin.reduce(rate, axis=None) < 0:
         for value in np.extract(np.less(rate, 0), bundle_value).tolist():
-            warnings.warn(
-                f"bundle value {value:.6g} exceeds one working day; "
-                "exploitation rate is negative",
-                NegativeExploitationWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"bundle value {value:.6g} exceeds one working day; exploitation "
+                          "rate is negative", NegativeExploitationWarning, stacklevel=2)
     return rate
 
 

@@ -230,78 +230,45 @@ class EqualOffPivot:
     value: float | None = None
 
 
-# One sampler's rows still open: their generators, their regions' planes and
-# the parts of their proposals that stay fixed (see _open_rows).
-_Open = namedtuple("_Open", "rngs rows prices values value_offset price_floor pivots lows highs "
-                   "pivot_values weights off_value bare")
-
 _EXHAUSTED = (f"no admissible bundle in {PROPOSAL_BUDGET} proposals; "
               "check the strategy's pivot and value against the region")
 
 
-def _open_rows(regions: _Regions, seeds, strategy) -> _Open:
-    """Each row's generator, planes and fixed proposal parts: the pivot, its
-    coordinate's bounds or fixed value, its new value, and the weights that
-    spread the rest of the value over the other goods, with their value."""
-    values, (k, n), rows = regions.new_values, regions.prices.shape, np.arange(len(regions.prices))
+def _pivot_plan(regions: _Regions, strategy) -> list:
+    """What each row's proposals keep: the pivot, its coordinate's bounds
+    (both the value, when fixed), its new value, and the weights spreading
+    the rest of the value over the other goods with their value; ``bare``
+    marks rows with no weight left (None when there are none)."""
+    values, (k, n) = regions.new_values, regions.prices.shape
     if not isinstance(strategy, (PivotUniform, EqualOffPivot)):
         raise TypeError(f"unknown sampling strategy {strategy!r}")
     x, y = regions.price_plane_intercepts, regions.value_plane_intercepts
-    pivots = (y / x).argmax(axis=1)
+    at = np.arange(k), (y / x).argmax(axis=1)
     if getattr(strategy, "pivot", None) is not None:
         if not 0 <= strategy.pivot < n:
             raise InvalidSector(f"pivot {strategy.pivot} outside range 0..{n - 1}")
-        pivots[:] = strategy.pivot
-    at, bare = (rows, pivots), None
-    if getattr(strategy, "value", None) is None:
-        lows, highs = x[at], y[at]
-    else:
-        lows = highs = np.full(k, float(strategy.value))
-    pivot_values, weights = values[at], np.ones((k, n))
+        at[1][:] = strategy.pivot
+    fixed = getattr(strategy, "value", None)
+    bounds = (x[at], y[at]) if fixed is None else (np.full(k, float(fixed)),) * 2
+    weights, bare = np.ones((k, n)), None
     if isinstance(strategy, EqualOffPivot):
-        # An equal split: the pivot's entry is overwritten.
-        off_value = values.sum(axis=1) - pivot_values
+        # An equal split; the pivot's entry is overwritten.
+        off_value = values.sum(axis=1) - values[at]
         if not (off_value > 0).all():
-            # No proposal of such a row is ever well posed.
-            raise SamplingExhausted(_EXHAUSTED)
-    elif strategy.weights is None:
-        weights[at] = 0.0
-        off_value = _dots(values, weights)
-    else:
+            raise SamplingExhausted(_EXHAUSTED)  # no proposal is ever well posed
+        return [at[1], *bounds, values[at], weights, off_value, bare]
+    if strategy.weights is not None:
         given = np.array(strategy.weights, dtype=float)
         if given.shape != (n,) or (given < 0).any():
             raise ValueError("weights must be nonnegative, one per sector")
         weights *= given
-        weights[at] = 0.0
-        off_value = _dots(values, weights)
-        # With nothing to spread the rest over, it all goes on the pivot.
+    weights[at] = 0.0
+    off_value = _dots(values, weights)
+    # With nothing to spread the rest over, it all goes on the pivot.
+    if (off_value <= 0).any():
         bare = off_value <= 0
-        if bare.any():
-            off_value[bare], weights[bare] = 1.0, 0.0
-        else:
-            bare = None
-    return _Open([np.random.default_rng(seed) for seed in seeds], rows, regions.prices, values,
-                 regions.value_offset, regions.price_offset + STRICT_MARGIN, pivots, lows, highs,
-                 pivot_values, weights, off_value, bare)
-
-
-def _propose(rows: _Open, fixed: bool):
-    """A candidate on each open row's value plane, drawing its pivot coordinate
-    from its generator unless ``fixed``, and which candidates are well posed."""
-    if fixed:
-        coords = rows.lows.copy()
-    else:
-        bounds = zip(rows.rngs, rows.lows.tolist(), rows.highs.tolist())
-        coords = np.array([rng.uniform(lo, hi) for rng, lo, hi in bounds])
-    rest = rows.value_offset - rows.pivot_values * coords
-    candidates = rows.weights * (rest / rows.off_value)[:, None]
-    if rows.bare is not None:
-        coords[rows.bare] = (rows.value_offset / rows.pivot_values)[rows.bare]
-    candidates[np.arange(len(coords)), rows.pivots] = coords
-    # Posed: the rest is not negative, nor is any entry. The other entries
-    # are nonnegative multiples of the rest, so only the pivot's is left.
-    # NaN fails here where the on-plane test would fail it.
-    return candidates, np.fmin(rest, coords) >= 0
+        off_value[bare], weights[bare] = 1.0, 0.0
+    return [at[1], *bounds, values[at], weights, off_value, bare]
 
 
 def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
@@ -316,58 +283,59 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     (k, n), strategy = regions.prices.shape, PivotUniform() if strategy is None else strategy
     # With one sector the plane is a single point; feasibility already
     # placed it above the price plane.
-    if n == 1:
-        point = regions.value_offset[:, None] / regions.new_values
-        if not shrink:
-            return point
-        open_ = _Open([np.random.default_rng(seed) for seed in seeds], np.arange(k),
-                      regions.prices, regions.new_values, regions.value_offset,
-                      regions.price_offset + STRICT_MARGIN, *(None,) * 7)
-    else:
-        open_ = _open_rows(regions, seeds, strategy)
-    fixed, sampled = getattr(strategy, "value", None) is not None, None
+    point = regions.value_offset[:, None] / regions.new_values if n == 1 else None
+    if n == 1 and not shrink:
+        return point
+    plan = None if n == 1 else _pivot_plan(regions, strategy)
+    rngs, rows, sampled = [np.random.default_rng(seed) for seed in seeds], np.arange(k), None
+    fixed = getattr(strategy, "value", None) is not None
     for _ in range(PROPOSAL_BUDGET):
         if n == 1:
-            base, posed = point[open_.rows], True
+            base, posed = point[rows], True
         else:
-            base, posed = _propose(open_, fixed)
-            posed = posed & (
-                np.abs(_dots(open_.values, base) - open_.value_offset) <= ON_PLANE_TOL)
+            # A candidate on the value plane: the pivot coordinate, drawn
+            # unless fixed, and the rest of the value spread by weight.
+            pivots, lows, highs, pivot_values, weights, off_value, bare = plan
+            coords = lows.copy() if fixed else np.array(
+                [rng.uniform(lo, hi) for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
+            rest = regions.value_offset - pivot_values * coords
+            base = weights * (rest / off_value)[:, None]
+            if bare is not None:
+                coords[bare] = (regions.value_offset / pivot_values)[bare]
+            base[np.arange(len(coords)), pivots] = coords
+            # Neither the rest nor an entry may be negative. The other
+            # entries are nonnegative multiples of the rest, which leaves
+            # the pivot's; NaN fails here as it fails the on-plane test.
+            posed = (np.fmin(rest, coords) >= 0) & (
+                np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
         # With one sector this holds whenever the shrink below can succeed.
-        cost = _dots(open_.prices, base)
-        accepted = posed & (cost > open_.price_floor)
+        cost, floor = _dots(regions.prices, base), regions.price_offset + STRICT_MARGIN
+        accepted = posed & (cost > floor)
         if shrink:
-            base, accepted = _shrink(open_, base, cost, accepted)
+            hi = 1.0 - STRICT_MARGIN / regions.value_offset
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                lo = floor / cost
+                accepted &= lo < hi
+                # Away from both endpoints, so the strict margins are macroscopic.
+                draws = [rng.uniform(0.25, 0.75) if drawn else 0.0
+                         for rng, drawn in zip(rngs, accepted.tolist())]
+                base = (lo + np.array(draws) * (hi - lo))[:, None] * base
+            accepted &= (_dots(regions.prices, base) > floor) & (
+                _dots(regions.new_values, base) < regions.value_offset - STRICT_MARGIN)
         if sampled is None:
             sampled = base
         else:
-            sampled[open_.rows] = base
+            sampled[rows] = base
         if accepted.all():
             return sampled
         kept = ~accepted
-        open_ = _Open(
-            [rng for rng, keep in zip(open_.rngs, kept.tolist()) if keep],
-            *(part if part is None else part[kept] for part in open_[1:]),
-        )
+        rows, rngs = rows[kept], [rng for rng, keep in zip(rngs, kept.tolist()) if keep]
+        regions = _Regions(*(field[kept] for field in regions))
+        if plan is not None:
+            plan = [part if part is None else part[kept] for part in plan]
     raise SamplingExhausted(
         f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else _EXHAUSTED
     )
-
-
-def _shrink(rows: _Open, base, cost, accepted):
-    """Scale each accepted on-plane sample toward the origin, by a factor
-    drawn from its row's generator, strictly inside both planes."""
-    hi = 1.0 - STRICT_MARGIN / rows.value_offset
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo = rows.price_floor / cost
-        accepted = accepted & (lo < hi)
-        # Away from both endpoints, so the strict margins are macroscopic.
-        draws = [rng.uniform(0.25, 0.75) if drawn else 0.0
-                 for rng, drawn in zip(rows.rngs, accepted.tolist())]
-        base = (lo + np.array(draws) * (hi - lo))[:, None] * base
-    accepted &= (_dots(rows.prices, base) > rows.price_floor) & (
-        _dots(rows.values, base) < rows.value_offset - STRICT_MARGIN)
-    return base, accepted
 
 
 def sample_constant_exploitation(

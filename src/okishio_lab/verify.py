@@ -109,21 +109,14 @@ def _profit_fell(pre_bounds, post_bounds):
 
 
 # Verdicts by the codes _verdict_codes gives them.
-_VERDICTS = (
-    Verdict.INCONCLUSIVE,
-    Verdict.OKISHIO_RISE,
-    Verdict.PROFIT_FELL_EXPLOITATION_ROSE,
-    Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT,
-)
+_VERDICTS = (Verdict.INCONCLUSIVE, Verdict.OKISHIO_RISE, Verdict.PROFIT_FELL_EXPLOITATION_ROSE,
+             Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT)
 
 
 def _verdict_codes(pre_bounds, post_bounds, pre_exploitation, post_exploitation):
-    """Each row's verdict, as its position in ``_VERDICTS``.
-
-    The profit rate rose when ``rho`` certainly fell, the same test with
-    the sides swapped; it cannot both rise and fall. A fall counts only
-    with the exploitation rate constant or rising.
-    """
+    """Each row's verdict, as its position in ``_VERDICTS``. The profit rate
+    rose when ``rho`` certainly fell, the same test with the sides swapped;
+    it cannot both rise and fall."""
     change = post_exploitation - pre_exploitation
     # A fall's code: 3 with exploitation constant, 2 with it rising, else 0.
     fall = 3 * (np.abs(change) <= EXPLOITATION_MATCH_TOL) + 2 * (change > EXPLOITATION_MATCH_TOL)

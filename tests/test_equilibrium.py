@@ -444,7 +444,7 @@ class TestCertificateProperties:
         assert_invariant_under_units(economy, k)
 
     # A two-block draw (coupling 1.4e-7) on which block 2's prices move by
-    # 2.3e-13 relative, against a units_bound of 7e-11 from its kappa of 399.
+    # 2.3e-13 relative, against a units_bound of 8.9e-12 from its kappa of 49.
     def test_invariant_under_units_on_a_nearly_decomposable_draw(self):
         economy = two_block_economy(
             np.random.default_rng(1219610616), 10.0**-6.845137604422893, 0.9581007372115669
@@ -453,42 +453,48 @@ class TestCertificateProperties:
 
 
 def perron_condition(tech, bundle):
-    """``||B#||_1`` for the group inverse B# of ``B = I - M/rho`` (Meyer,
-    SIAM J. Matrix Anal. Appl. 15, 1994), M the wage-augmented matrix.
+    """``max_i (p |B#|)_i / p_i`` for the equilibrium prices p and the group
+    inverse B# of ``B = I - M/rho`` (Meyer, SIAM J. Matrix Anal. Appl. 15,
+    1994), M the wage-augmented matrix.
 
     ``B# = (B + x y^T)^-1 - x y^T`` for B's right and left null vectors
     with ``y x = 1``: the right Perron vector from numpy's ``eig`` and the
-    equilibrium prices. For row vectors ``||z B#||_inf <= ||z||_inf
-    ||B#||_1``, so this norm bounds how far a perturbation of the left
-    Perron vector reaches, relative to its largest entry.
+    prices. A row vector r with ``|r| <= d p`` entrywise has
+    ``|r B#| <= d p |B#|``, so this number bounds, entry by entry and
+    relative to each entry, how far such a perturbation moves the left
+    Perron vector.
     """
     matrix = augmented_inputs(tech, bundle)
     equilibrium = uniform_profit_rate(tech, bundle)
     moduli, vectors = np.linalg.eig(matrix)
     right = np.abs(vectors[:, np.argmax(moduli.real)].real)
-    left = equilibrium.prices / float(equilibrium.prices @ right)
+    prices = equilibrium.prices
+    left = prices / float(prices @ right)
     system = np.eye(tech.n) - matrix / equilibrium.spectral_radius
     group = np.linalg.inv(system + np.outer(right, left)) - np.outer(right, left)
-    return float(np.linalg.norm(group, 1))
+    return float(((prices @ np.abs(group)) / prices).max())
 
 
 def units_bound(tech, bundle):
-    """How far prices counted in two unit systems may differ, over the largest.
+    """How far each price counted in two unit systems may differ, relative to itself.
 
-    To first order, with u = eps / 2, kappa = perron_condition and z the
-    exact left Perron vector:
+    To first order, with u = eps / 2, kappa = perron_condition, z the
+    exact left Perron vector and every inequality entrywise:
 
     * the two matrices: A + b L rounds twice, A + (b 10^-k)(L 10^k) five
-      times (10^-k itself is rounded), so ``|dM| <= 7u M = 3.5 eps M``
-      entrywise; as z > 0, ``|z dM| <= 3.5 eps z M``, and z moves by at
-      most 3.5 eps kappa;
-    * each solve stops at a bracket of relative width at most CW_TOL, so
-      its relative residual is at most ``CW_TOL/2 + n eps`` (n-term
-      products) and its vector lies within kappa times that of z: two
-      solves give ``kappa (CW_TOL + 2 n eps)``;
-    * scaling a vector so that its bundle costs one at most doubles its
-      error, and rounds on its own: ``2u`` in ``b 10^-k``, ``n u`` in the
-      cost and u in the quotient, ``(n + 2) eps`` for the two solves.
+      times (10^-k itself is rounded), so ``|dM| <= 7u M = 3.5 eps M``;
+      as z > 0, ``|z dM| <= 3.5 eps z M = 3.5 eps rho z``, and z moves by
+      ``(z dM / rho) B#`` plus a multiple of z, at most ``3.5 eps kappa``
+      of each entry;
+    * each solve stops at a Collatz-Wielandt bracket of relative width at
+      most CW_TOL, so its vector x has ``|x M - rho x| <= (CW_TOL/2 + n eps)
+      rho x`` about the midpoint (n-term products of nonnegative numbers)
+      and lies within ``(CW_TOL/2 + n eps) kappa`` of each entry of a
+      multiple of z: two solves give ``kappa (CW_TOL + 2 n eps)``;
+    * scaling a vector so that its bundle costs one subtracts a weighted
+      mean of its entries' relative errors, so at most doubles them, and
+      rounds on its own: ``2u`` in ``b 10^-k``, ``n u`` in the cost and u
+      in the quotient, ``(n + 2) eps`` for the two solves.
 
     In all ``c kappa n eps`` with ``c = 2 (5.5 + CW_TOL/eps)`` for any
     n >= 1, plus ``(n + 2) eps``, which alone remains with one sector,
@@ -511,9 +517,7 @@ def assert_invariant_under_units(economy, k):
     # 1 + pi = 1/rho: pi itself loses relative digits to the
     # cancellation in 1/rho - 1 when it is small.
     assert 1.0 + eq.profit_rate == pytest.approx(1.0 + base.profit_rate, rel=1e-14)
-    expected = base.prices * 10.0**k
-    bound = units_bound(tech, bundle) * expected.max()
-    np.testing.assert_allclose(eq.prices, expected, rtol=0, atol=bound)
+    np.testing.assert_allclose(eq.prices, base.prices * 10.0**k, rtol=units_bound(tech, bundle))
 
 
 def assert_rows_match_single(stack):
