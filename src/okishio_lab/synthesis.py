@@ -144,8 +144,7 @@ class ChangeAnalysis:
 
 
 # _analyze_rows' results, one row each; certified is _certify_rows' for the patched rows.
-_Analyses = namedtuple("_Analyses", "bundle_value exploitation costs patched patched_labor "
-                       "certified regions")
+_Analyses = namedtuple("_Analyses", "bundle_value exploitation costs certified regions")
 
 
 def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_columns, new_labor):
@@ -153,11 +152,11 @@ def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_column
     stacked check; a row's region means something only if its change is viable."""
     bundle_value = _dots(values, quantities)
     costs = _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor)
-    patched = _patch_rows(inputs, labor, sectors, new_columns, new_labor)
-    certified = _certify_rows(*patched)
+    # The patched stack is not kept: the verifier's post-change solve holds
+    # its own, and a large table should not hold two.
+    certified = _certify_rows(*_patch_rows(inputs, labor, sectors, new_columns, new_labor))
     regions = _region_rows(prices, certified[0], bundle_value, 1.0 + costs.saving_rate)
-    return _Analyses(bundle_value, exploitation_rate(bundle_value), costs, *patched, certified,
-                     regions)
+    return _Analyses(bundle_value, exploitation_rate(bundle_value), costs, certified, regions)
 
 
 def analyze_change(

@@ -42,7 +42,9 @@ from .synthesis import (
     SynthesizedChange, WageRegion, _analyze_rows, _ratio_rows, _sample_rows, _synthesize_rows,
     _synthesized_changes, _wage_regions,
 )
-from .technical_change import TechChange, _change_rows, _Costs, _property_rows, _require_fit
+from .technical_change import (
+    TechChange, _change_rows, _Costs, _patch_rows, _property_rows, _require_fit
+)
 
 # Economies that run_suite draws, solves and verifies together.
 SUITE_BLOCK = 128
@@ -200,8 +202,8 @@ def _verify_rows(techs, inputs, labor, values, quantities, sectors, columns, lab
     _check_prices(pre)
     analysis = _analyze_rows(inputs, labor, values, quantities, pre.prices, sectors, columns,
                              labors)
-    patched = map(per_bundle, (analysis.patched, analysis.patched_labor))
-    post = _price_rows(_augmented(*patched, news), news)
+    changed = map(per_bundle, (inputs, labor, sectors, columns, labors))
+    post = _price_rows(_augmented(*_patch_rows(*changed), news), news)
     _check_prices(post)
     value_post = _dots(per_bundle(analysis.certified[0]), news)
     costs, value_pre = _Costs(*map(per_bundle, analysis.costs)), analysis.bundle_value
@@ -502,7 +504,9 @@ def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
 
 
 def _sweep_block(seed: int, indices: range, sizes: tuple) -> list:
-    """Records for the economies ``indices``, one ``_sweep_group`` per size."""
+    """Records for the economies ``indices``, one ``_sweep_group`` per size in
+    the order sizes first appear: a block raises the error of the first
+    failing economy in the first group that has one."""
     rngs = [np.random.default_rng([seed, index]) for index in indices]
     records: list = [None] * len(rngs)
     for n, rows in _by_size([int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs]).items():
