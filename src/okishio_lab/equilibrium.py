@@ -30,7 +30,8 @@ check guards the solver's arithmetic and leaves no tolerance to choose.
 stacked products and solves for more, and the normalization and
 residual are array expressions that round as the 1-d products do. So
 an equilibrium does not depend on what was solved beside it.
-``uniform_profit_rate`` is its one-row call.
+``uniform_profit_rate`` is its one-row call; the sweep's draw and its
+verifier call it on whole stacks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
 from .linear_economy import (
-    CW_TOL, Technology, WageBundle, _by_size, _dots, _left_perron, _require_size
+    CW_TOL, Technology, WageBundle, _dots, _left_perron, _require_size
 )
 
 # Fixed-point residual, relative to the largest price, above which a
@@ -144,12 +145,6 @@ def _check_prices(priced: _Prices) -> None:
     raise NoConvergence(f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
 
-def _equilibria(priced: _Prices) -> list[Equilibrium]:
-    """One ``Equilibrium`` per row, each owning its prices."""
-    rows = zip(priced.prices, *(field.tolist() for field in priced[1:6]))
-    return [Equilibrium(p.copy(), *rest[:4], tuple(rest[4])) for p, *rest in rows]
-
-
 def uniform_profit_rate(tech: Technology, bundle: WageBundle) -> Equilibrium:
     """Prices of production and the uniform profit rate: ``_price_rows`` on one row.
 
@@ -168,26 +163,9 @@ def uniform_profit_rate(tech: Technology, bundle: WageBundle) -> Equilibrium:
     """
     priced = _price_rows(augmented_inputs(tech, bundle)[None], bundle.quantities[None])
     _check_prices(priced)
-    return _equilibria(priced)[0]
-
-
-def solve_equilibria(systems) -> list[Equilibrium]:
-    """``uniform_profit_rate`` for each ``(tech, bundle)`` pair, in order.
-
-    The pairs of one size are priced by one ``_price_rows`` call, with
-    the one-row call's arithmetic, so an equilibrium does not depend on
-    the pairs beside it, and a failing pair raises what
-    ``uniform_profit_rate`` raises for it.
-    """
-    solved: list = [None] * len(systems)
-    for rows in _by_size([tech.n for tech, _ in systems]).values():
-        pairs = [systems[index] for index in rows]
-        stack = np.array([augmented_inputs(tech, bundle) for tech, bundle in pairs])
-        priced = _price_rows(stack, np.array([bundle.quantities for _, bundle in pairs]))
-        _check_prices(priced)
-        for index, equilibrium in zip(rows, _equilibria(priced)):
-            solved[index] = equilibrium
-    return solved
+    profit, rho, residual, steps = (field.item() for field in priced[1:5])
+    return Equilibrium(priced.prices[0].copy(), profit, rho, residual, steps,
+                       tuple(priced.bounds[0].tolist()))
 
 
 def max_profit_rate(tech: Technology) -> float:

@@ -42,7 +42,7 @@ from .linear_economy import (
     Technology, ValueSystem, WageBundle, _certify_rows, _dots, exploitation_rate
 )
 from .technical_change import (
-    ChangeClassification, TechChange, _change_rows, _classifications, _classify_rows,
+    ChangeClassification, TechChange, _change_row, _classifications, _classify_rows,
     _patch_rows, _require_fit,
 )
 
@@ -170,8 +170,8 @@ def analyze_change(
     """
     _require_fit(tech, change)
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
-    done = _analyze_rows(*(row[None] for row in rows), *_change_rows([change]))
-    classification, patched = _classifications(done.costs)[0], done.certified[1][0]
+    done = _analyze_rows(*(row[None] for row in rows), *_change_row(change))
+    classification, patched = _classifications(done.costs)[0], done.certified[2][0]
     values = ValueSystem(tech.values, done.bundle_value[0].item(), done.exploitation[0].item())
     region = _wage_regions(done.regions, [0])[0] if classification.viable else None
     return ChangeAnalysis(values, classification, patched, patched.values, region)

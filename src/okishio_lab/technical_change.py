@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import InvalidSector
 from .equilibrium import STRICT_MARGIN, Equilibrium
-from .linear_economy import Technology, WageBundle, _as_readonly, _column_dots, _dots, _stack
+from .linear_economy import (
+    Technology, WageBundle, _as_floats, _as_readonly, _column_dots, _dots, _read_fields
+)
 
 # Sameness tolerance for the bundle-value comparison.
 VALUE_MATCH_TOL = 1e-9
@@ -101,10 +103,9 @@ def _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor) -> _C
     )
 
 
-def _change_rows(changes):
-    """Changes as the sectors, new columns and new labor of an array call."""
-    columns = _stack([change.new_column for change in changes])
-    return np.array([c.sector for c in changes]), columns, np.array([c.new_labor for c in changes])
+def _change_row(change: TechChange):
+    """A change as the one-row sectors, new columns and new labor of an array call."""
+    return np.array([change.sector]), change.new_column[None], np.array([change.new_labor])
 
 
 def classify(
@@ -118,7 +119,7 @@ def classify(
     The one-row call of ``_classify_rows``.
     """
     _require_fit(tech, change)
-    rows = (equilibrium.prices[None], tech.inputs[None], tech.labor[None], *_change_rows([change]))
+    rows = (equilibrium.prices[None], tech.inputs[None], tech.labor[None], *_change_row(change))
     return _classifications(_classify_rows(*rows))[0]
 
 
@@ -198,7 +199,7 @@ def check_properties(
     after ``change``; ``equilibrium`` prices the old technique with the
     old ``bundle`` as numeraire. The one-row call of ``_property_rows``.
     """
-    prices, (sectors, columns, labor) = equilibrium.prices[None], _change_rows([change])
+    prices, (sectors, columns, labor) = equilibrium.prices[None], _change_row(change)
     costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], sectors, columns, labor)
     value_pre = _dots(np.asarray(values, dtype=float)[None], bundle.quantities[None])
     value_post = _dots(np.asarray(new_values, dtype=float)[None], new_bundle.quantities[None])
@@ -223,8 +224,18 @@ def apply_change(tech: Technology, change: TechChange) -> Technology:
     patched technique is no longer acceptable.
     """
     _require_fit(tech, change)
-    patched, labor = _patch_rows(tech.inputs[None], tech.labor[None], *_change_rows([change]))
+    patched, labor = _patch_rows(tech.inputs[None], tech.labor[None], *_change_row(change))
     return Technology(patched[0], labor[0])
+
+
+def _index_of_sector(sector) -> int:
+    """A file's 1-based sector number as the package's 0-based index."""
+    # type(), not isinstance(): JSON true is a bool, and bool subclasses int.
+    if not (type(sector) is int or type(sector) is float and sector.is_integer()):
+        raise InvalidSector(f"sector must be a whole number, got {sector!r}")
+    if sector < 1:
+        raise InvalidSector(f"sector numbers in files are 1-based, got {sector}")
+    return int(sector) - 1
 
 
 def load_tech_change(path) -> TechChange:
@@ -233,22 +244,9 @@ def load_tech_change(path) -> TechChange:
     The on-disk sector number is 1-based, matching reports; it is shifted
     to the package's 0-based indexing on load.
     """
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    for key in ("sector", "column", "labor"):
-        if key not in raw:
-            raise ValueError(f"technical change file is missing key '{key}'")
-    sector = raw["sector"]
-    # type(), not isinstance(): JSON true is a bool, and bool subclasses int.
-    if not (type(sector) is int or type(sector) is float and sector.is_integer()):
-        raise InvalidSector(f"sector must be a whole number, got {sector!r}")
-    if sector < 1:
-        raise InvalidSector(f"sector numbers in files are 1-based, got {sector}")
-    return TechChange(
-        sector=int(sector) - 1,
-        new_column=np.array(raw["column"], dtype=float),
-        new_labor=float(raw["labor"]),
-    )
+    fields = {"sector": _index_of_sector, "column": _as_floats, "labor": float}
+    raw = _read_fields(path, "technical change", fields)
+    return TechChange(raw["sector"], raw["column"], raw["labor"])
 
 
 def tech_change_payload(change: TechChange) -> dict:

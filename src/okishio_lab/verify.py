@@ -6,8 +6,8 @@ names what happened to the profit rate and the exploitation rate. The
 profit rate ``1/rho - 1`` counts as fallen or risen only when the
 Collatz–Wielandt brackets on ``rho`` before and after the change are
 disjoint, so no verdict rests on a margin in the units of the rates.
-``run_scenario`` is the one-row call of ``_verify_rows``, which the
-sweep runs on each size group of economies as arrays.
+``run_scenarios`` passes its one case to ``_verify_rows``, and the sweep
+passes each size group's arrays to it in one call.
 
 The oracles here deliberately avoid the production code paths: the
 spectral-radius oracle brackets the dominant eigenvalue by testing
@@ -35,15 +35,15 @@ from .equilibrium import (  # noqa: F401
     _augmented, _check_prices, _price_rows, admissibility, uniform_profit_rate
 )
 from .linear_economy import (
-    Technology, WageBundle, _by_size, _connected_rows, _dots, _require_size, _stack,
-    certify_techniques, exploitation_rate,
+    Technology, WageBundle, _by_size, _certify_rows, _connected_rows, _dots, _require_size,
+    exploitation_rate,
 )
 from .synthesis import (
     SynthesizedChange, WageRegion, _analyze_rows, _ratio_rows, _sample_rows, _synthesize_rows,
     _synthesized_changes, _wage_regions,
 )
 from .technical_change import (
-    TechChange, _change_rows, _Costs, _patch_rows, _property_rows, _require_fit
+    TechChange, _change_row, _Costs, _patch_rows, _property_rows, _require_fit
 )
 
 # Economies that run_suite draws, solves and verifies together.
@@ -125,12 +125,6 @@ def _verdict_codes(pre_bounds, post_bounds, pre_exploitation, post_exploitation)
     return _profit_fell(post_bounds, pre_bounds) + _profit_fell(pre_bounds, post_bounds) * fall
 
 
-def _verdict(pre_bounds, post_bounds, pre_exploitation, post_exploitation) -> Verdict:
-    """The one-row call of ``_verdict_codes``."""
-    rows = pre_bounds, post_bounds, pre_exploitation, post_exploitation
-    return _VERDICTS[_verdict_codes(*(np.array([row]) for row in rows))[0]]
-
-
 def run_scenarios(
     tech: Technology,
     bundle: WageBundle,
@@ -141,53 +135,23 @@ def run_scenarios(
 
     Everything is recomputed from the raw inputs; no intermediate state
     is shared with whatever produced the change or the bundles. Module
-    errors propagate with scenario context prepended.
+    errors propagate with the scenario's context added.
     """
-    return _verify([(tech, bundle, change, tuple(new_bundles))])[0]
-
-
-def _verify(cases: list) -> list[list[ScenarioReport]]:
-    """``run_scenarios`` for each ``(tech, bundle, change, new_bundles)``.
-
-    The cases of one size form one ``_verify_rows`` call. When any step
-    fails, the cases are run again one at a time, so the error raised is
-    the first failing case's, with its context.
-    """
+    new_bundles = tuple(new_bundles)
     try:
-        return _verify_stacked(cases)
+        for each in (bundle, *new_bundles):
+            _require_size(each, tech.n)
+        _require_fit(tech, change)
+        news = np.array([each.quantities for each in new_bundles]).reshape(-1, tech.n)
+        owner = None if len(news) == 1 else np.zeros(len(news), dtype=int)
+        return _verify_rows([tech], tech.inputs[None], tech.labor[None], tech.values[None],
+                            bundle.quantities[None], *_change_row(change), news, owner)
     except EconomyError as err:
-        if len(cases) > 1:
-            for case in cases:
-                _verify([case])
-            raise
-        tech, _, change, _ = cases[0]
         context = f"scenario with {tech.n} sectors, change in sector {change.sector + 1}"
         if hasattr(err, "add_note"):
             err.add_note(context)
             raise
         raise type(err)(f"{err} ({context})") from err
-
-
-def _verify_stacked(cases: list) -> list[list[ScenarioReport]]:
-    for tech, bundle, change, new_bundles in cases:
-        for each in (bundle, *new_bundles):
-            _require_size(each, tech.n)
-        _require_fit(tech, change)
-    reports: list = [None] * len(cases)
-    for rows in _by_size([case[0].n for case in cases]).values():
-        techs, bundles, changes, new_bundles = zip(*(cases[row] for row in rows))
-        counts = [len(each) for each in new_bundles]
-        # None when each case has one new bundle: row j is then case j.
-        owner = None if counts == [1] * len(rows) else np.repeat(np.arange(len(rows)), counts)
-        news = [bundle.quantities for each in new_bundles for bundle in each]
-        arrays = ([getattr(t, part) for t in techs] for part in ("inputs", "labor", "values"))
-        made = iter(_verify_rows(
-            techs, *map(_stack, arrays), _stack([b.quantities for b in bundles]),
-            *_change_rows(changes), _stack(news) if news else np.empty((0, techs[0].n)), owner,
-        ))
-        for row, count in zip(rows, counts):
-            reports[row] = [next(made) for _ in range(count)]
-    return reports
 
 
 def _verify_rows(techs, inputs, labor, values, quantities, sectors, columns, labors, news, owner):
@@ -398,7 +362,8 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
     draw again, so a generator is consumed as ``random_economy`` alone
     consumes it: a candidate whose radius is not positive is dropped
     before its scale is drawn, and one that has made DRAW_ATTEMPTS draws
-    raises RuntimeError.
+    raises RuntimeError. Each round is certified as one stack, and only an
+    accepted candidate becomes a ``Technology``.
     """
     k = len(rngs)
     techs, pending, found = [None] * k, np.arange(k), None
@@ -415,8 +380,7 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
         scale = np.array([rng.uniform(0.3, 0.8) for rng in live_rngs]) / radii[live]
         raw = raw[live] * scale[:, None, None]
         labor = np.array([rng.uniform(0.05, 0.5, n) for rng in live_rngs]).reshape(-1, n)
-        drawn = certify_techniques(raw, labor)
-        values = np.array([tech.values for tech in drawn]).reshape(-1, n)
+        values, bounds, built = _certify_rows(raw, labor)
         direction = np.array([rng.uniform(0.1, 1.0, n) for rng in live_rngs]).reshape(-1, n)
         target = np.array([rng.uniform(0.3, 0.9) for rng in live_rngs])
         bundles = direction * (target / _dots(values, direction))[:, None]
@@ -426,7 +390,8 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
         accepted = np.broadcast_to(flags.admissible, live.shape).nonzero()[0]
         rows = pending[live[accepted]]
         for row, j in zip(rows.tolist(), accepted.tolist()):
-            techs[row] = drawn[j]
+            techs[row] = built[j] if j in built else Technology._certified(
+                raw[j], labor[j], values[j], bounds[j])
         parts = (raw, labor, values, bundles, solved.prices)
         found = found or [np.empty((k,) + part.shape[1:]) for part in parts]
         for whole, part in zip(found, parts):
@@ -521,8 +486,11 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> list:
 
     The producer holds the group as arrays, one array call each to draw,
     synthesize each change at its draw's equilibrium, analyze and sample.
-    Objects are built only then; the verifier prices every economy again
-    from those raw inputs, before and after the changes.
+    Its objects are built, and so checked, before one ``_verify_rows`` call
+    prices every economy again from the raw inputs, before and after the
+    change, under its constant, old and rising bundle. When that call
+    fails, the economies run again one at a time, so the first failing
+    one raises its own error with its scenario.
     """
     drawn = _draw_group(rngs, n)
     knobs = [
@@ -533,7 +501,8 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> list:
     sectors, epsilon_frac, labor_frac, constant_seeds, rising_seeds = map(np.array, zip(*knobs))
     economies = drawn.inputs, drawn.labor, drawn.values, drawn.quantities, drawn.prices
     synthesized = _synthesize_rows(*economies, sectors, epsilon_frac, labor_frac)
-    analysis = _analyze_rows(*economies, sectors, synthesized.new_columns, synthesized.new_labor)
+    changes = sectors, synthesized.new_columns, synthesized.new_labor
+    analysis = _analyze_rows(*economies, *changes)
     # Synthesis makes only viable changes, which have regions.
     regions = analysis.regions
     constant = _sample_rows(regions, constant_seeds.tolist())
@@ -543,13 +512,18 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> list:
         _wage_regions(regions, range(len(indices))),
         *(map(WageBundle, rows) for rows in (constant, rising)),
     ))
-    cases = [
-        (tech, bundle, synth.change, (constant, bundle, rising))
-        for _, tech, bundle, synth, _, constant, rising in produced
-    ]
+    # Each economy's constant, old and rising bundle, in that order.
+    news = np.stack((constant, drawn.quantities, rising), axis=1).reshape(-1, n)
+    try:
+        reports = _verify_rows(drawn.techs, *economies[:4], *changes, news,
+                               np.repeat(np.arange(len(indices)), 3))
+    except EconomyError:
+        for _, tech, bundle, synth, _, *sampled in produced:
+            run_scenarios(tech, bundle, synth.change, (sampled[0], bundle, sampled[1]))
+        raise
     return [
-        SweepRecord(index, seed, n, *fields, *reports)
-        for (index, *fields), reports in zip(produced, _verify(cases))
+        SweepRecord(index, seed, n, *fields, *reports[3 * row:3 * row + 3])
+        for row, (index, *fields) in enumerate(produced)
     ]
 
 

@@ -20,6 +20,7 @@ from okishio_lab import (
     NotProductive,
     TechChange,
     Technology,
+    WageAdmissibility,
     WageBundle,
     analyze_change,
     apply_change,
@@ -36,7 +37,6 @@ from okishio_lab import (
     uniform_profit_rate,
     value_system,
 )
-from okishio_lab.equilibrium import solve_equilibria
 
 
 class TestAnalyzeChange:
@@ -160,13 +160,13 @@ def _wrap_everywhere(monkeypatch, original, wrapper):
 def _count_draws(monkeypatch):
     """Candidate matrices per draw round, as the draw certifies them."""
     rounds = []
-    original = verify.certify_techniques
+    original = verify._certify_rows
 
     def counted(inputs, labor):
         rounds.append([np.array(matrix) for matrix in inputs])
         return original(inputs, labor)
 
-    monkeypatch.setattr(verify, "certify_techniques", counted)
+    monkeypatch.setattr(verify, "_certify_rows", counted)
     return rounds
 
 
@@ -218,6 +218,40 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
     assert one_row == []
 
 
+def test_sweep_builds_techniques_only_for_accepted_draws(monkeypatch):
+    built = []
+    original_certified = Technology._certified.__func__
+    original_init = Technology.__post_init__
+
+    def counted_certified(cls, *arrays):
+        built.append(original_certified(cls, *arrays))
+        return built[-1]
+
+    def counted_init(self):
+        built.append(self)
+        original_init(self)
+
+    def first_round_rejected(prices, values, bundle_value):
+        # The first draw round's candidates all fail, so they draw again.
+        flags = original_admissibility(prices, values, bundle_value)
+        headroom = flags.ratio_headroom & bool(rejected)
+        rejected.append(len(bundle_value))
+        return WageAdmissibility(
+            flags.nonnegative_surplus, headroom, flags.max_ratio, flags.max_ratio_sector
+        )
+
+    monkeypatch.setattr(Technology, "_certified", classmethod(counted_certified))
+    monkeypatch.setattr(Technology, "__post_init__", counted_init)
+    rejected, original_admissibility = [], verify.admissibility
+    monkeypatch.setattr(verify, "admissibility", first_round_rejected)
+    rounds = _count_draws(monkeypatch)
+    records = run_suite(seed=1000, count=20)
+    # None of the rejected candidates became a technique, and neither did
+    # a patched technique, which the array forms certify.
+    assert sum(map(len, rounds)) == len(records) + rejected[0]
+    assert sorted(map(id, built)) == sorted(id(record.tech) for record in records)
+
+
 def test_sweep_eigensolves_only_to_draw_economies(monkeypatch):
     # The draw rescales each candidate by its eigvals radius; Technology
     # certifies productivity from its one value solve, and no equilibrium
@@ -263,6 +297,13 @@ def _stacked(regions):
     return synthesis._Regions(*map(np.concatenate, rows))
 
 
+def _price_pairs(pairs):
+    """Price ``(tech, bundle)`` pairs of one size as one stack, and check them."""
+    stack = np.array([equilibrium.augmented_inputs(tech, bundle) for tech, bundle in pairs])
+    priced = equilibrium._price_rows(stack, np.array([bundle.quantities for _, bundle in pairs]))
+    equilibrium._check_prices(priced)
+
+
 def _skewed_economy():
     # Sector 1 prices at about 0.11 of sector 0, so a bundle of the
     # smallest subnormal quantity of good 1 costs 0 at the eigenvector.
@@ -273,7 +314,7 @@ def _skewed_economy():
 class TestFailingRowRaisesItsOwnError:
     """A row that fails inside an array form raises what its one-row call raises."""
 
-    def test_solve_equilibria_residual(self, monkeypatch):
+    def test_price_rows_residual(self, monkeypatch):
         rng = np.random.default_rng(71)
         pairs = [random_economy(rng, 4) for _ in range(6)]
         residuals = [uniform_profit_rate(*pair).residual for pair in pairs]
@@ -283,14 +324,14 @@ class TestFailingRowRaisesItsOwnError:
         monkeypatch.setattr(equilibrium, "RESIDUAL_TOL", tol)
         alone = _raised(uniform_profit_rate, *pairs[bad])
         assert alone[0] is NoConvergence
-        assert _raised(solve_equilibria, [pairs[good], pairs[bad]]) == alone
+        assert _raised(_price_pairs, [pairs[good], pairs[bad]]) == alone
 
-    def test_solve_equilibria_degenerate_normalization(self):
+    def test_price_rows_degenerate_normalization(self):
         skewed = _skewed_economy()
         alone = _raised(uniform_profit_rate, *skewed)
         assert alone[0] is DegenerateNormalization
         good = (Technology(skewed[0].inputs, skewed[0].labor), WageBundle(np.ones(2)))
-        assert _raised(solve_equilibria, [good, skewed]) == alone
+        assert _raised(_price_pairs, [good, skewed]) == alone
 
     def test_samplers_infeasible_region(self, ref_tech, ref_bundle, ref_change):
         equilibrium_ = uniform_profit_rate(ref_tech, ref_bundle)

@@ -52,6 +52,38 @@ def wage_file(tmp_path):
     return str(path)
 
 
+# Input files of the wrong shape, each as (command, the option naming the
+# file, what the file holds, what the error must name).
+MALFORMED = {
+    "change labor null": ("check-tc", "--tc", dict(REF_CHANGE, labor=None), "'labor'"),
+    "change column object": ("check-tc", "--tc", dict(REF_CHANGE, column={"a": 1}), "'column'"),
+    "change file a number": ("check-tc", "--tc", 5, "JSON object"),
+    "economy A object": ("analyze", "--economy", dict(REF_ECONOMY, A={"x": 1}), "'A'"),
+    "economy file a number": ("analyze", "--economy", 5, "JSON object"),
+    "wage file null": ("verify", "--wage", None, "JSON object"),
+    "wage b object": ("verify", "--wage", {"b": {"x": 1}}, "'b'"),
+}
+FILE_OPTIONS = {
+    "analyze": ("--economy",),
+    "check-tc": ("--economy", "--tc"),
+    "verify": ("--economy", "--tc", "--wage"),
+}
+
+
+@pytest.mark.parametrize("command, option, content, named", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_file_is_an_input_error(
+    command, option, content, named, economy_file, tc_file, wage_file, tmp_path, capsys
+):
+    files = {"--economy": economy_file, "--tc": tc_file, "--wage": wage_file}
+    files[option] = str(tmp_path / "malformed.json")
+    with open(files[option], "w", encoding="utf-8") as handle:
+        json.dump(content, handle)
+    argv = [command] + [part for name in FILE_OPTIONS[command] for part in (name, files[name])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 class TestAnalyze:
     def test_text_report(self, economy_file, capsys):
         assert main(["analyze", "--economy", economy_file]) == 0

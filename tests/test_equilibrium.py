@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from okishio_lab import (
     NoConvergence,
     NotProductive,
-    TechChange,
     Technology,
     WageBundle,
     admissibility,
@@ -22,14 +21,15 @@ from okishio_lab import (
     labor_values,
     max_profit_rate,
     random_economy,
+    run_scenarios,
     run_suite,
     suite_csv,
     uniform_profit_rate,
     value_of_bundle,
 )
-from okishio_lab import equilibrium
+from okishio_lab import equilibrium, verify
 from okishio_lab.equilibrium import CW_TOL, _left_perron
-from okishio_lab.verify import SUITE_BLOCK, _verify
+from okishio_lab.verify import SUITE_BLOCK
 
 
 def cubic_dominant_root(matrix):
@@ -585,19 +585,45 @@ class TestStackedSolve:
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == "shifted solve failed with bracket [0.3, 0.5]"
 
-    def test_suite_error_names_its_scenario(self, ref_tech, ref_bundle, ref_change):
-        # The second case's patched technique is not productive, so the
-        # stacked verification fails and the cases are run one at a time.
-        heavy = TechChange(sector=1, new_column=ref_tech.input_column(1) + 1.0, new_labor=0.1)
-        cases = [
-            (ref_tech, ref_bundle, ref_change, (ref_bundle,)),
-            (ref_tech, ref_bundle, heavy, (ref_bundle,)),
-        ]
-        with pytest.raises(NotProductive) as excinfo:
-            _verify(cases)
-        err = excinfo.value
-        text = str(err) + "".join(getattr(err, "__notes__", []))
-        assert "scenario with 3 sectors, change in sector 2" in text
+    def test_suite_error_names_its_scenario(self, monkeypatch):
+        # The verifier gets a heavy change for the marked economies: their
+        # patched techniques are not productive, so their size group's
+        # verification fails and its economies run again one at a time.
+        records = run_suite(seed=1000, count=20)
+        group = [record for record in records if record.n == records[0].n]
+        assert len(group) >= 3
+        original = verify._verify_rows
+        marked = []
+
+        def heavy_verify_rows(techs, inputs, labor, values, quantities, sectors, columns, *rest):
+            heavy = [any(np.array_equal(a, r.tech.inputs) for r in marked) for a in inputs]
+            # A unit more of each input: the sector's own input alone then
+            # puts the radius above one.
+            columns = columns + np.array(heavy, dtype=float)[:, None]
+            return original(techs, inputs, labor, values, quantities, sectors, columns, *rest)
+
+        def error_text(call, *args):
+            with pytest.raises(NotProductive) as excinfo:
+                call(*args)
+            err = excinfo.value
+            return str(err) + "".join(getattr(err, "__notes__", []))
+
+        def alone(record):
+            bundles = (record.constant_bundle, record.bundle, record.rising_bundle)
+            return error_text(
+                run_scenarios, record.tech, record.bundle, record.synthesized.change, bundles
+            )
+
+        monkeypatch.setattr(verify, "_verify_rows", heavy_verify_rows)
+        marked[:] = [group[2]]
+        text = alone(group[2])
+        sector = group[2].synthesized.sector + 1
+        assert f"scenario with {group[2].n} sectors, change in sector {sector}" in text
+        assert error_text(run_suite, 1000, 20) == text
+        # With two failing economies, the lower index raises.
+        marked[:] = [group[2], group[1]]
+        assert alone(group[1]) != text
+        assert error_text(run_suite, 1000, 20) == alone(group[1])
 
     def test_record_does_not_depend_on_its_block(self):
         # SUITE_BLOCK + 5 economies span two blocks; the first 20 share

@@ -42,9 +42,9 @@ from okishio_lab.linear_economy import (
     RESIDUAL_TOO_LARGE,
     SINGULAR,
     VALUE_NOT_POSITIVE,
+    _certify_rows,
     _certify_stack,
     _connected_rows,
-    certify_techniques,
 )
 
 
@@ -475,36 +475,34 @@ class TestStackedCertificate:
         rng = np.random.default_rng(404)
         for n in (1, 2, 3, 8, 30):
             inputs, labor = _good_rows(rng, n, 6)
-            stacked = certify_techniques(inputs, labor)
-            for tech, a, l in zip(stacked, inputs, labor):
+            values, bounds, built = _certify_rows(np.array(inputs), np.array(labor))
+            assert built == {}
+            for row, (a, l) in enumerate(zip(inputs, labor)):
                 single = Technology(a, l)
-                assert np.array_equal(tech.values, single.values)
-                assert tech.productivity_bound == single.productivity_bound
-                assert np.array_equal(tech.inputs, a) and np.array_equal(tech.labor, l)
+                assert np.array_equal(values[row], single.values)
+                assert bounds[row] == single.productivity_bound
+
+    def test_lone_row_is_built_by_technology(self):
+        inputs, labor = _good_rows(np.random.default_rng(406), 3, 1)
+        values, bounds, built = _certify_rows(np.array(inputs), np.array(labor))
+        single = Technology(inputs[0], labor[0])
+        assert list(built) == [0] and np.array_equal(built[0].values, single.values)
+        assert np.array_equal(values, [single.values])
+        assert bounds.tolist() == [single.productivity_bound]
 
     def test_techniques_own_read_only_copies(self):
         inputs, labor = _good_rows(np.random.default_rng(405), 4, 3)
-        techs = certify_techniques(inputs, labor)
-        for tech, a in zip(techs, inputs):
+        stack, labor_stack = np.array(inputs), np.array(labor)
+        values, bounds, _ = _certify_rows(stack, labor_stack)
+        techs = [Technology._certified(*row) for row in zip(stack, labor_stack, values, bounds)]
+        for tech, a, l in zip(techs, inputs, labor):
+            assert np.array_equal(tech.inputs, a) and np.array_equal(tech.labor, l)
             for array in (tech.inputs, tech.labor, tech.values):
                 assert not array.flags.writeable
                 assert array.base is None
-            assert not np.shares_memory(tech.inputs, a)
-        a = inputs[0]
-        a[0, 0] = 99.0
+            assert not np.shares_memory(tech.inputs, stack)
+        stack[0, 0, 0] = 99.0
         assert techs[0].inputs[0, 0] != 99.0
-
-    def test_sizes_mixed_and_alone(self):
-        rng = np.random.default_rng(406)
-        inputs, labor = [], []
-        for n in (3, 5, 3, 2, 5, 3):
-            a, l = _good_rows(rng, n, 1)
-            inputs += a
-            labor += l
-        for tech, a, l in zip(certify_techniques(inputs, labor), inputs, labor):
-            assert np.array_equal(tech.values, Technology(a, l).values)
-        (tech,) = certify_techniques(inputs[:1], labor[:1])
-        assert np.array_equal(tech.values, Technology(inputs[0], labor[0]).values)
 
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     def test_bad_row_raises_what_technology_raises(self, kind):
@@ -516,12 +514,15 @@ class TestStackedCertificate:
         inputs, labor = _good_rows(np.random.default_rng(407), 3, 5)
         inputs.insert(2, bad_inputs)
         labor.insert(2, bad_labor)
-        with pytest.raises(error) as stacked:
-            certify_techniques(inputs, labor)
+        # A non-finite row reaches the stacked solve, which makes NaN of it.
+        with pytest.raises(error) as stacked, np.errstate(invalid="ignore"):
+            _certify_rows(np.array(inputs), np.array(labor))
         assert type(stacked.value) is error and str(stacked.value) == message
         # The rows before the bad one certify on their own.
-        for tech, a, l in zip(certify_techniques(inputs[:2], labor[:2]), inputs, labor):
-            assert np.array_equal(tech.values, Technology(a, l).values)
+        values, _, built = _certify_rows(np.array(inputs[:2]), np.array(labor[:2]))
+        assert built == {}
+        for row, (a, l) in enumerate(zip(inputs[:2], labor[:2])):
+            assert np.array_equal(values[row], Technology(a, l).values)
         if reason is None:
             return
         assert _certify_stack(bad_inputs[None], bad_labor[None]).reasons.tolist() == [reason]
@@ -549,8 +550,8 @@ class TestStackedCertificate:
             (g2, good_labor[2]),
             BAD_ROWS["labor not positive"],
         ]
-        inputs, labor = [list(column) for column in zip(*rows)]
-        certificate = _certify_stack(np.array(inputs), np.array(labor))
+        inputs, labor = [np.array(column) for column in zip(*rows)]
+        certificate = _certify_stack(inputs, labor)
         assert certificate.reasons.tolist() == [
             DECOMPOSABLE,
             PASSED,
@@ -563,38 +564,29 @@ class TestStackedCertificate:
         ]
         assert certificate.error is None
         with pytest.raises(Decomposable):
-            certify_techniques(inputs, labor)
-
-    def test_row_of_another_shape_raises_what_technology_raises(self):
-        inputs, labor = _good_rows(np.random.default_rng(410), 3, 3)
-        inputs.insert(1, np.ones((2, 3)))
-        labor.insert(1, np.ones(2))
-        with pytest.raises(ValueError, match="must be square"):
-            certify_techniques(inputs, labor)
-        inputs[1], labor[1] = _ref_inputs(), np.ones(2)
-        with pytest.raises(ValueError, match="does not match 3 sectors"):
-            certify_techniques(inputs, labor)
-        with pytest.raises(ValueError, match="4 input matrices but 3 labor vectors"):
-            certify_techniques(inputs, labor[:3])
+            _certify_rows(inputs, labor)
 
     def test_first_bad_row_in_order_raises(self):
         inputs, labor = _good_rows(np.random.default_rng(408), 3, 4)
         inputs[1], labor[1] = BAD_ROWS["decomposable"]
         inputs[3], labor[3] = BAD_ROWS["negative entry"]
         with pytest.raises(Decomposable):
-            certify_techniques(inputs, labor)
+            _certify_rows(np.array(inputs), np.array(labor))
 
     def test_bound_that_reads_one_is_accepted_on_the_radius(self):
         inputs, labor = _good_rows(np.random.default_rng(409), 3, 4)
         inputs.insert(1, BOUND_READS_ONE[0])
         labor.insert(1, BOUND_READS_ONE[1])
-        certificate = _certify_stack(np.array(inputs), np.array(labor))
+        inputs, labor = np.array(inputs), np.array(labor)
+        certificate = _certify_stack(inputs, labor)
         assert certificate.reasons.tolist() == [PASSED, BOUND_NOT_BELOW_ONE] + [PASSED] * 3
-        stacked = certify_techniques(inputs, labor)[1]
+        values, bounds, built = _certify_rows(inputs, labor)
+        assert list(built) == [1]
         single = Technology(*BOUND_READS_ONE)
-        assert np.array_equal(stacked.values, single.values)
-        assert stacked.productivity_bound == single.productivity_bound == 1.0
-        assert stacked.spectral_radius == single.spectral_radius == pytest.approx(0.65)
+        assert np.array_equal(values[1], single.values)
+        assert np.array_equal(built[1].values, single.values)
+        assert bounds[1] == built[1].productivity_bound == single.productivity_bound == 1.0
+        assert built[1].spectral_radius == single.spectral_radius == pytest.approx(0.65)
 
 
 class TestBundleValue:

@@ -135,7 +135,9 @@ class TestBracketVerdicts:
         ],
     )
     def test_verdict_from_brackets(self, post, change, verdict):
-        assert verify._verdict(self.PRE, post, 0.75, 0.75 + change) is verdict
+        rows = (self.PRE, post, 0.75, 0.75 + change)
+        code = verify._verdict_codes(*(np.array([row]) for row in rows))[0]
+        assert verify._VERDICTS[code] is verdict
 
     def test_reports_carry_the_verifiers_brackets(self, ref_tech, ref_bundle, ref_change):
         report = run_scenario(ref_tech, ref_bundle, ref_change, WageBundle(SOLVED_BUNDLE))
@@ -306,7 +308,7 @@ class TestRandomEconomy:
 
     def test_gives_up_after_draw_attempts(self, monkeypatch):
         certified = []
-        original = verify.certify_techniques
+        original = verify._certify_rows
 
         def counted(inputs, labor):
             certified.extend(inputs)
@@ -316,7 +318,7 @@ class TestRandomEconomy:
             return WageAdmissibility(True, False, 0.0, 0)
 
         monkeypatch.setattr(verify, "admissibility", rejects_everything)
-        monkeypatch.setattr(verify, "certify_techniques", counted)
+        monkeypatch.setattr(verify, "_certify_rows", counted)
         with pytest.raises(RuntimeError, match=f"in {verify.DRAW_ATTEMPTS} draws"):
             random_economy(np.random.default_rng(6), 3)
         assert len(certified) == verify.DRAW_ATTEMPTS
