@@ -245,8 +245,7 @@ def load_tech_change(path) -> TechChange:
     to the package's 0-based indexing on load.
     """
     fields = {"sector": _index_of_sector, "column": _as_floats, "labor": float}
-    raw = _read_fields(path, "technical change", fields)
-    return TechChange(raw["sector"], raw["column"], raw["labor"])
+    return _read_fields(path, "technical change", fields, TechChange)
 
 
 def tech_change_payload(change: TechChange) -> dict:
