@@ -111,8 +111,14 @@ def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
 
 
 def _augmented(inputs, labor, quantities) -> np.ndarray:
-    """``augmented_inputs`` for ``(k, n, n)`` inputs, ``(k, n)`` labor and bundles."""
-    return inputs + quantities[:, :, None] * labor[:, None, :]
+    """``augmented_inputs`` for ``(k, n, n)`` inputs, ``(k, n)`` labor and bundles.
+
+    The wage goods are added to the inputs in place of a third stack; the
+    sum is the same either way round.
+    """
+    augmented = quantities[:, :, None] * labor[:, None, :]
+    augmented += inputs
+    return augmented
 
 
 # _price_rows' equilibria, an Equilibrium's fields one row each, and the

@@ -27,8 +27,11 @@ The certificate is written once, for a ``(k, n, n)`` stack, in
 ``_certify_stack``: it returns each row's first failed check as a reason
 code. ``Technology`` is its one-row case and turns that code into its
 error. ``_certify_rows`` hands a stack's values and bounds to the array
-forms and builds a ``Technology`` only for a lone row or a row that
-fails, so the first failing row raises its own error.
+forms and builds a ``Technology`` only for a row that fails, so the first
+failing row raises its own error. ``WageBundle`` is likewise the one-row
+call of ``_check_bundles``, and the array forms build techniques and
+bundles whose checks passed in the stack with ``_certified`` and
+``_checked``, which only copy.
 """
 
 from __future__ import annotations
@@ -59,13 +62,19 @@ VALUE_RESIDUAL_TOL = 1e-10
 CW_TOL = 1e-14
 
 
+def _owned(values) -> np.ndarray:
+    """A read-only float copy, never a view into another array."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_readonly(values, *, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
+    arr = _owned(values)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("array entries must be finite")
-    arr.setflags(write=False)
     return arr
 
 
@@ -230,8 +239,11 @@ def _perron_stack(stack: np.ndarray):
 
     Mirrors ``_perron_one`` operation by operation over the rows still
     working; ``matrices`` stays C-ordered so each row's transpose is laid
-    out as ``matrix.T`` is in the plain loop. Returns None as soon as any
-    row fails a check that makes ``_perron_one`` raise.
+    out as ``matrix.T`` is in the plain loop. The rows still working are
+    copied out of the stack only for the step that needs them, one copy
+    at a time, which bounds the memory held beside the stack by one copy
+    of it. Returns None as soon as any row fails a check that makes
+    ``_perron_one`` raise.
     """
     k, n, _ = stack.shape
     rho, vectors = np.empty(k), np.empty((k, n))
@@ -254,15 +266,15 @@ def _perron_stack(stack: np.ndarray):
             vectors[out], steps[out] = vec[done], count
             bounds[out, 0], bounds[out, 1] = lo[done], hi[done]
             left = ~done
-            rows, matrices, vec, image = rows[left], matrices[left], vec[left], image[left]
+            rows, vec, image = rows[left], vec[left], image[left]
             lo, hi, width, shifted = lo[left], hi[left], width[left], shifted[left]
         if not rows.size:
             return rho, vectors, steps, bounds
-        transposed = matrices.transpose(0, 2, 1)
         step = image.copy()
         if shifted.any():
             scale = vec[shifted]
-            system = transposed[shifted] * scale[:, None, :]
+            system = matrices[rows[shifted]].transpose(0, 2, 1)
+            system *= scale[:, None, :]
             system /= -scale[:, :, None]
             system[:, diagonal, diagonal] += hi[shifted][:, None]
             try:
@@ -270,10 +282,13 @@ def _perron_stack(stack: np.ndarray):
             except np.linalg.LinAlgError:
                 return None
             step[shifted] = scale * solved
+            del system  # before the rows are copied out for the power step
         step /= step.max(axis=1, keepdims=True)
         if not (step.min(axis=1) > 0.0).all():
             return None
-        image = (transposed @ step[:, :, None])[:, :, 0]
+        working = matrices if rows.size == k else matrices[rows]
+        image = (working.transpose(0, 2, 1) @ step[:, :, None])[:, :, 0]
+        del working  # before the next step's system is built
         ratios = image / step
         lo, hi = ratios.min(axis=1), ratios.max(axis=1)
         new_width = (hi - lo) / hi
@@ -479,9 +494,7 @@ class Technology:
         """
         tech = object.__new__(cls)
         for name, array in (("inputs", inputs), ("labor", labor), ("values", values)):
-            owned = np.array(array, dtype=float)
-            owned.setflags(write=False)
-            object.__setattr__(tech, name, owned)
+            object.__setattr__(tech, name, _owned(array))
         object.__setattr__(tech, "productivity_bound", float(bound))
         return tech
 
@@ -506,18 +519,19 @@ class Technology:
         return self.inputs[:, sector]
 
 
-def _certify_rows(inputs: np.ndarray, labor: np.ndarray):
-    """The technique certificate of a stack, as each row's values and bound,
-    and by row the techniques ``Technology`` built: a lone row, and in order
-    each row that fails the stacked check, so the first of them raises its
-    own error and a row whose bound reads 1 is accepted on its radius."""
-    if len(inputs) == 1:
-        tech = Technology(inputs[0], labor[0])
-        return tech.values[None], np.array([tech.productivity_bound]), {0: tech}
+def _certify_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The technique certificate of a stack, as each row's values and bound.
+
+    Only a row that fails the stacked check becomes a ``Technology``, in
+    order, so the first of them raises its own error and a row whose bound
+    reads 1 is accepted on its radius with the values it solved alone.
+    """
     certificate = _certify_stack(inputs, labor)
-    failed = certificate.reasons.nonzero()[0].tolist()
-    techs = {row: Technology(inputs[row], labor[row]) for row in failed}
-    return certificate.values, certificate.bound, techs
+    values, bound = certificate.values, certificate.bound
+    for row in certificate.reasons.nonzero()[0].tolist():
+        tech = Technology(inputs[row], labor[row])
+        values[row], bound[row] = tech.values, tech.productivity_bound
+    return values, bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,15 +542,33 @@ class WageBundle:
 
     def __post_init__(self):
         quantities = _as_readonly(self.quantities, ndim=1)
-        if np.any(quantities < 0):
-            raise ValueError("wage bundle quantities must be nonnegative")
-        if not np.any(quantities > 0):
-            raise ValueError("wage bundle must contain at least one positive quantity")
+        _check_bundles(quantities)
         object.__setattr__(self, "quantities", quantities)
+
+    @classmethod
+    def _checked(cls, quantities) -> "WageBundle":
+        """A bundle whose checks passed in ``_check_bundles``; owns a copy."""
+        bundle = object.__new__(cls)
+        object.__setattr__(bundle, "quantities", _owned(quantities))
+        return bundle
 
     @property
     def n(self) -> int:
         return self.quantities.shape[0]
+
+
+def _check_bundles(quantities: np.ndarray) -> None:
+    """``WageBundle``'s checks on each row of a ``(k, n)`` stack of finite
+    quantities, or on the one bundle of a 1-d array, as ``WageBundle``
+    passes it: the first failing row raises its error."""
+    negative = quantities.min(axis=-1, initial=0.0) < 0.0
+    empty = ~(quantities.max(axis=-1, initial=0.0) > 0.0)
+    failed = negative | empty
+    if not np.count_nonzero(failed):
+        return
+    if np.ravel(negative)[failed.argmax()]:
+        raise ValueError("wage bundle quantities must be nonnegative")
+    raise ValueError("wage bundle must contain at least one positive quantity")
 
 
 def _require_size(bundle: WageBundle, n: int) -> None:
@@ -584,12 +616,13 @@ def exploitation_rate(bundle_value):
     that is flagged with NegativeExploitationWarning, once for each such
     value, rather than rejected. A NaN value gives a NaN rate.
     """
-    # fmin passes over NaN, so only a value that is not positive fails.
-    if np.fmin.reduce(bundle_value, axis=None) <= 0:
+    # fmin passes over NaN, so only a value that is not positive fails;
+    # no value at all passes.
+    if np.fmin.reduce(bundle_value, axis=None, initial=np.inf) <= 0:
         low = np.extract(np.less_equal(bundle_value, 0), bundle_value)[0]
         raise NonPositiveValue(f"bundle value must be positive, got {low}")
     rate = (1.0 - bundle_value) / bundle_value
-    if np.fmin.reduce(rate, axis=None) < 0:
+    if np.fmin.reduce(rate, axis=None, initial=np.inf) < 0:
         for value in np.extract(np.less(rate, 0), bundle_value).tolist():
             warnings.warn(f"bundle value {value:.6g} exceeds one working day; exploitation "
                           "rate is negative", NegativeExploitationWarning, stacklevel=2)

@@ -42,8 +42,8 @@ from .linear_economy import (
     Technology, ValueSystem, WageBundle, _certify_rows, _dots, exploitation_rate
 )
 from .technical_change import (
-    ChangeClassification, TechChange, _change_row, _classifications, _classify_rows,
-    _patch_rows, _require_fit,
+    ChangeClassification, TechChange, _change_row, _check_changes, _classifications,
+    _classify_rows, _patch_rows, _require_fit,
 )
 
 ON_PLANE_TOL = 1e-10
@@ -92,12 +92,10 @@ def _one_region(region: WageRegion) -> _Regions:
     return _Regions(*(np.asarray(field)[None] for field in vars(region).values()))
 
 
-def _wage_regions(regions: _Regions, rows) -> list[WageRegion]:
-    """A ``WageRegion`` owning copies of its arrays for each of ``rows``."""
-    return [
-        WageRegion(*(part[row].copy() if part.ndim > 1 else part[row].item() for part in regions))
-        for row in rows
-    ]
+def _wage_region(regions: _Regions, row: int) -> WageRegion:
+    """Row ``row`` as a ``WageRegion`` owning copies of its arrays."""
+    return WageRegion(*(part[row].copy() if part.ndim > 1 else part[row].item()
+                        for part in regions))
 
 
 def build_region(
@@ -124,8 +122,7 @@ def build_region(
     if bundle_value <= 0:
         raise ValueError(f"bundle value must be positive, got {bundle_value}")
     offsets = np.array([bundle_value], dtype=float), np.array([classification.break_even_wage])
-    regions = _region_rows(equilibrium.prices[None], new_values[None], *offsets)
-    return _wage_regions(regions, [0])[0]
+    return _wage_region(_region_rows(equilibrium.prices[None], new_values[None], *offsets), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +140,8 @@ class ChangeAnalysis:
     region: WageRegion | None
 
 
-# _analyze_rows' results, one row each; certified is _certify_rows' for the patched rows.
-_Analyses = namedtuple("_Analyses", "bundle_value exploitation costs certified regions")
+# _analyze_rows' results, one row each; new_values and new_bounds certify the patched rows.
+_Analyses = namedtuple("_Analyses", "bundle_value exploitation costs new_values new_bounds regions")
 
 
 def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_columns, new_labor):
@@ -154,9 +151,11 @@ def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_column
     costs = _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor)
     # The patched stack is not kept: the verifier's post-change solve holds
     # its own, and a large table should not hold two.
-    certified = _certify_rows(*_patch_rows(inputs, labor, sectors, new_columns, new_labor))
-    regions = _region_rows(prices, certified[0], bundle_value, 1.0 + costs.saving_rate)
-    return _Analyses(bundle_value, exploitation_rate(bundle_value), costs, certified, regions)
+    new_values, new_bounds = _certify_rows(
+        *_patch_rows(inputs, labor, sectors, new_columns, new_labor))
+    regions = _region_rows(prices, new_values, bundle_value, 1.0 + costs.saving_rate)
+    return _Analyses(bundle_value, exploitation_rate(bundle_value), costs, new_values, new_bounds,
+                     regions)
 
 
 def analyze_change(
@@ -166,14 +165,18 @@ def analyze_change(
 
     ``equilibrium`` prices ``tech`` with ``bundle`` as numeraire. Raises
     NotProductive or Decomposable if the patched technique is no longer
-    acceptable. The one-row call of ``_analyze_rows``.
+    acceptable. The one-row call of ``_analyze_rows``; the patched
+    technique is built from its certified row.
     """
     _require_fit(tech, change)
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
-    done = _analyze_rows(*(row[None] for row in rows), *_change_row(change))
-    classification, patched = _classifications(done.costs)[0], done.certified[2][0]
+    changed = _change_row(change)
+    done = _analyze_rows(*(row[None] for row in rows), *changed)
+    inputs, labor = _patch_rows(tech.inputs[None], tech.labor[None], *changed)
+    patched = Technology._certified(inputs[0], labor[0], done.new_values[0], done.new_bounds[0])
+    classification = _classifications(done.costs)[0]
     values = ValueSystem(tech.values, done.bundle_value[0].item(), done.exploitation[0].item())
-    region = _wage_regions(done.regions, [0])[0] if classification.viable else None
+    region = _wage_region(done.regions, 0) if classification.viable else None
     return ChangeAnalysis(values, classification, patched, patched.values, region)
 
 
@@ -391,7 +394,8 @@ _Synthesized = namedtuple("_Synthesized", "sectors new_columns new_labor pivot i
 
 def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon_frac, labor_frac):
     """``synthesize_culs_change`` for each row, its arguments checked: the first
-    row whose bundle is not admissible raises NotInB."""
+    row whose bundle is not admissible raises NotInB. The changes it makes
+    are for the caller to check with ``_check_changes``."""
     bundle_value = _dots(values, quantities)
     flags = admissibility(prices, values, bundle_value)
     admissible = flags.admissible
@@ -413,15 +417,13 @@ def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon
                         increment, lower, upper)
 
 
-def _synthesized_changes(synthesized: _Synthesized) -> list[SynthesizedChange]:
-    return [
-        SynthesizedChange(TechChange(sector, column, new_labor), pivot, ratio, increment,
-                          (lower, upper))
-        for sector, column, new_labor, pivot, ratio, increment, lower, upper in zip(
-            synthesized.sectors.tolist(), synthesized.new_columns,
-            *(field.tolist() for field in synthesized[2:]),
-        )
-    ]
+def _synthesized_change(synthesized: _Synthesized, row: int) -> SynthesizedChange:
+    """Row ``row``, whose change passed ``_check_changes``, as a
+    ``SynthesizedChange`` owning a copy of its column."""
+    sector, new_labor, pivot, ratio, increment, lower, upper = (
+        field[row].item() for field in synthesized if field.ndim == 1)
+    change = TechChange._checked(sector, synthesized.new_columns[row], new_labor)
+    return SynthesizedChange(change, pivot, ratio, increment, (lower, upper))
 
 
 def synthesize_culs_change(
@@ -452,4 +454,6 @@ def synthesize_culs_change(
         raise InvalidSector(f"sector {sector} outside range 0..{tech.n - 1}")
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
     knobs = np.array([sector]), float(epsilon_frac), float(labor_frac)
-    return _synthesized_changes(_synthesize_rows(*(row[None] for row in rows), *knobs))[0]
+    synthesized = _synthesize_rows(*(row[None] for row in rows), *knobs)
+    _check_changes(*(field[0] for field in synthesized[:3]))  # the one change, as it stands
+    return _synthesized_change(synthesized, 0)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidSector
 from .equilibrium import STRICT_MARGIN, Equilibrium
 from .linear_economy import (
-    Technology, WageBundle, _as_floats, _as_readonly, _column_dots, _dots, _read_fields
+    Technology, WageBundle, _as_floats, _as_readonly, _column_dots, _dots, _owned, _read_fields
 )
 
 # Sameness tolerance for the bundle-value comparison.
@@ -36,19 +36,44 @@ class TechChange:
     new_labor: float
 
     def __post_init__(self):
-        column = _as_readonly(self.new_column, ndim=1)
-        if np.any(column < 0):
-            raise ValueError("replacement input column must be nonnegative")
-        labor = float(self.new_labor)
-        if not np.isfinite(labor) or labor <= 0:
-            raise ValueError(f"replacement labor must be positive, got {labor}")
-        if self.sector < 0 or self.sector >= column.shape[0]:
-            raise InvalidSector(
-                f"sector {self.sector} outside range 0..{column.shape[0] - 1}"
-            )
+        column, labor = _as_readonly(self.new_column, ndim=1), float(self.new_labor)
+        _check_changes(self.sector, column, labor)
         object.__setattr__(self, "sector", int(self.sector))
         object.__setattr__(self, "new_column", column)
         object.__setattr__(self, "new_labor", labor)
+
+    @classmethod
+    def _checked(cls, sector, new_column, new_labor) -> "TechChange":
+        """A change whose checks passed in ``_check_changes``; owns a copy."""
+        change = object.__new__(cls)
+        object.__setattr__(change, "sector", int(sector))
+        object.__setattr__(change, "new_column", _owned(new_column))
+        object.__setattr__(change, "new_labor", float(new_labor))
+        return change
+
+
+def _check_changes(sectors, new_columns, new_labor) -> None:
+    """``TechChange``'s checks on each of ``(k,)`` sectors and labor and
+    ``(k, n)`` finite columns: the first failing change raises its error.
+
+    ``TechChange`` passes its one change as it stands, a 1-d column with
+    a scalar sector and labor, which the same expressions check without
+    the cost of making arrays of them.
+    """
+    n = new_columns.shape[-1]
+    negative = new_columns.min(axis=-1, initial=0.0) < 0.0
+    # NaN labor is not positive, and infinite labor is not finite.
+    bad_labor = (new_labor <= 0.0) | (new_labor != new_labor) | (new_labor == np.inf)
+    outside = (sectors < 0) | (sectors >= n)
+    failed = bad_labor | outside | negative
+    if not np.count_nonzero(failed):
+        return
+    row = failed.argmax()
+    if np.ravel(negative)[row]:
+        raise ValueError("replacement input column must be nonnegative")
+    if np.ravel(bad_labor)[row]:
+        raise ValueError(f"replacement labor must be positive, got {np.ravel(new_labor)[row]}")
+    raise InvalidSector(f"sector {np.ravel(sectors)[row]} outside range 0..{n - 1}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,8 @@ profit rate ``1/rho - 1`` counts as fallen or risen only when the
 Collatz–Wielandt brackets on ``rho`` before and after the change are
 disjoint, so no verdict rests on a margin in the units of the rates.
 ``run_scenarios`` passes its one case to ``_verify_rows``, and the sweep
-passes each size group's arrays to it in one call.
+passes each size group's arrays to it in one call; both build their
+reports from its arrays with ``_scenario_reports``.
 
 The oracles here deliberately avoid the production code paths: the
 spectral-radius oracle brackets the dominant eigenvalue by testing
@@ -35,19 +36,22 @@ from .equilibrium import (  # noqa: F401
     _augmented, _check_prices, _price_rows, admissibility, uniform_profit_rate
 )
 from .linear_economy import (
-    Technology, WageBundle, _by_size, _certify_rows, _connected_rows, _dots, _require_size,
-    exploitation_rate,
+    Technology, WageBundle, _by_size, _certify_rows, _check_bundles, _connected_rows, _dots,
+    _require_size, exploitation_rate,
 )
 from .synthesis import (
     SynthesizedChange, WageRegion, _analyze_rows, _ratio_rows, _sample_rows, _synthesize_rows,
-    _synthesized_changes, _wage_regions,
+    _synthesized_change, _wage_region,
 )
 from .technical_change import (
-    TechChange, _change_row, _Costs, _patch_rows, _property_rows, _require_fit
+    TechChange, _change_row, _check_changes, _Costs, _patch_rows, _property_rows, _require_fit
 )
 
-# Economies that run_suite draws, solves and verifies together.
+# Economies that run_suite draws, solves and verifies together: at least
+# SUITE_BLOCK, and as many as hold SUITE_ENTRIES input-matrix entries at the
+# largest sector count (suite_block).
 SUITE_BLOCK = 128
+SUITE_ENTRIES = 512 * 8 * 8
 # Candidate draws random_economy makes before giving up.
 DRAW_ATTEMPTS = 200
 EXPLOITATION_MATCH_TOL = 1e-9
@@ -144,22 +148,30 @@ def run_scenarios(
         _require_fit(tech, change)
         news = np.array([each.quantities for each in new_bundles]).reshape(-1, tech.n)
         owner = None if len(news) == 1 else np.zeros(len(news), dtype=int)
-        return _verify_rows([tech], tech.inputs[None], tech.labor[None], tech.values[None],
-                            bundle.quantities[None], *_change_row(change), news, owner)
+        verified = _verify_rows(tech.inputs[None], tech.labor[None], tech.values[None],
+                                bundle.quantities[None], *_change_row(change), news, owner)
     except EconomyError as err:
         context = f"scenario with {tech.n} sectors, change in sector {change.sector + 1}"
         if hasattr(err, "add_note"):
             err.add_note(context)
             raise
         raise type(err)(f"{err} ({context})") from err
+    return _scenario_reports(verified, 0, range(len(news)), tech.values)
 
 
-def _verify_rows(techs, inputs, labor, values, quantities, sectors, columns, labors, news, owner):
-    """A ScenarioReport per new bundle j, of case ``owner[j]`` (j if None).
+# _verify_rows' results: the before side per case, the after side, flags
+# (a (m, 9) array in ScenarioFlags order) and verdict codes per new bundle.
+_Verified = namedtuple("_Verified", "pre_profit pre_prices pre_bounds exploitation new_values "
+                       "post_profit post_prices post_bounds post_exploitation flags verdicts")
 
-    Case i is ``techs[i]`` as arrays, with its bundle and the change of
-    sector ``sectors[i]``. Each step is one array call, whose first
-    failing row raises its error; the reports are built only at the end.
+
+def _verify_rows(inputs, labor, values, quantities, sectors, columns, labors, news, owner):
+    """The scenarios of each new bundle j, of case ``owner[j]`` (j if None), as arrays.
+
+    Case i is the technique ``(inputs[i], labor[i])`` with its values, its
+    bundle and the change of sector ``sectors[i]``. Each step is one array
+    call, whose first failing row raises its error; ``_scenario_reports``
+    builds reports from the result.
     """
     per_bundle = (lambda array: array) if owner is None else itemgetter(owner)
     pre = _price_rows(_augmented(inputs, labor, quantities), quantities)
@@ -169,38 +181,42 @@ def _verify_rows(techs, inputs, labor, values, quantities, sectors, columns, lab
     changed = map(per_bundle, (inputs, labor, sectors, columns, labors))
     post = _price_rows(_augmented(*_patch_rows(*changed), news), news)
     _check_prices(post)
-    value_post = _dots(per_bundle(analysis.certified[0]), news)
+    value_post = _dots(per_bundle(analysis.new_values), news)
     costs, value_pre = _Costs(*map(per_bundle, analysis.costs)), analysis.bundle_value
     properties = _property_rows(costs, per_bundle(pre.prices), per_bundle(labors),
                                 per_bundle(value_pre), value_post, news)
     # A change that is not viable has no region.
     viable, regions = analysis.costs.viable, analysis.regions
     admissible_pre = admissibility(pre.prices, values, value_pre).admissible
-    flags = [
+    flags = np.array([
         costs.viable, costs.culs, properties.more_expensive, properties.value_constant,
         properties.saving_bounded, per_bundle(admissible_pre), properties.surplus_ok_post,
         per_bundle(viable & regions.feasible),
         per_bundle(viable & _ratio_rows(regions).any(axis=1)),
-    ]
-    exploitation_post = exploitation_rate(value_post)
+    ]).T
+    post_exploitation = exploitation_rate(value_post)
     verdicts = _verdict_codes(per_bundle(pre.bounds), post.bounds,
-                              per_bundle(analysis.exploitation), exploitation_post)
-    cases = np.arange(len(news)) if owner is None else owner
-    pre_prices = [row.copy() for row in pre.prices]
-    new_values = [row.copy() for row in analysis.certified[0]]
-    pre_profit, pre_bounds = pre.profit.tolist(), pre.bounds.tolist()
-    exploitation = analysis.exploitation.tolist()
-    rows = zip(cases.tolist(), post.profit.tolist(), post.prices, exploitation_post.tolist(),
-               post.bounds.tolist(), verdicts.tolist(), *(flag.tolist() for flag in flags))
+                              per_bundle(analysis.exploitation), post_exploitation)
+    return _Verified(pre.profit, pre.prices, pre.bounds, analysis.exploitation,
+                     analysis.new_values, post.profit, post.prices, post.bounds,
+                     post_exploitation, flags, verdicts)
+
+
+def _scenario_reports(verified: _Verified, case: int, bundles, pre_values) -> list:
+    """A ScenarioReport for each new bundle in ``bundles``, all of case ``case``,
+    whose technique has the labor values ``pre_values``. The reports share
+    their before side's arrays, which are copies."""
+    pre_prices, new_values = verified.pre_prices[case].copy(), verified.new_values[case].copy()
+    pre_profit, exploitation = verified.pre_profit[case].item(), verified.exploitation[case].item()
+    pre_bounds = tuple(verified.pre_bounds[case].tolist())
     return [
         ScenarioReport(
-            pre_profit[case], pre_prices[case], techs[case].values, exploitation[case],
-            post_profit, post_prices.copy(), new_values[case], post_exploitation,
-            tuple(pre_bounds[case]), tuple(post_bounds), ScenarioFlags(*row_flags),
-            _VERDICTS[verdict],
+            pre_profit, pre_prices, pre_values, exploitation, verified.post_profit[j].item(),
+            verified.post_prices[j].copy(), new_values, verified.post_exploitation[j].item(),
+            pre_bounds, tuple(verified.post_bounds[j].tolist()),
+            ScenarioFlags(*verified.flags[j].tolist()), _VERDICTS[verified.verdicts[j]],
         )
-        for case, post_profit, post_prices, post_exploitation, post_bounds, verdict, *row_flags
-        in rows
+        for j in bundles
     ]
 
 
@@ -347,11 +363,17 @@ def random_economy(rng: np.random.Generator, n: int) -> tuple[Technology, WageBu
             "no wage bundle is admissible"
         )
     drawn = _draw_group([rng], n)
-    return drawn.techs[0], WageBundle(drawn.quantities[0])
+    return _drawn_technology(drawn, 0), WageBundle(drawn.quantities[0])
 
 
-# _draw_group's economies: techniques, their arrays, bundles and prices.
-_Drawn = namedtuple("_Drawn", "techs inputs labor values quantities prices")
+# _draw_group's economies: techniques as arrays, with their values and
+# productivity bounds, bundles and prices.
+_Drawn = namedtuple("_Drawn", "inputs labor values bounds quantities prices")
+
+
+def _drawn_technology(drawn: _Drawn, row: int) -> Technology:
+    return Technology._certified(drawn.inputs[row], drawn.labor[row], drawn.values[row],
+                                 drawn.bounds[row])
 
 
 def _draw_group(rngs: list, n: int) -> _Drawn:
@@ -362,11 +384,11 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
     draw again, so a generator is consumed as ``random_economy`` alone
     consumes it: a candidate whose radius is not positive is dropped
     before its scale is drawn, and one that has made DRAW_ATTEMPTS draws
-    raises RuntimeError. Each round is certified as one stack, and only an
-    accepted candidate becomes a ``Technology``.
+    raises RuntimeError. Each round is certified as one stack; no candidate
+    becomes a ``Technology`` here.
     """
     k = len(rngs)
-    techs, pending, found = [None] * k, np.arange(k), None
+    pending, found = np.arange(k), None
     for _ in range(DRAW_ATTEMPTS):
         if not pending.size:
             break
@@ -380,7 +402,7 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
         scale = np.array([rng.uniform(0.3, 0.8) for rng in live_rngs]) / radii[live]
         raw = raw[live] * scale[:, None, None]
         labor = np.array([rng.uniform(0.05, 0.5, n) for rng in live_rngs]).reshape(-1, n)
-        values, bounds, built = _certify_rows(raw, labor)
+        values, bounds = _certify_rows(raw, labor)
         direction = np.array([rng.uniform(0.1, 1.0, n) for rng in live_rngs]).reshape(-1, n)
         target = np.array([rng.uniform(0.3, 0.9) for rng in live_rngs])
         bundles = direction * (target / _dots(values, direction))[:, None]
@@ -389,17 +411,14 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
         flags = admissibility(solved.prices, values, _dots(values, bundles))
         accepted = np.broadcast_to(flags.admissible, live.shape).nonzero()[0]
         rows = pending[live[accepted]]
-        for row, j in zip(rows.tolist(), accepted.tolist()):
-            techs[row] = built[j] if j in built else Technology._certified(
-                raw[j], labor[j], values[j], bounds[j])
-        parts = (raw, labor, values, bundles, solved.prices)
+        parts = (raw, labor, values, bounds, bundles, solved.prices)
         found = found or [np.empty((k,) + part.shape[1:]) for part in parts]
         for whole, part in zip(found, parts):
             whole[rows] = part[accepted]
         pending = np.setdiff1d(pending, rows)
     if pending.size:
         raise RuntimeError(f"no admissible {n}-sector economy in {DRAW_ATTEMPTS} draws")
-    return _Drawn(techs, *found)
+    return _Drawn(*found)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,12 +463,22 @@ def run_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)) -> li
     return list(iter_suite(seed, count, n_range))
 
 
-def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
-    """``run_suite``'s records in index order, SUITE_BLOCK economies at a time.
+def suite_block(n_max: int) -> int:
+    """Economies per sweep block when sizes reach ``n_max`` sectors: SUITE_BLOCK,
+    or more while their input matrices hold no more than SUITE_ENTRIES entries."""
+    return max(SUITE_BLOCK, SUITE_ENTRIES // n_max**2)
 
-    Arguments are checked at the call. The records of one block are made
-    together, and each is the same whichever other economies share its
-    block.
+
+def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
+    """``run_suite``'s records in index order, ``suite_block(n_max)`` economies
+    at a time: SUITE_BLOCK, or more while their input matrices at ``n_max``
+    sectors hold no more than SUITE_ENTRIES entries.
+
+    Arguments are checked at the call. The economies of one block are
+    drawn, solved, checked and verified together as arrays before its first
+    record is yielded, so a block that fails yields none of its records.
+    Each record is built only when the stream reaches it, and is the same
+    whichever other economies share its block.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if not 2 <= lo <= hi:
@@ -461,70 +490,91 @@ def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
         )
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    block = suite_block(hi)
     return (
         record
-        for start in range(0, count, SUITE_BLOCK)
-        for record in _sweep_block(seed, range(start, min(start + SUITE_BLOCK, count)), (lo, hi))
+        for start in range(0, count, block)
+        for record in _sweep_block(seed, range(start, min(start + block, count)), (lo, hi))
     )
 
 
-def _sweep_block(seed: int, indices: range, sizes: tuple) -> list:
-    """Records for the economies ``indices``, one ``_sweep_group`` per size in
-    the order sizes first appear: a block raises the error of the first
-    failing economy in the first group that has one."""
+def _sweep_block(seed: int, indices: range, sizes: tuple):
+    """Records for the economies ``indices``, built as they are consumed.
+
+    One ``_sweep_group`` per size, in the order sizes first appear, runs
+    before the first record: a block raises the error of the first failing
+    economy in the first group that has one.
+    """
     rngs = [np.random.default_rng([seed, index]) for index in indices]
-    records: list = [None] * len(rngs)
-    for n, rows in _by_size([int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs]).items():
-        group = _sweep_group(seed, [indices[row] for row in rows], [rngs[row] for row in rows], n)
-        for row, record in zip(rows, group):
-            records[row] = record
-    return records
+    groups = _by_size([int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs])
+    # A waiting group keeps only its bit generators, which hold each stream's
+    # state; it gets generators for them when it runs and drops them after
+    # its last draw, so a block does not hold a generator per economy.
+    waiting = {n: [rngs[row].bit_generator for row in rows] for n, rows in groups.items()}
+    places: list = [None] * len(rngs)
+    del rngs
+    for n, rows in groups.items():
+        record = _sweep_group(seed, [indices[row] for row in rows],
+                              list(map(np.random.Generator, waiting.pop(n))), n)
+        for at, row in enumerate(rows):
+            places[row] = record, at
+    return (record(at) for record, at in places)
 
 
-def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> list:
-    """Records for economies of ``n`` sectors: draw, synthesize, verify.
+def _sweep_group(seed: int, indices: list, rngs: list, n: int):
+    """Economies of ``n`` sectors, drawn, synthesized and verified as arrays,
+    and the function that builds the SweepRecord of row i from them.
 
     The producer holds the group as arrays, one array call each to draw,
     synthesize each change at its draw's equilibrium, analyze and sample.
-    Its objects are built, and so checked, before one ``_verify_rows`` call
-    prices every economy again from the raw inputs, before and after the
-    change, under its constant, old and rising bundle. When that call
-    fails, the economies run again one at a time, so the first failing
-    one raises its own error with its scenario.
+    Its change and bundle stacks are checked as ``TechChange`` and
+    ``WageBundle`` check them, before one ``_verify_rows`` call prices
+    every economy again from the raw inputs, before and after the change,
+    under its constant, old and rising bundle. When that call fails, the
+    economies run again one at a time, so the first failing one raises its
+    own error with its scenario. A record's objects are built only when
+    it is asked for.
     """
     drawn = _draw_group(rngs, n)
-    knobs = [
+    sectors, epsilon_frac, labor_frac, constant_seeds, rising_seeds = map(np.array, zip(*[
         (int(rng.integers(n)), float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9)),
          int(rng.integers(2**63 - 1)), int(rng.integers(2**63 - 1)))
         for rng in rngs
-    ]
-    sectors, epsilon_frac, labor_frac, constant_seeds, rising_seeds = map(np.array, zip(*knobs))
+    ]))
+    del rngs  # drawn from for the last time
     economies = drawn.inputs, drawn.labor, drawn.values, drawn.quantities, drawn.prices
     synthesized = _synthesize_rows(*economies, sectors, epsilon_frac, labor_frac)
     changes = sectors, synthesized.new_columns, synthesized.new_labor
-    analysis = _analyze_rows(*economies, *changes)
+    _check_changes(*changes)
     # Synthesis makes only viable changes, which have regions.
-    regions = analysis.regions
+    regions = _analyze_rows(*economies, *changes).regions
     constant = _sample_rows(regions, constant_seeds.tolist())
     rising = _sample_rows(regions, rising_seeds.tolist(), shrink=True)
-    produced = list(zip(
-        indices, drawn.techs, map(WageBundle, drawn.quantities), _synthesized_changes(synthesized),
-        _wage_regions(regions, range(len(indices))),
-        *(map(WageBundle, rows) for rows in (constant, rising)),
-    ))
     # Each economy's constant, old and rising bundle, in that order.
     news = np.stack((constant, drawn.quantities, rising), axis=1).reshape(-1, n)
+    _check_bundles(news)
+
+    def produced(row):
+        tech, bundle = _drawn_technology(drawn, row), WageBundle._checked(drawn.quantities[row])
+        sampled = (WageBundle._checked(stack[row]) for stack in (constant, rising))
+        return tech, bundle, _synthesized_change(synthesized, row), *sampled
+
     try:
-        reports = _verify_rows(drawn.techs, *economies[:4], *changes, news,
-                               np.repeat(np.arange(len(indices)), 3))
+        verified = _verify_rows(*economies[:4], *changes, news,
+                                np.repeat(np.arange(len(indices)), 3))
     except EconomyError:
-        for _, tech, bundle, synth, _, *sampled in produced:
-            run_scenarios(tech, bundle, synth.change, (sampled[0], bundle, sampled[1]))
+        for row in range(len(indices)):
+            tech, bundle, synth, constant_bundle, rising_bundle = produced(row)
+            run_scenarios(tech, bundle, synth.change, (constant_bundle, bundle, rising_bundle))
         raise
-    return [
-        SweepRecord(index, seed, n, *fields, *reports[3 * row:3 * row + 3])
-        for row, (index, *fields) in enumerate(produced)
-    ]
+
+    def record(row: int) -> SweepRecord:
+        tech, bundle, synth, constant_bundle, rising_bundle = produced(row)
+        reports = _scenario_reports(verified, row, range(3 * row, 3 * row + 3), tech.values)
+        return SweepRecord(indices[row], seed, n, tech, bundle, synth,
+                           _wage_region(regions, row), constant_bundle, rising_bundle, *reports)
+
+    return record
 
 
 SUITE_CSV_COLUMNS = [

@@ -218,6 +218,22 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
     assert one_row == []
 
 
+def test_lone_sizes_build_no_technique_through_its_checks(monkeypatch):
+    # Sizes 6 and 7 are drawn once each at this seed, so their draws and
+    # patched techniques are stacks of one row, certified in the stack too.
+    built, original_init = [], Technology.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        original_init(self)
+
+    monkeypatch.setattr(Technology, "__post_init__", counted_init)
+    records = run_suite(seed=1001, count=20)
+    sizes = collections.Counter(record.n for record in records)
+    assert sizes[6] == sizes[7] == 1
+    assert built == []
+
+
 def test_sweep_builds_techniques_only_for_accepted_draws(monkeypatch):
     built = []
     original_certified = Technology._certified.__func__

@@ -29,7 +29,7 @@ from okishio_lab import (
 )
 from okishio_lab import equilibrium, verify
 from okishio_lab.equilibrium import CW_TOL, _left_perron
-from okishio_lab.verify import SUITE_BLOCK
+from okishio_lab.verify import iter_suite, suite_block
 
 
 def cubic_dominant_root(matrix):
@@ -595,12 +595,12 @@ class TestStackedSolve:
         original = verify._verify_rows
         marked = []
 
-        def heavy_verify_rows(techs, inputs, labor, values, quantities, sectors, columns, *rest):
+        def heavy_verify_rows(inputs, labor, values, quantities, sectors, columns, *rest):
             heavy = [any(np.array_equal(a, r.tech.inputs) for r in marked) for a in inputs]
             # A unit more of each input: the sector's own input alone then
             # puts the radius above one.
             columns = columns + np.array(heavy, dtype=float)[:, None]
-            return original(techs, inputs, labor, values, quantities, sectors, columns, *rest)
+            return original(inputs, labor, values, quantities, sectors, columns, *rest)
 
         def error_text(call, *args):
             with pytest.raises(NotProductive) as excinfo:
@@ -626,19 +626,59 @@ class TestStackedSolve:
         assert error_text(run_suite, 1000, 20) == alone(group[1])
 
     def test_record_does_not_depend_on_its_block(self):
-        # SUITE_BLOCK + 5 economies span two blocks; the first 20 share
-        # their block with different economies in the two runs.
-        longer = run_suite(seed=1000, count=SUITE_BLOCK + 5)
-        shorter = run_suite(seed=1000, count=20)
-        assert suite_csv(longer[:20]) == suite_csv(shorter)
-        for a, b in zip(longer, shorter):
-            for report in ("scenario", "okishio", "rising"):
-                for name in ("pre_prices", "post_prices", "post_values"):
-                    assert np.array_equal(
-                        getattr(getattr(a, report), name), getattr(getattr(b, report), name)
-                    )
-        # No record keeps a view into its block's stacks.
-        assert all(array.base is None for array in _arrays(longer[0]))
+        _assert_records_do_not_depend_on_their_block((2, 8))
+
+    def test_wide_record_does_not_depend_on_its_block(self):
+        _assert_records_do_not_depend_on_their_block((2, 12))
+
+    def test_block_rule_holds_a_budget_of_entries(self):
+        assert [suite_block(n) for n in (2, 8, 12, 16, 50)] == [8192, 512, 227, 128, 128]
+
+    def test_failing_block_yields_none_of_its_records(self, monkeypatch):
+        # The group of the second block's last economy samples a negative
+        # bundle; another group of that block comes before it.
+        block = suite_block(8)
+        count = block + 5
+        expected = suite_csv(run_suite(seed=1000, count=block))
+        original_group, original_sample = verify._sweep_group, verify._sample_rows
+        groups, poisoned = [], [False]
+
+        def group(seed, indices, rngs, n):
+            groups.append(indices)
+            poisoned[0] = count - 1 in indices
+            return original_group(seed, indices, rngs, n)
+
+        def sample(regions, seeds, *args, **kwargs):
+            sampled = original_sample(regions, seeds, *args, **kwargs)
+            if poisoned[0]:
+                sampled[0, 0] = -1.0
+            return sampled
+
+        monkeypatch.setattr(verify, "_sweep_group", group)
+        monkeypatch.setattr(verify, "_sample_rows", sample)
+        stream = iter_suite(seed=1000, count=count)
+        assert suite_csv(next(stream) for _ in range(block)) == expected
+        with pytest.raises(ValueError) as excinfo:
+            next(stream)
+        assert str(excinfo.value) == "wage bundle quantities must be nonnegative"
+        second = [indices for indices in groups if indices[0] >= block]
+        assert len(second) > 1 and count - 1 in second[-1] and block in second[0]
+
+
+def _assert_records_do_not_depend_on_their_block(n_range):
+    # suite_block + 5 economies span two blocks; the first 20 share their
+    # block with different economies in the two runs.
+    longer = run_suite(seed=1000, count=suite_block(n_range[1]) + 5, n_range=n_range)
+    shorter = run_suite(seed=1000, count=20, n_range=n_range)
+    assert suite_csv(longer[:20]) == suite_csv(shorter)
+    for a, b in zip(longer, shorter):
+        for report in ("scenario", "okishio", "rising"):
+            for name in ("pre_prices", "post_prices", "post_values"):
+                assert np.array_equal(
+                    getattr(getattr(a, report), name), getattr(getattr(b, report), name)
+                )
+    # No record keeps a view into its block's stacks.
+    assert all(array.base is None for array in _arrays(longer[0]))
 
 
 def _arrays(obj):

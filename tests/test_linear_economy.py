@@ -44,6 +44,7 @@ from okishio_lab.linear_economy import (
     VALUE_NOT_POSITIVE,
     _certify_rows,
     _certify_stack,
+    _check_bundles,
     _connected_rows,
 )
 
@@ -105,6 +106,17 @@ class TestValidation:
     def test_negative_bundle_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             WageBundle(np.array([0.1, -0.1]))
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [0.1, -0.1], [-0.1, 0.0]])
+    def test_stacked_bundle_check_raises_what_wage_bundle_raises(self, bad):
+        with pytest.raises(ValueError) as alone:
+            WageBundle(np.array(bad))
+        # The row after the bad one fails the other check.
+        after = [0.0, 0.0] if min(bad) < 0 else [0.1, -0.1]
+        with pytest.raises(ValueError) as stacked:
+            _check_bundles(np.array([[0.2, 0.1], bad, after]))
+        assert str(stacked.value) == str(alone.value)
+        _check_bundles(np.array([[0.2, 0.1], [0.0, 0.3]]))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -470,30 +482,44 @@ BAD_ROW_ERRORS = {
 }
 
 
+def _built_techniques(monkeypatch) -> list:
+    """Every Technology built through its checks from now on."""
+    built, original = [], Technology.__post_init__
+
+    def counted(self):
+        original(self)
+        built.append(self)
+
+    monkeypatch.setattr(Technology, "__post_init__", counted)
+    return built
+
+
 class TestStackedCertificate:
-    def test_good_rows_equal_one_at_a_time(self):
+    def test_good_rows_equal_one_at_a_time(self, monkeypatch):
         rng = np.random.default_rng(404)
         for n in (1, 2, 3, 8, 30):
             inputs, labor = _good_rows(rng, n, 6)
-            values, bounds, built = _certify_rows(np.array(inputs), np.array(labor))
-            assert built == {}
+            built = _built_techniques(monkeypatch)
+            values, bounds = _certify_rows(np.array(inputs), np.array(labor))
+            assert built == []
             for row, (a, l) in enumerate(zip(inputs, labor)):
                 single = Technology(a, l)
                 assert np.array_equal(values[row], single.values)
                 assert bounds[row] == single.productivity_bound
 
-    def test_lone_row_is_built_by_technology(self):
+    def test_lone_row_is_certified_in_the_stack(self, monkeypatch):
         inputs, labor = _good_rows(np.random.default_rng(406), 3, 1)
-        values, bounds, built = _certify_rows(np.array(inputs), np.array(labor))
+        built = _built_techniques(monkeypatch)
+        values, bounds = _certify_rows(np.array(inputs), np.array(labor))
+        assert built == []
         single = Technology(inputs[0], labor[0])
-        assert list(built) == [0] and np.array_equal(built[0].values, single.values)
         assert np.array_equal(values, [single.values])
         assert bounds.tolist() == [single.productivity_bound]
 
     def test_techniques_own_read_only_copies(self):
         inputs, labor = _good_rows(np.random.default_rng(405), 4, 3)
         stack, labor_stack = np.array(inputs), np.array(labor)
-        values, bounds, _ = _certify_rows(stack, labor_stack)
+        values, bounds = _certify_rows(stack, labor_stack)
         techs = [Technology._certified(*row) for row in zip(stack, labor_stack, values, bounds)]
         for tech, a, l in zip(techs, inputs, labor):
             assert np.array_equal(tech.inputs, a) and np.array_equal(tech.labor, l)
@@ -505,7 +531,7 @@ class TestStackedCertificate:
         assert techs[0].inputs[0, 0] != 99.0
 
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
-    def test_bad_row_raises_what_technology_raises(self, kind):
+    def test_bad_row_raises_what_technology_raises(self, kind, monkeypatch):
         bad_inputs, bad_labor = BAD_ROWS[kind]
         error, message, reason = BAD_ROW_ERRORS[kind]
         with pytest.raises(Exception) as alone:
@@ -519,8 +545,9 @@ class TestStackedCertificate:
             _certify_rows(np.array(inputs), np.array(labor))
         assert type(stacked.value) is error and str(stacked.value) == message
         # The rows before the bad one certify on their own.
-        values, _, built = _certify_rows(np.array(inputs[:2]), np.array(labor[:2]))
-        assert built == {}
+        built = _built_techniques(monkeypatch)
+        values, _ = _certify_rows(np.array(inputs[:2]), np.array(labor[:2]))
+        assert built == []
         for row, (a, l) in enumerate(zip(inputs[:2], labor[:2])):
             assert np.array_equal(values[row], Technology(a, l).values)
         if reason is None:
@@ -573,20 +600,22 @@ class TestStackedCertificate:
         with pytest.raises(Decomposable):
             _certify_rows(np.array(inputs), np.array(labor))
 
-    def test_bound_that_reads_one_is_accepted_on_the_radius(self):
+    def test_bound_that_reads_one_is_accepted_on_the_radius(self, monkeypatch):
         inputs, labor = _good_rows(np.random.default_rng(409), 3, 4)
         inputs.insert(1, BOUND_READS_ONE[0])
         labor.insert(1, BOUND_READS_ONE[1])
         inputs, labor = np.array(inputs), np.array(labor)
         certificate = _certify_stack(inputs, labor)
         assert certificate.reasons.tolist() == [PASSED, BOUND_NOT_BELOW_ONE] + [PASSED] * 3
-        values, bounds, built = _certify_rows(inputs, labor)
-        assert list(built) == [1]
+        built = _built_techniques(monkeypatch)
+        values, bounds = _certify_rows(inputs, labor)
+        # Only the row that failed the stacked check was built, and accepted.
+        assert len(built) == 1 and np.array_equal(built[0].inputs, inputs[1])
         single = Technology(*BOUND_READS_ONE)
         assert np.array_equal(values[1], single.values)
-        assert np.array_equal(built[1].values, single.values)
-        assert bounds[1] == built[1].productivity_bound == single.productivity_bound == 1.0
-        assert built[1].spectral_radius == single.spectral_radius == pytest.approx(0.65)
+        assert np.array_equal(built[0].values, single.values)
+        assert bounds[1] == built[0].productivity_bound == single.productivity_bound == 1.0
+        assert built[0].spectral_radius == single.spectral_radius == pytest.approx(0.65)
 
 
 class TestBundleValue:

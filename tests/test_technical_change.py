@@ -24,6 +24,7 @@ from okishio_lab import (
     uniform_profit_rate,
     value_of_bundle,
 )
+from okishio_lab.technical_change import _check_changes
 
 
 @pytest.fixture
@@ -288,3 +289,28 @@ class TestTechChangeFiles:
     def test_negative_labor_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             TechChange(sector=0, new_column=np.array([0.1]), new_labor=-0.5)
+
+
+# One-change arguments that TechChange refuses, each for one reason.
+BAD_CHANGES = {
+    "negative column": (0, [0.1, -0.1], 0.2),
+    "zero labor": (0, [0.1, 0.1], 0.0),
+    "infinite labor": (0, [0.1, 0.1], np.inf),
+    "NaN labor": (0, [0.1, 0.1], np.nan),
+    "sector outside": (2, [0.1, 0.1], 0.2),
+    "negative sector": (-1, [0.1, 0.1], 0.2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CHANGES))
+def test_stacked_change_check_raises_what_tech_change_raises(kind):
+    sector, column, labor = BAD_CHANGES[kind]
+    with pytest.raises(InvalidSector if "sector" in kind else ValueError) as alone:
+        TechChange(sector, np.array(column), labor)
+    # The bad row sits between a good row and one that fails every check.
+    rows = [(1, [0.2, 0.3], 0.1), (sector, column, labor), (5, [-1.0, 0.0], -1.0)]
+    sectors, columns, labors = map(np.array, zip(*rows))
+    with pytest.raises(type(alone.value)) as stacked:
+        _check_changes(sectors, columns, labors)
+    assert str(stacked.value) == str(alone.value)
+    _check_changes(sectors[:1], columns[:1], labors[:1])

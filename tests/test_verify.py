@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from okishio_lab import verify
+from okishio_lab import verify, worked_example
 from okishio_lab import (
+    NotProductive,
     OracleLimit,
     SweepRecord,
     TechChange,
@@ -99,6 +100,15 @@ class TestRunScenario:
             run_scenario(ref_tech, ref_bundle, heavy, ref_bundle)
         text = str(excinfo.value) + "".join(getattr(excinfo.value, "__notes__", []))
         assert "sector 3" in text
+
+    def test_no_new_bundle_gives_no_report(self):
+        tech, bundle = worked_example.economy()
+        synthesized = synthesize_culs_change(tech, bundle, uniform_profit_rate(tech, bundle), 2)
+        assert run_scenarios(tech, bundle, synthesized.change, ()) == []
+        # The economy and the change are still verified.
+        heavy = TechChange(2, tech.input_column(2) + 1.0, 0.18)
+        with pytest.raises(NotProductive):
+            run_scenarios(tech, bundle, heavy, ())
 
     def test_verdict_never_contradicts_profit_flags(self, ref_tech, ref_bundle, ref_change):
         report = run_scenario(
@@ -283,8 +293,8 @@ class TestRandomEconomy:
         drawn = [None] * len(sizes)
         for n, rows in _by_size(sizes).items():
             group = verify._draw_group([rngs[row] for row in rows], n)
-            for row, tech, quantities in zip(rows, group.techs, group.quantities):
-                drawn[row] = tech, WageBundle(quantities)
+            for at, row in enumerate(rows):
+                drawn[row] = verify._drawn_technology(group, at), WageBundle(group.quantities[at])
         rounds = 0
         for index, (n, rng, (tech, bundle)) in enumerate(zip(sizes, rngs, drawn)):
             reference = np.random.default_rng([91, index])
