@@ -40,6 +40,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -636,8 +637,22 @@ def value_system(tech: Technology, bundle: WageBundle) -> ValueSystem:
     return ValueSystem(values, bundle_value, exploitation_rate(bundle_value))
 
 
+def _as_float(entry) -> float:
+    if type(entry) not in (int, float):  # JSON true is a bool, not an int
+        raise TypeError(f"expected a number, got {entry!r}")
+    return float(entry)
+
+
 def _as_floats(entry) -> np.ndarray:
-    return np.array(entry, dtype=float)
+    """A JSON number or regular nested list of numbers, as a float array.
+    ``np.array`` also reads strings, booleans and null: they raise TypeError."""
+    arr = np.array(entry, dtype=float)
+    flat = entry if arr.ndim else [entry]
+    for _ in range(arr.ndim - 1):
+        flat = chain.from_iterable(flat)
+    if not set(map(type, flat)) <= {int, float}:
+        raise TypeError("expected numbers, found a string, boolean or null")
+    return arr
 
 
 def _read_fields(path, kind: str, fields: dict, build):
@@ -645,8 +660,8 @@ def _read_fields(path, kind: str, fields: dict, build):
     one for each key of ``fields`` in order, each through that key's converter.
 
     A file that is not one object, lacks a key, or has an entry of the wrong
-    type raises ValueError naming the ``kind`` of file and the key. The
-    parsed file is released only after ``build`` returns: released before,
+    type or shape raises ValueError naming the ``kind`` of file and the key.
+    The parsed file is released only after ``build`` returns: released before,
     it left a process that loads a 400-sector table over and over 0.5 to
     1.3 MB higher at its peak.
     """
@@ -661,7 +676,7 @@ def _read_fields(path, kind: str, fields: dict, build):
     for key, convert in fields.items():
         try:
             read.append(convert(raw[key]))
-        except TypeError as err:
+        except (TypeError, ValueError) as err:
             raise ValueError(f"{kind} file has a malformed '{key}': {err}") from err
     return build(*read)
 
@@ -702,8 +717,3 @@ def load_wage(path) -> WageBundle:
 def wage_payload(bundle: WageBundle) -> dict:
     return {"b": [float(x) for x in bundle.quantities]}
 
-
-def save_wage(path, bundle: WageBundle) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(wage_payload(bundle), handle, indent=2)
-        handle.write("\n")

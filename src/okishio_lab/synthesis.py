@@ -211,9 +211,9 @@ class PivotUniform:
     """Default sampling strategy: uniform along the pivot axis.
 
     Draws the pivot coordinate uniformly between the two intercepts of
-    the best sector (largest intercept gap), then spreads the remaining
-    bundle value over the other goods proportionally to ``weights``
-    (equal weights when omitted).
+    the best sector (largest intercept gap), then puts the remaining
+    bundle value on the other goods in quantities proportional to
+    ``weights`` (equal quantities when omitted), not in equal value.
     """
 
     weights: tuple | None = None
@@ -221,7 +221,7 @@ class PivotUniform:
 
 @dataclass(frozen=True)
 class EqualOffPivot:
-    """Sampling strategy that splits the off-pivot value equally.
+    """Sampling strategy giving each off-pivot good the same quantity, not value.
 
     ``pivot`` fixes the heavy sector (default: best intercept gap), and
     ``value`` fixes the pivot coordinate instead of drawing it. With both
@@ -230,10 +230,6 @@ class EqualOffPivot:
 
     pivot: int | None = None
     value: float | None = None
-
-
-_EXHAUSTED = (f"no admissible bundle in {PROPOSAL_BUDGET} proposals; "
-              "check the strategy's pivot and value against the region")
 
 
 def _pivot_plan(regions: _Regions, strategy) -> list:
@@ -253,13 +249,7 @@ def _pivot_plan(regions: _Regions, strategy) -> list:
     fixed = getattr(strategy, "value", None)
     bounds = (x[at], y[at]) if fixed is None else (np.full(k, float(fixed)),) * 2
     weights, bare = np.ones((k, n)), None
-    if isinstance(strategy, EqualOffPivot):
-        # An equal split; the pivot's entry is overwritten.
-        off_value = values.sum(axis=1) - values[at]
-        if not (off_value > 0).all():
-            raise SamplingExhausted(_EXHAUSTED)  # no proposal is ever well posed
-        return [at[1], *bounds, values[at], weights, off_value, bare]
-    if strategy.weights is not None:
+    if getattr(strategy, "weights", None) is not None:
         given = np.array(strategy.weights, dtype=float)
         if given.shape != (n,) or (given < 0).any():
             raise ValueError("weights must be nonnegative, one per sector")
@@ -336,7 +326,9 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
         if plan is not None:
             plan = [part if part is None else part[kept] for part in plan]
     raise SamplingExhausted(
-        f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else _EXHAUSTED
+        f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else
+        f"no admissible bundle in {PROPOSAL_BUDGET} proposals; check the strategy's pivot and "
+        "value against the region"
     )
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import InvalidSector
 from .equilibrium import STRICT_MARGIN, Equilibrium
 from .linear_economy import (
-    Technology, WageBundle, _as_floats, _as_readonly, _column_dots, _dots, _owned, _read_fields
+    Technology, WageBundle, _as_float, _as_floats, _as_readonly, _column_dots, _dots, _owned,
+    _read_fields,
 )
 
 # Sameness tolerance for the bundle-value comparison.
@@ -269,7 +270,7 @@ def load_tech_change(path) -> TechChange:
     The on-disk sector number is 1-based, matching reports; it is shifted
     to the package's 0-based indexing on load.
     """
-    fields = {"sector": _index_of_sector, "column": _as_floats, "labor": float}
+    fields = {"sector": _index_of_sector, "column": _as_floats, "labor": _as_float}
     return _read_fields(path, "technical change", fields, TechChange)
 
 

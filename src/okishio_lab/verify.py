@@ -36,7 +36,7 @@ from .equilibrium import (  # noqa: F401
     _augmented, _check_prices, _price_rows, admissibility, uniform_profit_rate
 )
 from .linear_economy import (
-    Technology, WageBundle, _by_size, _certify_rows, _check_bundles, _connected_rows, _dots,
+    Technology, WageBundle, _by_size, _certify_rows, _check_bundles, _dots,
     _require_size, exploitation_rate,
 )
 from .synthesis import (
@@ -337,25 +337,15 @@ def oracle_region_membership(point, region: WageRegion) -> RegionMembership:
     )
 
 
-def _connect_cycle(inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Add a random production cycle so the input graph is strongly connected."""
-    n = inputs.shape[0]
-    order = rng.permutation(n)
-    patched = inputs.copy()
-    for k in range(n):
-        patched[order[(k + 1) % n], order[k]] += 1e-3
-    return patched
-
-
 def random_economy(rng: np.random.Generator, n: int) -> tuple[Technology, WageBundle]:
     """Draw a valid economy whose wage bundle is admissible.
 
-    The input matrix is rescaled to a random spectral radius in
-    (0.3, 0.8) and the bundle to a random labor value in (0.3, 0.9);
-    draws failing admissibility (e.g. near-equal organic compositions)
-    are rejected and retried, up to DRAW_ATTEMPTS draws. ``n`` must be at
-    least 2: with one sector price over value is one over the bundle
-    value exactly, so no bundle has ratio headroom.
+    The input matrix, drawn entrywise from [0, 0.3), is rescaled to a
+    random spectral radius in (0.3, 0.8) and the bundle to a random labor
+    value in (0.3, 0.9); draws failing admissibility (e.g. near-equal
+    organic compositions) are rejected and retried, up to DRAW_ATTEMPTS
+    draws. ``n`` must be at least 2: with one sector price over value is
+    one over the bundle value exactly, so no bundle has ratio headroom.
     """
     if n < 2:
         raise ValueError(
@@ -382,10 +372,11 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
     Each round draws a candidate per economy still open, from its own
     generator, in phases of one array call each. Only rejected economies
     draw again, so a generator is consumed as ``random_economy`` alone
-    consumes it: a candidate whose radius is not positive is dropped
-    before its scale is drawn, and one that has made DRAW_ATTEMPTS draws
-    raises RuntimeError. Each round is certified as one stack; no candidate
-    becomes a ``Technology`` here.
+    consumes it, and one that has made DRAW_ATTEMPTS draws raises
+    RuntimeError. Entries are positive (zero has probability 2**-53), so
+    each candidate is strongly connected with a positive radius; one that
+    were not would fail the round's stacked certificate as Decomposable.
+    No candidate becomes a ``Technology`` here.
     """
     k = len(rngs)
     pending, found = np.arange(k), None
@@ -394,23 +385,18 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
             break
         open_rngs = [rngs[row] for row in pending.tolist()]
         raw = np.array([rng.uniform(0.0, 0.3, (n, n)) for rng in open_rngs])
-        for j in (~_connected_rows(raw)).nonzero()[0].tolist():
-            raw[j] = _connect_cycle(raw[j], open_rngs[j])
         radii = np.abs(np.linalg.eigvals(raw)).max(axis=1)
-        live = (radii > 0).nonzero()[0]
-        live_rngs = [open_rngs[j] for j in live.tolist()]
-        scale = np.array([rng.uniform(0.3, 0.8) for rng in live_rngs]) / radii[live]
-        raw = raw[live] * scale[:, None, None]
-        labor = np.array([rng.uniform(0.05, 0.5, n) for rng in live_rngs]).reshape(-1, n)
+        raw *= (np.array([rng.uniform(0.3, 0.8) for rng in open_rngs]) / radii)[:, None, None]
+        labor = np.array([rng.uniform(0.05, 0.5, n) for rng in open_rngs])
         values, bounds = _certify_rows(raw, labor)
-        direction = np.array([rng.uniform(0.1, 1.0, n) for rng in live_rngs]).reshape(-1, n)
-        target = np.array([rng.uniform(0.3, 0.9) for rng in live_rngs])
+        direction = np.array([rng.uniform(0.1, 1.0, n) for rng in open_rngs])
+        target = np.array([rng.uniform(0.3, 0.9) for rng in open_rngs])
         bundles = direction * (target / _dots(values, direction))[:, None]
         solved = _price_rows(_augmented(raw, labor, bundles), bundles)
         _check_prices(solved)
         flags = admissibility(solved.prices, values, _dots(values, bundles))
-        accepted = np.broadcast_to(flags.admissible, live.shape).nonzero()[0]
-        rows = pending[live[accepted]]
+        accepted = np.broadcast_to(flags.admissible, pending.shape).nonzero()[0]
+        rows = pending[accepted]
         parts = (raw, labor, values, bounds, bundles, solved.prices)
         found = found or [np.empty((k,) + part.shape[1:]) for part in parts]
         for whole, part in zip(found, parts):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .equilibrium import admissibility, uniform_profit_rate
 from .linear_economy import Technology, WageBundle, exploitation_rate, value_of_bundle
-from .synthesis import EqualOffPivot, analyze_change, sample_constant_exploitation
+from .synthesis import analyze_change
 from .technical_change import TechChange
 
 REPLAY_TOL = 1e-5
@@ -34,12 +34,10 @@ _BUNDLE = [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]
 _NEW_COLUMN = [0.27, 0.07, 0.37]
 _NEW_LABOR = 0.18
 
-# Replacement bundle as printed in the reference run (6 decimals). The
-# heavy good is sector 2; the off-pivot goods share the remaining value
-# equally. ``solved_bundle`` reconstructs it at full precision.
+# Replacement bundle as printed in the reference run (6 decimals): sector
+# 2 heavy, equal quantities of the others. tests/test_synthesis.py rebuilds
+# it at full precision with EqualOffPivot(pivot=1, value=1.170977).
 _PRINTED_BUNDLE = [0.008613, 1.170977, 0.008613]
-_PIVOT = 1
-_PIVOT_QUANTITY = 1.170977
 
 REFERENCE = {
     "profit_rate": 0.1764706,
@@ -85,21 +83,6 @@ def change() -> TechChange:
 def printed_bundle() -> WageBundle:
     """The replacement bundle exactly as printed in the reference run."""
     return WageBundle(np.array(_PRINTED_BUNDLE))
-
-
-def solved_bundle() -> WageBundle:
-    """The same bundle at full precision.
-
-    Reconstructed by pinning the pivot coordinate and solving the
-    equal-split tail on the value plane, so the new bundle's labor value
-    matches the old one to machine precision (the printed figures are
-    rounded to 6 decimals and only match to about 5e-7).
-    """
-    tech, bundle = economy()
-    analysis = analyze_change(tech, bundle, uniform_profit_rate(tech, bundle), change())
-    return sample_constant_exploitation(
-        analysis.region, strategy=EqualOffPivot(pivot=_PIVOT, value=_PIVOT_QUANTITY)
-    )
 
 
 @dataclass(frozen=True)

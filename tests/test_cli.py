@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import okishio_lab
-from okishio_lab import linear_economy, load_tech_change
+from okishio_lab import Verdict, linear_economy, load_tech_change, verify
 from okishio_lab.cli import main
 
 
@@ -53,15 +53,29 @@ def wage_file(tmp_path):
 
 
 # Input files of the wrong shape, each as (command, the option naming the
-# file, what the file holds, what the error must name).
+# file, what the file holds, what the error must name). np.array(...,
+# dtype=float) and float() read "0.2" as 0.2, true as 1.0 and null as NaN,
+# so strings, booleans and null among numbers are refused one by one.
+A_WITH_TRUE = [[0.35, 0.05, 0.25], [0.15, True, 0.05], [0.15, 0.15, 0.35]]
 MALFORMED = {
     "change labor null": ("check-tc", "--tc", dict(REF_CHANGE, labor=None), "'labor'"),
     "change column object": ("check-tc", "--tc", dict(REF_CHANGE, column={"a": 1}), "'column'"),
     "change file a number": ("check-tc", "--tc", 5, "JSON object"),
+    "change labor string": ("check-tc", "--tc", dict(REF_CHANGE, labor="0.18"), "'labor'"),
+    "change column string": ("check-tc", "--tc", dict(REF_CHANGE, column=[0.27, "0.07", 0.37]),
+                             "'column'"),
+    "change column true": ("check-tc", "--tc", dict(REF_CHANGE, column=[0.27, True, 0.37]),
+                           "'column'"),
     "economy A object": ("analyze", "--economy", dict(REF_ECONOMY, A={"x": 1}), "'A'"),
+    "economy A true": ("analyze", "--economy", dict(REF_ECONOMY, A=A_WITH_TRUE), "'A'"),
+    "economy L strings and true": ("analyze", "--economy",
+                                   dict(REF_ECONOMY, L=["0.2", 0.15, True]), "'L'"),
+    "economy L true": ("analyze", "--economy", dict(REF_ECONOMY, L=[0.2, True, 0.25]), "'L'"),
+    "economy b null": ("analyze", "--economy", dict(REF_ECONOMY, b=[0.3, None, 0.3]), "'b'"),
     "economy file a number": ("analyze", "--economy", 5, "JSON object"),
     "wage file null": ("verify", "--wage", None, "JSON object"),
     "wage b object": ("verify", "--wage", {"b": {"x": 1}}, "'b'"),
+    "wage b string": ("verify", "--wage", {"b": ["0.0086", 1.17, 0.0086]}, "'b'"),
 }
 FILE_OPTIONS = {
     "analyze": ("--economy",),
@@ -368,6 +382,13 @@ class TestSynthWage:
             atol=1e-9,
         )
 
+    def test_change_that_is_not_viable_has_no_bundle(self, economy_file, tmp_path, capsys):
+        # A dearer column with more labor raises the unit cost at old prices.
+        path = tmp_path / "dearer.json"
+        path.write_text(json.dumps({"sector": 3, "column": [0.26, 0.06, 0.36], "labor": 0.25}))
+        assert main(["synth-wage", "--economy", economy_file, "--tc", str(path)]) == 2
+        assert "only defined for a viable change" in capsys.readouterr().err
+
     @pytest.mark.parametrize("strategy", ["pivot-uniform", "rising"])
     def test_pivot_flags_need_equal_off_pivot(
         self, strategy, economy_file, tc_file, capsys
@@ -637,6 +658,36 @@ class TestSweep:
         assert payload["count"] == 5
         assert payload["violations"] == 0
         assert payload["verdicts"]["ProfitFellExploitationConstant"] == 5
+
+    def test_violations_are_counted_and_exit_3(self, monkeypatch, capsys):
+        # Each economy verifies a constant, the old and a rising bundle, in
+        # that order, and with one sector count all six form one group.
+        # Every second economy gets OkishioRise and Inconclusive for its
+        # sampled bundles, and the okishio test reads its brackets the wrong
+        # way round, so every control's profit rate "falls".
+        original_fell = verify._profit_fell
+        healthy = [verify._VERDICTS.index(verdict) for verdict in (
+            Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT, Verdict.OKISHIO_RISE,
+            Verdict.PROFIT_FELL_EXPLOITATION_ROSE)]
+        violating = [verify._VERDICTS.index(Verdict.OKISHIO_RISE),
+                     verify._VERDICTS.index(Verdict.INCONCLUSIVE)]
+
+        def violating_codes(pre_bounds, post_bounds, pre_exploitation, post_exploitation):
+            codes = np.tile(healthy, len(post_bounds) // 3)
+            codes.reshape(-1, 3)[::2, [0, 2]] = violating
+            return codes
+
+        monkeypatch.setattr(verify, "_verdict_codes", violating_codes)
+        monkeypatch.setattr(verify, "_profit_fell", lambda pre, post: original_fell(post, pre))
+        argv = ["sweep", "--count", "6", "--n-min", "2", "--n-max", "2", "--format", "json"]
+        assert main(argv) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdicts"] == {"ProfitFellExploitationConstant": 3,
+                                       "ProfitFellExploitationRose": 0, "OkishioRise": 3,
+                                       "Inconclusive": 0}
+        assert payload["okishio_violations"] == 6
+        assert payload["rising_violations"] == 3
+        assert payload["violations"] == 3 + 6 + 3
 
     def test_text_summary(self, capsys):
         assert main(["sweep", "--count", "3"]) == 0

@@ -574,6 +574,16 @@ class TestStackedSolve:
         with pytest.raises(NoConvergence, match="not positive"):
             _left_perron(np.stack([good, np.zeros((3, 3)), good]))
 
+    def test_zero_second_row_raises_its_own_error(self):
+        # The masked loop refuses the stack at its start bracket, so the
+        # rows run one at a time and the zero matrix raises as it does alone.
+        good = np.array([[0.2, 0.3], [0.4, 0.1]])
+        with pytest.raises(NoConvergence) as alone:
+            _left_perron(np.zeros((1, 2, 2)))
+        with pytest.raises(NoConvergence, match="not positive") as stacked:
+            _left_perron(np.stack([good, np.zeros((2, 2))]))
+        assert str(stacked.value) == str(alone.value)
+
     def test_first_failing_row_raises_its_own_error(self):
         # Row 0 fails on its second step, row 1 at the start bracket: the
         # error is row 0's, worded as its solve alone words it.

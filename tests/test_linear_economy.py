@@ -58,6 +58,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="square"):
             Technology(np.array([[0.1, 0.2, 0.3], [0.1, 0.1, 0.1]]), np.array([1.0, 1.0]))
 
+    def test_flat_input_matrix_rejected(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            Technology(np.ones(3), np.ones(3))
+
     def test_no_sectors_rejected(self):
         with pytest.raises(ValueError, match="at least one sector"):
             Technology(np.zeros((0, 0)), np.zeros(0))

@@ -151,6 +151,14 @@ class TestRegionGeometry:
                 _FakeNotViable(),
             )
 
+    @pytest.mark.parametrize(
+        "new_values, bundle_value, message",
+        [([0.5, 0.0, 0.5], 0.6, "strictly positive"), ([0.5, 0.5, 0.5], 0.0, "must be positive")],
+    )
+    def test_bad_offsets_rejected(self, new_values, bundle_value, message):
+        with pytest.raises(ValueError, match=message):
+            build_region(_fake_eq(np.ones(3)), np.array(new_values), bundle_value, _FakeViable(0.5))
+
 
 class TestConstantExploitationSampler:
     def test_reproduces_published_bundle(self, ref_region):
@@ -225,6 +233,38 @@ class TestConstantExploitationSampler:
         bad = EqualOffPivot(pivot=1, value=2.0)
         with pytest.raises(SamplingExhausted):
             sample_constant_exploitation(ref_region, seed=1, strategy=bad)
+
+    def test_weight_only_on_the_pivot_puts_the_whole_value_there(self, ref_region):
+        # Pivot sector 3 (largest intercept gap) is the only sector with
+        # weight, so nothing is left to spread: the bundle is the value
+        # plane's point on the pivot axis.
+        bundle = sample_constant_exploitation(
+            ref_region, seed=4, strategy=PivotUniform(weights=(0, 0, 1))
+        )
+        expected = ref_region.value_offset / ref_region.new_values[2]
+        assert bundle.quantities.tolist() == [0.0, 0.0, expected]
+        assert oracle_region_membership(bundle, ref_region).overall
+
+    def test_equal_off_pivot_with_negligible_other_values(self):
+        # The pivot's value is 1 and the others 1e-20: the rest of the
+        # bundle value goes to the other goods in huge equal quantities.
+        region = build_region(
+            _fake_eq(np.ones(3)), np.array([1.0, 1e-20, 1e-20]), 0.6, _FakeViable(0.5)
+        )
+        bundle = sample_constant_exploitation(region, seed=2, strategy=EqualOffPivot(pivot=0))
+        q = bundle.quantities
+        assert 0.5 < q[0] < 0.6 and q[1] == q[2] > 0.0
+        assert oracle_region_membership(bundle, region).overall
+
+    @pytest.mark.parametrize("pivot", [-1, 3])
+    def test_pivot_out_of_range_rejected(self, ref_region, pivot):
+        with pytest.raises(InvalidSector, match=f"pivot {pivot} outside range 0..2"):
+            sample_constant_exploitation(ref_region, seed=1, strategy=EqualOffPivot(pivot=pivot))
+
+    @pytest.mark.parametrize("weights", [(1.0, -1.0, 1.0), (1.0, 1.0)])
+    def test_bad_weights_rejected(self, ref_region, weights):
+        with pytest.raises(ValueError, match="nonnegative, one per sector"):
+            sample_constant_exploitation(ref_region, seed=1, strategy=PivotUniform(weights))
 
     def test_unknown_strategy_rejected(self, ref_region):
         with pytest.raises(TypeError):

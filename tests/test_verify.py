@@ -36,8 +36,8 @@ from okishio_lab import (
     uniform_profit_rate,
     value_of_bundle,
 )
-from okishio_lab.linear_economy import _by_size, _connected_rows
-from okishio_lab.verify import _connect_cycle, suite_csv_row
+from okishio_lab.linear_economy import _by_size
+from okishio_lab.verify import suite_csv_row
 
 
 SOLVED_BUNDLE = np.array([0.008613446793178136, 1.170977, 0.008613446793178136])
@@ -196,6 +196,16 @@ class TestSpectralRadiusOracle:
     def test_zero_matrix(self):
         assert oracle_spectral_radius(np.zeros((3, 3))) == 0.0
 
+    def test_nilpotent(self):
+        # The square is zero, so every scale decays: the bracket shrinks to 0.
+        assert oracle_spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(
+            0.0, abs=1e-9
+        )
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            oracle_spectral_radius(np.ones((2, 3)))
+
     def test_agrees_with_power_iteration_on_random_matrices(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -333,13 +343,6 @@ class TestRandomEconomy:
             random_economy(np.random.default_rng(6), 3)
         assert len(certified) == verify.DRAW_ATTEMPTS
 
-    def test_cycle_patch_connects_decomposable_draws(self):
-        block = np.zeros((4, 4))
-        block[0, 1] = block[1, 0] = 0.2  # two isolated 2-blocks
-        block[2, 3] = block[3, 2] = 0.2
-        patched = _connect_cycle(block, np.random.default_rng(3))
-        assert _connected_rows(np.array([block, patched])).tolist() == [False, True]
-
 
 def _picky_admissibility(prices, values, bundle_value):
     """``admissibility`` that also rejects about a third of all bundles.
@@ -362,11 +365,7 @@ def _reference_draw(rng, n, admissible=admissibility):
     """
     for attempt in range(1, verify.DRAW_ATTEMPTS + 1):
         inputs = rng.uniform(0.0, 0.3, (n, n))
-        if not _connected_rows(inputs[None])[0]:
-            inputs = _connect_cycle(inputs, rng)
         radius = float(np.max(np.abs(np.linalg.eigvals(inputs))))
-        if radius <= 0:
-            continue
         inputs *= rng.uniform(0.3, 0.8) / radius
         tech = Technology(inputs, rng.uniform(0.05, 0.5, n))
         direction = rng.uniform(0.1, 1.0, n)
