@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -70,10 +70,14 @@ def _owned(values) -> np.ndarray:
     return arr
 
 
-def _as_readonly(values, *, ndim: int) -> np.ndarray:
-    arr = _owned(values)
+def _require_ndim(arr: np.ndarray, ndim: int) -> None:
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+
+
+def _as_readonly(values, *, ndim: int) -> np.ndarray:
+    arr = _owned(values)
+    _require_ndim(arr, ndim)
     if not np.isfinite(arr).all():
         raise ValueError("array entries must be finite")
     return arr
@@ -643,12 +647,13 @@ def _as_float(entry) -> float:
     return float(entry)
 
 
-def _as_floats(entry) -> np.ndarray:
-    """A JSON number or regular nested list of numbers, as a float array.
+def _as_floats(entry, ndim: int = 1) -> np.ndarray:
+    """A JSON list of numbers, nested ``ndim`` deep, as a float array.
     ``np.array`` also reads strings, booleans and null: they raise TypeError."""
     arr = np.array(entry, dtype=float)
-    flat = entry if arr.ndim else [entry]
-    for _ in range(arr.ndim - 1):
+    _require_ndim(arr, ndim)
+    flat = entry
+    for _ in range(ndim - 1):
         flat = chain.from_iterable(flat)
     if not set(map(type, flat)) <= {int, float}:
         raise TypeError("expected numbers, found a string, boolean or null")
@@ -688,7 +693,7 @@ def load_economy(path) -> tuple[Technology, WageBundle]:
     "L" the direct labor vector, "b" the wage bundle.
     """
     tech, bundle = _read_fields(
-        path, "economy", dict.fromkeys(("A", "L", "b"), _as_floats),
+        path, "economy", {"A": partial(_as_floats, ndim=2), "L": _as_floats, "b": _as_floats},
         lambda inputs, labor, quantities: (Technology(inputs, labor), WageBundle(quantities)),
     )
     _require_size(bundle, tech.n)

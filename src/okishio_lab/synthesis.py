@@ -211,9 +211,10 @@ class PivotUniform:
     """Default sampling strategy: uniform along the pivot axis.
 
     Draws the pivot coordinate uniformly between the two intercepts of
-    the best sector (largest intercept gap), then puts the remaining
-    bundle value on the other goods in quantities proportional to
-    ``weights`` (equal quantities when omitted), not in equal value.
+    the best sector (largest ratio of value to price intercept), then
+    puts the remaining bundle value on the other goods in quantities
+    proportional to ``weights`` (equal quantities when omitted), not in
+    equal value.
     """
 
     weights: tuple | None = None
@@ -223,8 +224,10 @@ class PivotUniform:
 class EqualOffPivot:
     """Sampling strategy giving each off-pivot good the same quantity, not value.
 
-    ``pivot`` fixes the heavy sector (default: best intercept gap), and
-    ``value`` fixes the pivot coordinate instead of drawing it. With both
+    ``pivot`` fixes the heavy sector (default: the largest ratio of value
+    to price intercept), and ``value`` fixes the pivot coordinate instead
+    of drawing it. A pinned pivot whose value intercept is not above its
+    price intercept, with no value given, raises Infeasible. With both
     given the proposal is fully deterministic.
     """
 
@@ -233,22 +236,27 @@ class EqualOffPivot:
 
 
 def _pivot_plan(regions: _Regions, strategy) -> list:
-    """What each row's proposals keep: the pivot, its coordinate's bounds
-    (both the value, when fixed), its new value, and the weights spreading
-    the rest of the value over the other goods with their value; ``bare``
-    marks rows with no weight left (None when there are none)."""
+    """What each row's proposals keep: the pivot, its coordinate's bounds,
+    equal where it is not drawn, its new value, the weights spreading the
+    rest of the value over the other goods with their value, and ``bare``:
+    rows with no weight left, whose whole value, fixed or not, is the pivot's."""
     values, (k, n) = regions.new_values, regions.prices.shape
     if not isinstance(strategy, (PivotUniform, EqualOffPivot)):
         raise TypeError(f"unknown sampling strategy {strategy!r}")
     x, y = regions.price_plane_intercepts, regions.value_plane_intercepts
     at = np.arange(k), (y / x).argmax(axis=1)
-    if getattr(strategy, "pivot", None) is not None:
-        if not 0 <= strategy.pivot < n:
-            raise InvalidSector(f"pivot {strategy.pivot} outside range 0..{n - 1}")
-        at[1][:] = strategy.pivot
-    fixed = getattr(strategy, "value", None)
-    bounds = (x[at], y[at]) if fixed is None else (np.full(k, float(fixed)),) * 2
-    weights, bare = np.ones((k, n)), None
+    fixed, pivot = getattr(strategy, "value", None), getattr(strategy, "pivot", None)
+    if pivot is not None:
+        if not 0 <= pivot < n:
+            raise InvalidSector(f"pivot {pivot} outside range 0..{n - 1}")
+        at[1][:] = pivot
+        # No coordinate between the intercepts to draw: refused, not retried.
+        short = ~regions.feasible_sectors[:, pivot]
+        if fixed is None and short.any():
+            y0, x0 = y[short, pivot][0], x[short, pivot][0]
+            raise Infeasible(f"pivot {pivot} (0-based) cannot carry a bundle: its value intercept "
+                             f"{y0:.6g} is not above its price intercept {x0:.6g}")
+    weights = np.ones((k, n))
     if getattr(strategy, "weights", None) is not None:
         given = np.array(strategy.weights, dtype=float)
         if given.shape != (n,) or (given < 0).any():
@@ -257,10 +265,11 @@ def _pivot_plan(regions: _Regions, strategy) -> list:
     weights[at] = 0.0
     off_value = _dots(values, weights)
     # With nothing to spread the rest over, it all goes on the pivot.
-    if (off_value <= 0).any():
-        bare = off_value <= 0
-        off_value[bare], weights[bare] = 1.0, 0.0
-    return [at[1], *bounds, values[at], weights, off_value, bare]
+    bare = off_value <= 0
+    off_value[bare], weights[bare] = 1.0, 0.0
+    lows = x[at] if fixed is None else np.where(bare, x[at], float(fixed))
+    highs = np.where(bare, lows, y[at]) if fixed is None else lows
+    return [at[1], lows, highs, values[at], weights, off_value, bare]
 
 
 def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
@@ -272,35 +281,24 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     """
     if not regions.feasible.all():
         raise Infeasible("wage region does not meet the nonnegative orthant")
-    (k, n), strategy = regions.prices.shape, PivotUniform() if strategy is None else strategy
-    # With one sector the plane is a single point; feasibility already
-    # placed it above the price plane.
-    point = regions.value_offset[:, None] / regions.new_values if n == 1 else None
-    if n == 1 and not shrink:
-        return point
-    plan = None if n == 1 else _pivot_plan(regions, strategy)
-    rngs, rows, sampled = [np.random.default_rng(seed) for seed in seeds], np.arange(k), None
-    fixed = getattr(strategy, "value", None) is not None
+    plan = _pivot_plan(regions, PivotUniform() if strategy is None else strategy)
+    rngs, rows = [np.random.default_rng(seed) for seed in seeds], np.arange(len(regions.prices))
+    sampled = np.empty(regions.prices.shape)
     for _ in range(PROPOSAL_BUDGET):
-        if n == 1:
-            base, posed = point[rows], True
-        else:
-            # A candidate on the value plane: the pivot coordinate, drawn
-            # unless fixed, and the rest of the value spread by weight.
-            pivots, lows, highs, pivot_values, weights, off_value, bare = plan
-            coords = lows.copy() if fixed else np.array(
-                [rng.uniform(lo, hi) for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
-            rest = regions.value_offset - pivot_values * coords
-            base = weights * (rest / off_value)[:, None]
-            if bare is not None:
-                coords[bare] = (regions.value_offset / pivot_values)[bare]
-            base[np.arange(len(coords)), pivots] = coords
-            # Neither the rest nor an entry may be negative. The other
-            # entries are nonnegative multiples of the rest, which leaves
-            # the pivot's; NaN fails here as it fails the on-plane test.
-            posed = (np.fmin(rest, coords) >= 0) & (
-                np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
-        # With one sector this holds whenever the shrink below can succeed.
+        # A candidate on the value plane: the pivot coordinate, drawn where
+        # its bounds differ, and the rest spread by weight (none if bare).
+        pivots, lows, highs, pivot_values, weights, off_value, bare = plan
+        coords = np.array([rng.uniform(lo, hi) if lo < hi else lo
+                           for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
+        rest = regions.value_offset - pivot_values * coords
+        base = weights * (rest / off_value)[:, None]
+        np.copyto(coords, regions.value_offset / pivot_values, where=bare)
+        base[np.arange(len(coords)), pivots] = coords
+        # Neither the rest nor an entry may be negative. The other entries
+        # are nonnegative multiples of the rest, which leaves the pivot's;
+        # NaN fails here as it fails the on-plane test.
+        posed = (np.fmin(rest, coords) >= 0) & (
+            np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
         cost, floor = _dots(regions.prices, base), regions.price_offset + STRICT_MARGIN
         accepted = posed & (cost > floor)
         if shrink:
@@ -314,17 +312,13 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
                 base = (lo + np.array(draws) * (hi - lo))[:, None] * base
             accepted &= (_dots(regions.prices, base) > floor) & (
                 _dots(regions.new_values, base) < regions.value_offset - STRICT_MARGIN)
-        if sampled is None:
-            sampled = base
-        else:
-            sampled[rows] = base
+        sampled[rows] = base
         if accepted.all():
             return sampled
         kept = ~accepted
         rows, rngs = rows[kept], [rng for rng, keep in zip(rngs, kept.tolist()) if keep]
         regions = _Regions(*(field[kept] for field in regions))
-        if plan is not None:
-            plan = [part if part is None else part[kept] for part in plan]
+        plan = [part[kept] for part in plan]
     raise SamplingExhausted(
         f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else
         f"no admissible bundle in {PROPOSAL_BUDGET} proposals; check the strategy's pivot and "

@@ -66,16 +66,21 @@ MALFORMED = {
                              "'column'"),
     "change column true": ("check-tc", "--tc", dict(REF_CHANGE, column=[0.27, True, 0.37]),
                            "'column'"),
+    "change column nested": ("check-tc", "--tc", dict(REF_CHANGE, column=[[0.27, 0.07, 0.37]]),
+                             "'column'"),
     "economy A object": ("analyze", "--economy", dict(REF_ECONOMY, A={"x": 1}), "'A'"),
     "economy A true": ("analyze", "--economy", dict(REF_ECONOMY, A=A_WITH_TRUE), "'A'"),
+    "economy A flat": ("analyze", "--economy", dict(REF_ECONOMY, A=[0.1, 0.2, 0.3]), "'A'"),
     "economy L strings and true": ("analyze", "--economy",
                                    dict(REF_ECONOMY, L=["0.2", 0.15, True]), "'L'"),
     "economy L true": ("analyze", "--economy", dict(REF_ECONOMY, L=[0.2, True, 0.25]), "'L'"),
+    "economy L nested": ("analyze", "--economy", dict(REF_ECONOMY, L=[[0.2, 0.15, 0.25]]), "'L'"),
     "economy b null": ("analyze", "--economy", dict(REF_ECONOMY, b=[0.3, None, 0.3]), "'b'"),
     "economy file a number": ("analyze", "--economy", 5, "JSON object"),
     "wage file null": ("verify", "--wage", None, "JSON object"),
     "wage b object": ("verify", "--wage", {"b": {"x": 1}}, "'b'"),
     "wage b string": ("verify", "--wage", {"b": ["0.0086", 1.17, 0.0086]}, "'b'"),
+    "wage b nested": ("verify", "--wage", {"b": [[0.0086, 1.17, 0.0086]]}, "'b'"),
 }
 FILE_OPTIONS = {
     "analyze": ("--economy",),
@@ -388,6 +393,17 @@ class TestSynthWage:
         path.write_text(json.dumps({"sector": 3, "column": [0.26, 0.06, 0.36], "labor": 0.25}))
         assert main(["synth-wage", "--economy", economy_file, "--tc", str(path)]) == 2
         assert "only defined for a viable change" in capsys.readouterr().err
+
+    def test_pinned_pivot_that_cannot_carry_a_bundle(self, economy_file, tc_file, capsys):
+        # Sector 1's value intercept lies below its price intercept, so no
+        # drawn coordinate works there; a pinned value still gives a bundle.
+        base = ["synth-wage", "--economy", economy_file, "--tc", tc_file,
+                "--strategy", "equal-off-pivot", "--pivot", "1"]
+        assert main(base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pivot 0 (0-based) cannot carry a bundle: its value intercept")
+        assert main(base + ["--pivot-value", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith("bundle: 0.5 ")
 
     @pytest.mark.parametrize("strategy", ["pivot-uniform", "rising"])
     def test_pivot_flags_need_equal_off_pivot(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from okishio_lab import synthesis
 from okishio_lab import (
     EqualOffPivot,
     Infeasible,
@@ -206,8 +207,8 @@ class TestConstantExploitationSampler:
             ref_region, seed=4, strategy=PivotUniform(weights=(1.0, 1.0, 3.0))
         )
         assert oracle_region_membership(bundle, ref_region).overall
-        # Pivot is sector 3 (largest intercept gap); off-pivot goods 1 and
-        # 2 get value proportional to the weights.
+        # Pivot is sector 3 (largest ratio of value to price intercept);
+        # off-pivot goods 1 and 2 get value proportional to the weights.
         q = bundle.quantities
         assert q[1] == pytest.approx(q[0], rel=1e-9)
 
@@ -235,15 +236,32 @@ class TestConstantExploitationSampler:
             sample_constant_exploitation(ref_region, seed=1, strategy=bad)
 
     def test_weight_only_on_the_pivot_puts_the_whole_value_there(self, ref_region):
-        # Pivot sector 3 (largest intercept gap) is the only sector with
-        # weight, so nothing is left to spread: the bundle is the value
-        # plane's point on the pivot axis.
+        # Pivot sector 3 (largest ratio of value to price intercept) is the
+        # only sector with weight, so nothing is left to spread: the bundle
+        # is the value plane's point on the pivot axis.
         bundle = sample_constant_exploitation(
             ref_region, seed=4, strategy=PivotUniform(weights=(0, 0, 1))
         )
         expected = ref_region.value_offset / ref_region.new_values[2]
         assert bundle.quantities.tolist() == [0.0, 0.0, expected]
         assert oracle_region_membership(bundle, ref_region).overall
+
+    def test_stacked_bare_and_drawn_rows_are_their_one_row_calls(self, ref_region):
+        # Weight only on good 2: the reference region pivots on sector 3 and
+        # draws, the other on sector 2 and is bare, its value all on good 2.
+        other = build_region(
+            _fake_eq(np.ones(3)), np.array([1.0, 0.5, 1.0]), 0.6, _FakeViable(0.5)
+        )
+        regions, seeds = [ref_region, other, other, ref_region], [3, 4, 5, 6]
+        stack = synthesis._Regions(
+            *map(np.concatenate, zip(*map(synthesis._one_region, regions))))
+        strategy = PivotUniform(weights=(0, 1, 0))
+        rows = synthesis._sample_rows(stack, seeds, strategy)
+        for row, region, seed in zip(rows, regions, seeds):
+            alone = sample_constant_exploitation(region, seed, strategy)
+            assert np.array_equal(row, alone.quantities)
+        assert rows[1].tolist() == rows[2].tolist() == [0.0, 1.2, 0.0]
+        assert rows[0][0] == rows[3][0] == 0.0 and rows[0][2] != rows[3][2]
 
     def test_equal_off_pivot_with_negligible_other_values(self):
         # The pivot's value is 1 and the others 1e-20: the rest of the
@@ -255,6 +273,19 @@ class TestConstantExploitationSampler:
         q = bundle.quantities
         assert 0.5 < q[0] < 0.6 and q[1] == q[2] > 0.0
         assert oracle_region_membership(bundle, region).overall
+
+    def test_pinned_pivot_that_cannot_carry_a_bundle(self, ref_region):
+        # Sector 1's value intercept is below its price intercept: no drawn
+        # coordinate lies between them, so the pin is refused, not retried.
+        assert not ref_region.feasible_sectors[0]
+        with pytest.raises(Infeasible, match=r"pivot 0 \(0-based\) cannot carry a bundle: "
+                           r"its value intercept 1\.03682 is not above its price intercept "
+                           r"1\.05556"):
+            sample_constant_exploitation(ref_region, seed=1, strategy=EqualOffPivot(pivot=0))
+        # A pinned value is not drawn, so it is tried as given.
+        pinned = EqualOffPivot(pivot=0, value=0.5)
+        bundle = sample_constant_exploitation(ref_region, seed=1, strategy=pinned)
+        assert bundle.quantities[0] == 0.5
 
     @pytest.mark.parametrize("pivot", [-1, 3])
     def test_pivot_out_of_range_rejected(self, ref_region, pivot):
@@ -310,6 +341,15 @@ class TestRisingExploitationSampler:
         first = sample_rising_exploitation(ref_region, seed=31)
         second = sample_rising_exploitation(ref_region, seed=31)
         np.testing.assert_array_equal(first.quantities, second.quantities)
+
+    def test_one_sector_draws_only_the_shrink(self, one_sector_region):
+        # The one sector's row is bare: its on-plane point is not drawn, so
+        # each generator's first draw is the shrink factor.
+        for seed, expected in enumerate(
+            [0.3060171729876255, 0.30378252901230285, 0.29931450239721913]
+        ):
+            bundle = sample_rising_exploitation(one_sector_region, seed=seed)
+            assert bundle.quantities.tolist() == [expected]
 
     def test_one_sector(self, one_sector_region):
         bundle = sample_rising_exploitation(one_sector_region, seed=2)
