@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .errors import EconomyError
+from .errors import EconomyError, Infeasible
 from .equilibrium import admissibility, max_profit_rate, uniform_profit_rate
 from .linear_economy import (
     load_economy,
@@ -52,10 +52,9 @@ from .technical_change import (
 from .verify import (  # noqa: F401
     SCENARIO_FLAG_NAMES,
     SUITE_CSV_COLUMNS,
-    iter_suite,
+    iter_suite_rows,
     run_scenario,
     run_suite,
-    suite_csv_row,
     suite_summary,
 )
 from .worked_example import replay
@@ -226,8 +225,17 @@ def cmd_synth_wage(args) -> int:
         sampled = sample_rising_exploitation(region, args.seed)
     elif args.strategy == "equal-off-pivot":
         pivot = None if args.pivot is None else args.pivot - 1
+        if pivot is not None and not 0 <= pivot < tech.n:
+            raise ValueError(f"--pivot must be in 1..{tech.n}, got {args.pivot}")
         strategy = EqualOffPivot(pivot=pivot, value=args.pivot_value)
-        sampled = sample_constant_exploitation(region, args.seed, strategy)
+        try:
+            sampled = sample_constant_exploitation(region, args.seed, strategy)
+        except Infeasible as err:
+            # The library numbers the pivot from 0; name it as --pivot does.
+            zero_based = f"pivot {pivot} (0-based)"
+            if pivot is None or not str(err).startswith(zero_based):
+                raise
+            raise Infeasible(f"sector {args.pivot}{str(err)[len(zero_based):]}") from None
     else:
         weights = tuple(float(x) for x in bundle.quantities)
         sampled = sample_constant_exploitation(
@@ -333,11 +341,11 @@ def cmd_reproduce_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    records = iter_suite(seed=args.seed, count=args.count, n_range=(args.n_min, args.n_max))
+    rows = iter_suite_rows(seed=args.seed, count=args.count, n_range=(args.n_min, args.n_max))
     if args.format == "csv":
-        records = _echoed_as_csv(records)
+        rows = _echoed_as_csv(rows)
     try:
-        summary = suite_summary(records)
+        summary = suite_summary(rows)
     except BrokenPipeError:
         # The reader closed the pipe early (``sweep ... | head``) and has the
         # rows it read; what is still buffered goes nowhere at exit.
@@ -355,13 +363,13 @@ def cmd_sweep(args) -> int:
     return 3 if summary["violations"] > 0 else 0
 
 
-def _echoed_as_csv(records):
-    """Pass records on, writing each one's CSV row to stdout as it comes."""
+def _echoed_as_csv(rows):
+    """Pass sweep rows on, writing each to stdout as it comes."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(SUITE_CSV_COLUMNS)
-    for record in records:
-        writer.writerow(suite_csv_row(record))
-        yield record
+    for row in rows:
+        writer.writerow(row)
+        yield row
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,7 @@ STRICT_MARGIN = 1e-12
 class Equilibrium:
     """Prices of production with their supporting eigendata.
 
-    ``residual`` is the infinity norm of ``p - (1 + pi) p M`` divided by
+    ``residual`` is the infinity norm of ``p - p M / rho`` divided by
     that of ``p``, where M is the wage-augmented input matrix; it bounds
     how far the reported prices are from an exact fixed point in any
     units. ``rho_bounds`` is the final Collatz–Wielandt bracket on the
@@ -134,7 +134,9 @@ def _price_rows(augmented: np.ndarray, quantities: np.ndarray) -> _Prices:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         prices = raw / cost[:, None]
         profit = 1.0 / rho - 1.0
-        image = (1.0 + profit)[:, None] * (prices[:, None, :] @ augmented)[:, 0, :]
+        # pM/rho, not (1 + profit) pM: when rho >> 1, 1 + (1/rho - 1) would
+        # lose about log10(rho) digits and the residual with them.
+        image = (prices[:, None, :] @ augmented)[:, 0, :] / rho[:, None]
         residual = np.abs(prices - image).max(axis=1) / prices.max(axis=1)
     return _Prices(prices, profit, rho, residual, steps, bounds, cost)
 

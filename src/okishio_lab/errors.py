@@ -46,7 +46,8 @@ class Infeasible(EconomyError):
 
 
 class SamplingExhausted(EconomyError):
-    """Rejection sampler gave up after its proposal budget."""
+    """Rejection sampler gave up: its proposal budget ran out, or a pinned
+    proposal, which every round would repeat, failed."""
 
 
 class OracleLimit(EconomyError):

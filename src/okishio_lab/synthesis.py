@@ -278,6 +278,8 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     Each round proposes for the rows still open, each from its own
     generator in its own order, so a row is what the sampler alone gives
     it. ``shrink`` scales on-plane samples inside, for rising exploitation.
+    A pinned row, whose coordinate is not drawn (a fixed value or a bare
+    row), proposes the same every round, so its first failure raises.
     """
     if not regions.feasible.all():
         raise Infeasible("wage region does not meet the nonnegative orthant")
@@ -290,28 +292,35 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
         pivots, lows, highs, pivot_values, weights, off_value, bare = plan
         coords = np.array([rng.uniform(lo, hi) if lo < hi else lo
                            for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
-        rest = regions.value_offset - pivot_values * coords
-        base = weights * (rest / off_value)[:, None]
-        np.copyto(coords, regions.value_offset / pivot_values, where=bare)
-        base[np.arange(len(coords)), pivots] = coords
-        # Neither the rest nor an entry may be negative. The other entries
-        # are nonnegative multiples of the rest, which leaves the pivot's;
-        # NaN fails here as it fails the on-plane test.
-        posed = (np.fmin(rest, coords) >= 0) & (
-            np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
-        cost, floor = _dots(regions.prices, base), regions.price_offset + STRICT_MARGIN
-        accepted = posed & (cost > floor)
-        if shrink:
-            hi = 1.0 - STRICT_MARGIN / regions.value_offset
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A pinned value may be infinite or NaN; it fails the checks below,
+        # and its arithmetic on the way warns of nothing.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rest = regions.value_offset - pivot_values * coords
+            base = weights * (rest / off_value)[:, None]
+            np.copyto(coords, regions.value_offset / pivot_values, where=bare)
+            base[np.arange(len(coords)), pivots] = coords
+            # Neither the rest nor an entry may be negative. The other entries
+            # are nonnegative multiples of the rest, which leaves the pivot's;
+            # NaN fails here as it fails the on-plane test.
+            posed = (np.fmin(rest, coords) >= 0) & (
+                np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
+            cost, floor = _dots(regions.prices, base), regions.price_offset + STRICT_MARGIN
+            accepted = posed & (cost > floor)
+            if shrink:
+                hi = 1.0 - STRICT_MARGIN / regions.value_offset
                 lo = floor / cost
                 accepted &= lo < hi
+            pinned = ~accepted & ~(lows < highs)
+            if pinned.any():
+                raise SamplingExhausted(_pinned_failure(
+                    pinned.argmax(), coords, rest, posed, cost, regions, pivot_values))
+            if shrink:
                 # Away from both endpoints, so the strict margins are macroscopic.
                 draws = [rng.uniform(0.25, 0.75) if drawn else 0.0
                          for rng, drawn in zip(rngs, accepted.tolist())]
                 base = (lo + np.array(draws) * (hi - lo))[:, None] * base
-            accepted &= (_dots(regions.prices, base) > floor) & (
-                _dots(regions.new_values, base) < regions.value_offset - STRICT_MARGIN)
+                accepted &= (_dots(regions.prices, base) > floor) & (
+                    _dots(regions.new_values, base) < regions.value_offset - STRICT_MARGIN)
         sampled[rows] = base
         if accepted.all():
             return sampled
@@ -326,6 +335,23 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     )
 
 
+def _pinned_failure(row, coords, rest, posed, cost, regions, pivot_values) -> str:
+    """Why the pinned coordinate of ``row`` fails: the first inequality it breaks."""
+    coord, bundle_value = coords[row], regions.value_offset[row]
+    checks = (
+        (coord >= 0, "is not nonnegative"),
+        (rest[row] >= 0, f"carries value {pivot_values[row] * coord:.6g}, above the bundle "
+                         f"value {bundle_value:.6g}"),
+        (posed[row], f"leaves the bundle off the value plane at {bundle_value:.6g}"),
+        (cost[row] > regions.price_offset[row] + STRICT_MARGIN,
+         f"gives a bundle costing {cost[row]:.6g}, not above the break-even wage "
+         f"{regions.price_offset[row]:.6g}"),
+    )
+    why = next((text for holds, text in checks if not holds),
+               "leaves no room strictly below the bundle value")
+    return f"pinned pivot coordinate {coord:.6g} {why}; every proposal would repeat it"
+
+
 def sample_constant_exploitation(
     region: WageRegion,
     seed: int = 1000,
@@ -335,7 +361,8 @@ def sample_constant_exploitation(
 
     Deterministic for a given (region, seed, strategy). Raises Infeasible
     when the region misses the nonnegative orthant and SamplingExhausted
-    if the proposal budget runs out (pathological strategies only). The
+    if the proposal budget runs out (pathological strategies only), or at
+    once when a pinned coordinate fails, naming the inequality. The
     one-row call of ``_sample_rows``.
     """
     return WageBundle(_sample_rows(_one_region(region), [seed], strategy)[0])

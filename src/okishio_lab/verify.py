@@ -8,7 +8,9 @@ Collatz–Wielandt brackets on ``rho`` before and after the change are
 disjoint, so no verdict rests on a margin in the units of the rates.
 ``run_scenarios`` passes its one case to ``_verify_rows``, and the sweep
 passes each size group's arrays to it in one call; both build their
-reports from its arrays with ``_scenario_reports``.
+reports from its arrays with ``_scenario_reports``. ``iter_suite_rows``,
+which the CLI's sweep writes, reads its rows from those arrays and builds
+no report.
 
 The oracles here deliberately avoid the production code paths: the
 spectral-radius oracle brackets the dominant eigenvalue by testing
@@ -25,6 +27,7 @@ import enum
 import io
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -430,6 +433,11 @@ class SweepRecord:
     rising: ScenarioReport
 
     @property
+    def verdict(self) -> str:
+        """The constant-exploitation scenario's verdict, as its CSV column holds it."""
+        return self.scenario.verdict.value
+
+    @property
     def okishio_ok(self) -> bool:
         """Old bundle kept: the profit rate must not certainly fall."""
         return not _profit_fell(self.okishio.pre_rho_bounds, self.okishio.post_rho_bounds)
@@ -437,6 +445,26 @@ class SweepRecord:
     @property
     def rising_ok(self) -> bool:
         return self.rising.verdict is Verdict.PROFIT_FELL_EXPLOITATION_ROSE
+
+
+SUITE_CSV_COLUMNS = [
+    "index",
+    "seed",
+    "n",
+    *SCENARIO_FLAG_NAMES,
+    "profit_pre",
+    "profit_post",
+    "exploitation_pre",
+    "exploitation_post",
+    "verdict",
+    "okishio_profit_post",
+    "okishio_ok",
+    "rising_exploitation_post",
+    "rising_ok",
+]
+# One economy's sweep results, one field per CSV column: what suite_csv_row
+# makes of a SweepRecord and what iter_suite_rows yields with no record.
+SweepRow = namedtuple("SweepRow", SUITE_CSV_COLUMNS)
 
 
 def run_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)) -> list[SweepRecord]:
@@ -466,6 +494,19 @@ def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
     Each record is built only when the stream reaches it, and is the same
     whichever other economies share its block.
     """
+    return _iter_blocks(seed, count, n_range, _group_records)
+
+
+def iter_suite_rows(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
+    """``suite_csv_row`` of each record ``iter_suite`` yields, read straight
+    from each size group's arrays: the same blocks, checks and failures,
+    with no ``SweepRecord`` or object of its own built."""
+    return _iter_blocks(seed, count, n_range, _group_rows)
+
+
+def _iter_blocks(seed: int, count: int, n_range: tuple, edge):
+    """The sweep's arguments checked, then its blocks' items in index order,
+    each size group's made by ``edge`` (see ``_sweep_block``)."""
     lo, hi = int(n_range[0]), int(n_range[1])
     if not 2 <= lo <= hi:
         # One sector never has ratio headroom: price over value is one
@@ -478,18 +519,19 @@ def iter_suite(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8)):
         raise ValueError(f"count must be nonnegative, got {count}")
     block = suite_block(hi)
     return (
-        record
+        item
         for start in range(0, count, block)
-        for record in _sweep_block(seed, range(start, min(start + block, count)), (lo, hi))
+        for item in _sweep_block(seed, range(start, min(start + block, count)), (lo, hi), edge)
     )
 
 
-def _sweep_block(seed: int, indices: range, sizes: tuple):
-    """Records for the economies ``indices``, built as they are consumed.
+def _sweep_block(seed: int, indices: range, sizes: tuple, edge):
+    """What ``edge`` makes of the economies ``indices``, in index order.
 
     One ``_sweep_group`` per size, in the order sizes first appear, runs
-    before the first record: a block raises the error of the first failing
-    economy in the first group that has one.
+    before the first item: a block raises the error of the first failing
+    economy in the first group that has one. ``edge(group)`` returns the
+    function that gives the item of the group's row i.
     """
     rngs = [np.random.default_rng([seed, index]) for index in indices]
     groups = _by_size([int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs])
@@ -500,16 +542,21 @@ def _sweep_block(seed: int, indices: range, sizes: tuple):
     places: list = [None] * len(rngs)
     del rngs
     for n, rows in groups.items():
-        record = _sweep_group(seed, [indices[row] for row in rows],
-                              list(map(np.random.Generator, waiting.pop(n))), n)
+        item = edge(_sweep_group(seed, [indices[row] for row in rows],
+                                 list(map(np.random.Generator, waiting.pop(n))), n))
         for at, row in enumerate(rows):
-            places[row] = record, at
-    return (record(at) for record, at in places)
+            places[row] = item, at
+    return (item(at) for item, at in places)
 
 
-def _sweep_group(seed: int, indices: list, rngs: list, n: int):
-    """Economies of ``n`` sectors, drawn, synthesized and verified as arrays,
-    and the function that builds the SweepRecord of row i from them.
+# _sweep_group's economies as arrays: the draw, the synthesized changes,
+# their regions, the constant and rising samples, and the verifier's results.
+_SweepGroup = namedtuple("_SweepGroup",
+                         "seed indices n drawn synthesized regions constant rising verified")
+
+
+def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> _SweepGroup:
+    """Economies of ``n`` sectors, drawn, synthesized and verified as arrays.
 
     The producer holds the group as arrays, one array call each to draw,
     synthesize each change at its draw's equilibrium, analyze and sample.
@@ -518,8 +565,7 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int):
     every economy again from the raw inputs, before and after the change,
     under its constant, old and rising bundle. When that call fails, the
     economies run again one at a time, so the first failing one raises its
-    own error with its scenario. A record's objects are built only when
-    it is asked for.
+    own error with its scenario. No object is built on success.
     """
     drawn = _draw_group(rngs, n)
     sectors, epsilon_frac, labor_frac, constant_seeds, rising_seeds = map(np.array, zip(*[
@@ -539,69 +585,85 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int):
     # Each economy's constant, old and rising bundle, in that order.
     news = np.stack((constant, drawn.quantities, rising), axis=1).reshape(-1, n)
     _check_bundles(news)
-
-    def produced(row):
-        tech, bundle = _drawn_technology(drawn, row), WageBundle._checked(drawn.quantities[row])
-        sampled = (WageBundle._checked(stack[row]) for stack in (constant, rising))
-        return tech, bundle, _synthesized_change(synthesized, row), *sampled
-
+    group = _SweepGroup(seed, indices, n, drawn, synthesized, regions, constant, rising, None)
     try:
         verified = _verify_rows(*economies[:4], *changes, news,
                                 np.repeat(np.arange(len(indices)), 3))
     except EconomyError:
         for row in range(len(indices)):
-            tech, bundle, synth, constant_bundle, rising_bundle = produced(row)
+            tech, bundle, synth, constant_bundle, rising_bundle = _produced(group, row)
             run_scenarios(tech, bundle, synth.change, (constant_bundle, bundle, rising_bundle))
         raise
+    return group._replace(verified=verified)
+
+
+def _produced(group: _SweepGroup, row: int) -> tuple:
+    """Row ``row``'s technique, bundle, synthesized change and its constant
+    and rising bundles, as objects owning copies of their arrays."""
+    drawn = group.drawn
+    tech, bundle = _drawn_technology(drawn, row), WageBundle._checked(drawn.quantities[row])
+    sampled = (WageBundle._checked(stack[row]) for stack in (group.constant, group.rising))
+    return tech, bundle, _synthesized_change(group.synthesized, row), *sampled
+
+
+def _group_records(group: _SweepGroup):
+    """The function that builds the SweepRecord of the group's row i."""
 
     def record(row: int) -> SweepRecord:
-        tech, bundle, synth, constant_bundle, rising_bundle = produced(row)
-        reports = _scenario_reports(verified, row, range(3 * row, 3 * row + 3), tech.values)
-        return SweepRecord(indices[row], seed, n, tech, bundle, synth,
-                           _wage_region(regions, row), constant_bundle, rising_bundle, *reports)
+        tech, bundle, synth, constant_bundle, rising_bundle = _produced(group, row)
+        reports = _scenario_reports(group.verified, row, range(3 * row, 3 * row + 3), tech.values)
+        return SweepRecord(group.indices[row], group.seed, group.n, tech, bundle, synth,
+                           _wage_region(group.regions, row), constant_bundle, rising_bundle,
+                           *reports)
 
     return record
 
 
-SUITE_CSV_COLUMNS = [
-    "index",
-    "seed",
-    "n",
-    *SCENARIO_FLAG_NAMES,
-    "profit_pre",
-    "profit_post",
-    "exploitation_pre",
-    "exploitation_post",
-    "verdict",
-    "okishio_profit_post",
-    "okishio_ok",
-    "rising_exploitation_post",
-    "rising_ok",
-]
+def _group_rows(group: _SweepGroup):
+    """The function that gives the SweepRow of the group's row i, all rows
+    read from the verifier's arrays, each column once: the constant, old
+    and rising bundle's results are every third entry from 0, 1 and 2."""
+    verified = group.verified
+    constant, okishio, rising = (slice(start, None, 3) for start in range(3))
+    codes = verified.verdicts
+    columns = (
+        *verified.flags[constant].T.tolist(),
+        verified.pre_profit.tolist(),
+        verified.post_profit[constant].tolist(),
+        verified.exploitation.tolist(),
+        verified.post_exploitation[constant].tolist(),
+        [_VERDICTS[code].value for code in codes[constant].tolist()],
+        verified.post_profit[okishio].tolist(),
+        (~_profit_fell(verified.pre_bounds, verified.post_bounds[okishio])).tolist(),
+        verified.post_exploitation[rising].tolist(),
+        (codes[rising] == _VERDICTS.index(Verdict.PROFIT_FELL_EXPLOITATION_ROSE)).tolist(),
+    )
+    rows = list(map(SweepRow, group.indices, repeat(group.seed), repeat(group.n), *columns))
+    return rows.__getitem__
 
 
-def suite_csv_row(record: SweepRecord) -> list:
+def suite_csv_row(record: SweepRecord) -> SweepRow:
     """One record's CSV row, under SUITE_CSV_COLUMNS.
 
-    Floats use repr, so output is byte-identical across runs with the
-    same seed.
+    Floats are Python floats, which ``csv`` writes by repr, so output is
+    byte-identical across runs with the same seed.
     """
-    flags = record.scenario.flags
-    return [
+    scenario = record.scenario
+    return SweepRow(
         record.index,
         record.seed,
         record.n,
-        *(getattr(flags, name) for name in SCENARIO_FLAG_NAMES),
-        repr(record.scenario.pre_profit),
-        repr(record.scenario.post_profit),
-        repr(record.scenario.pre_exploitation),
-        repr(record.scenario.post_exploitation),
-        record.scenario.verdict.value,
-        repr(record.okishio.post_profit),
+        *(getattr(scenario.flags, name) for name in SCENARIO_FLAG_NAMES),
+        scenario.pre_profit,
+        scenario.post_profit,
+        scenario.pre_exploitation,
+        scenario.post_exploitation,
+        record.verdict,
+        record.okishio.post_profit,
         record.okishio_ok,
-        repr(record.rising.post_exploitation),
+        record.rising.post_exploitation,
         record.rising_ok,
-    ]
+    )
 
 
 def suite_csv(records) -> str:
@@ -616,13 +678,15 @@ def suite_csv(records) -> str:
 def suite_summary(records) -> dict:
     """Aggregate counts; ``violations`` must be zero on a healthy build.
 
-    Reads ``records`` once, so it also counts a stream as it goes.
+    Reads ``records`` once, so it also counts a stream as it goes, and only
+    their ``verdict``, ``okishio_ok`` and ``rising_ok``: SweepRecords and
+    SweepRows count alike.
     """
     verdicts = {verdict.value: 0 for verdict in Verdict}
     count = okishio_violations = rising_violations = 0
     for record in records:
         count += 1
-        verdicts[record.scenario.verdict.value] += 1
+        verdicts[record.verdict] += 1
         if not record.okishio_ok:
             okishio_violations += 1
         if not record.rising_ok:

@@ -4,6 +4,7 @@ One sweep test shells out to a fresh interpreter to confirm output is
 reproducible across processes, not just within one.
 """
 
+import collections
 import importlib
 import json
 import pkgutil
@@ -14,8 +15,25 @@ import numpy as np
 import pytest
 
 import okishio_lab
-from okishio_lab import Verdict, linear_economy, load_tech_change, verify
+from okishio_lab import (
+    NegativeExploitationWarning,
+    ScenarioReport,
+    SweepRecord,
+    SynthesizedChange,
+    Technology,
+    Verdict,
+    WageBundle,
+    WageRegion,
+    cli,
+    linear_economy,
+    load_tech_change,
+    run_suite,
+    suite_csv,
+    suite_summary,
+    verify,
+)
 from okishio_lab.cli import main
+from okishio_lab.verify import suite_block
 
 
 REF_ECONOMY = {
@@ -169,6 +187,16 @@ class TestAnalyze:
         assert eigensolves == []
         assert len(radius_solves) == 1
         assert payload["max_profit_rate"] == 1.0 / payload["rho_inputs"] - 1.0
+
+    def test_wage_radius_far_above_one(self, tmp_path, capsys):
+        # A bundle a billion times the reference's: rho(M) is about 2e8.
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(dict(REF_ECONOMY, b=[1e9 / 3.0] * 3)))
+        with pytest.warns(NegativeExploitationWarning):
+            assert main(["analyze", "--economy", str(path), "--format", "json"]) == 0
+        equilibrium = json.loads(capsys.readouterr().out)["equilibrium"]
+        assert equilibrium["rho"] > 1e8
+        assert equilibrium["residual"] <= 1e-9
 
     def test_unproductive_economy_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -401,9 +429,16 @@ class TestSynthWage:
                 "--strategy", "equal-off-pivot", "--pivot", "1"]
         assert main(base) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: pivot 0 (0-based) cannot carry a bundle: its value intercept")
+        assert err.startswith("error: sector 1 cannot carry a bundle: its value intercept")
         assert main(base + ["--pivot-value", "0.5"]) == 0
         assert capsys.readouterr().out.startswith("bundle: 0.5 ")
+
+    def test_pivot_is_checked_and_named_from_one(self, economy_file, tc_file, capsys):
+        base = ["synth-wage", "--economy", economy_file, "--tc", tc_file,
+                "--strategy", "equal-off-pivot", "--pivot"]
+        for pivot in ("0", "5"):
+            assert main(base + [pivot]) == 2
+            assert capsys.readouterr().err == f"error: --pivot must be in 1..3, got {pivot}\n"
 
     @pytest.mark.parametrize("strategy", ["pivot-uniform", "rising"])
     def test_pivot_flags_need_equal_off_pivot(
@@ -729,3 +764,74 @@ class TestSweep:
 
     def test_negative_count_rejected(self, capsys):
         assert main(["sweep", "--count", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv, n_range", [
+        (["--count", "600"], (2, 8)),
+        (["--count", str(suite_block(12) + 5), "--n-min", "2", "--n-max", "12"], (2, 12)),
+    ], ids=["two-blocks", "wide"])
+    def test_csv_is_the_records_csv(self, argv, n_range, capsys):
+        # The CLI writes its rows from each block's arrays; run_suite builds
+        # every record. Both make the same bytes, over two blocks each.
+        count = int(argv[1])
+        assert count > suite_block(n_range[1])
+        assert main(["sweep", "--seed", "1000", *argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == suite_csv(run_suite(1000, count, n_range))
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_summary_is_the_records_summary(self, fmt, monkeypatch, capsys):
+        argv = ["sweep", "--seed", "1000", "--count", "600", "--format", fmt]
+        assert main(argv) == 0
+        from_rows = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(from_rows) == suite_summary(run_suite(1000, 600))
+        monkeypatch.setattr(cli, "iter_suite_rows", verify.iter_suite)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == from_rows
+
+    def test_sweep_builds_no_per_economy_object(self, monkeypatch, capsys):
+        built = collections.Counter()
+
+        def counted(name, original):
+            def count(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+            return count
+
+        for owner, name in ((Technology, "_certified"), (WageBundle, "_checked")):
+            original = getattr(owner, name).__func__
+            monkeypatch.setattr(owner, name, classmethod(counted(name, original)))
+        for owner in (ScenarioReport, SweepRecord, SynthesizedChange, WageRegion):
+            monkeypatch.setattr(owner, "__init__", counted(owner.__name__, owner.__init__))
+        assert main(["sweep", "--count", "50", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.count("\n") == 51
+        assert built == {}
+        # The same counters see every object the records are built from.
+        run_suite(count=5)
+        assert built == {"_certified": 5, "_checked": 15, "ScenarioReport": 15,
+                         "SweepRecord": 5, "SynthesizedChange": 5, "WageRegion": 5}
+
+    def test_failing_block_prints_none_of_its_rows(self, monkeypatch, capsys):
+        # The group of the second block's last economy samples a negative
+        # bundle: the first block's rows are written, none of the second's.
+        block = suite_block(8)
+        count = block + 5
+        expected = suite_csv(run_suite(seed=1000, count=block))
+        original_group, original_sample = verify._sweep_group, verify._sample_rows
+        poisoned = [False]
+
+        def group(seed, indices, rngs, n):
+            poisoned[0] = count - 1 in indices
+            return original_group(seed, indices, rngs, n)
+
+        def sample(regions, seeds, *args, **kwargs):
+            sampled = original_sample(regions, seeds, *args, **kwargs)
+            if poisoned[0]:
+                sampled[0, 0] = -1.0
+            return sampled
+
+        monkeypatch.setattr(verify, "_sweep_group", group)
+        monkeypatch.setattr(verify, "_sample_rows", sample)
+        assert main(["sweep", "--seed", "1000", "--count", str(count), "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == "error: wage bundle quantities must be nonnegative\n"

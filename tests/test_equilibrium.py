@@ -349,9 +349,8 @@ class TestCertificate:
         # (n + 1) u to the solver's ratios (an n-term product of
         # nonnegative terms and a division), n u to the check's own
         # product, 2 u to scaling x into p (once in p, once in its image),
-        # 3 u to 1 + pi = 1 + (1/rho - 1), 1 u each to the midpoint rho
-        # and to scaling the image. In all (2n + 8) u = (n + 4) eps, at
-        # most 3 n eps for n >= 2.
+        # 1 u each to the midpoint rho and to dividing the image by it. In
+        # all (2n + 5) u, below (n + 3) eps and at most 3 n eps for n >= 2.
         rng = np.random.default_rng(31)
         economies = [random_economy(rng, n) for n in range(2, 9) for _ in range(6)]
         economies += [
@@ -363,6 +362,17 @@ class TestCertificate:
             eq = uniform_profit_rate(tech, bundle)
             lo, hi = eq.rho_bounds
             assert eq.residual <= 0.5 * (hi - lo) / eq.spectral_radius + 3 * tech.n * eps
+
+    def test_residual_holds_when_the_wage_radius_is_large(self, ref_tech, ref_bundle):
+        # A bundle a billion times the reference's puts rho(M) near 2e8 and
+        # the profit rate at -1 + 5e-9; 1 + pi would keep only about half
+        # of its digits, while the image pM / rho loses none.
+        eq = uniform_profit_rate(ref_tech, WageBundle(ref_bundle.quantities * 1e9))
+        lo, hi = eq.rho_bounds
+        assert eq.spectral_radius > 1e8
+        assert eq.residual <= equilibrium.RESIDUAL_TOL
+        eps = np.finfo(float).eps
+        assert eq.residual <= 0.5 * (hi - lo) / eq.spectral_radius + 3 * ref_tech.n * eps
 
     def test_one_sector_needs_no_steps(self, one_sector_tech, one_sector_bundle):
         eq = uniform_profit_rate(one_sector_tech, one_sector_bundle)

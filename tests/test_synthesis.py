@@ -1,5 +1,7 @@
 """Wage-region geometry, samplers, and change synthesis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,10 +232,29 @@ class TestConstantExploitationSampler:
 
     def test_impossible_pinned_value_exhausts(self, ref_region):
         # A pivot coordinate worth more than the whole bundle value leaves
-        # a negative remainder for the tail; no proposal can succeed.
+        # a negative remainder for the tail; no proposal can succeed, and
+        # a pinned one is the same every round, so the first fails at once.
         bad = EqualOffPivot(pivot=1, value=2.0)
-        with pytest.raises(SamplingExhausted):
+        with pytest.raises(SamplingExhausted, match=r"^pinned pivot coordinate 2 carries value "
+                           r"0\.959416, above the bundle value 0\.571429; every proposal would "
+                           r"repeat it$"):
             sample_constant_exploitation(ref_region, seed=1, strategy=bad)
+
+    @pytest.mark.parametrize("value, why", [
+        (float("inf"), "carries value inf, above the bundle value 0.571429"),
+        (float("nan"), "is not nonnegative"),
+        (-1.0, "is not nonnegative"),
+    ], ids=["inf", "nan", "negative"])
+    def test_pinned_value_outside_every_bundle_raises_without_warnings(
+        self, ref_region, value, why
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplingExhausted) as excinfo:
+                sample_constant_exploitation(
+                    ref_region, seed=1, strategy=EqualOffPivot(pivot=1, value=value))
+        assert str(excinfo.value) == (
+            f"pinned pivot coordinate {value:.6g} {why}; every proposal would repeat it")
 
     def test_weight_only_on_the_pivot_puts_the_whole_value_there(self, ref_region):
         # Pivot sector 3 (largest ratio of value to price intercept) is the
