@@ -473,7 +473,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EconomyError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (EconomyError, ValueError, OSError) as err:
         notes = "".join(f" ({note})" for note in getattr(err, "__notes__", ()))
         print(f"error: {err}{notes}", file=sys.stderr)
         return 2

@@ -144,15 +144,14 @@ class ChangeAnalysis:
 _Analyses = namedtuple("_Analyses", "bundle_value exploitation costs new_values new_bounds regions")
 
 
-def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_columns, new_labor):
-    """``analyze_change`` for each row, certifying the patched techniques in one
-    stacked check; a row's region means something only if its change is viable."""
+def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_columns, new_labor,
+                  patched):
+    """``analyze_change`` for each row, certifying the ``patched`` techniques
+    (``_patch_rows`` of the changes) in one stacked check; a row's region
+    means something only if its change is viable."""
     bundle_value = _dots(values, quantities)
     costs = _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor)
-    # The patched stack is not kept: the verifier's post-change solve holds
-    # its own, and a large table should not hold two.
-    new_values, new_bounds = _certify_rows(
-        *_patch_rows(inputs, labor, sectors, new_columns, new_labor))
+    new_values, new_bounds = _certify_rows(*patched)
     regions = _region_rows(prices, new_values, bundle_value, 1.0 + costs.saving_rate)
     return _Analyses(bundle_value, exploitation_rate(bundle_value), costs, new_values, new_bounds,
                      regions)
@@ -171,8 +170,8 @@ def analyze_change(
     _require_fit(tech, change)
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
     changed = _change_row(change)
-    done = _analyze_rows(*(row[None] for row in rows), *changed)
     inputs, labor = _patch_rows(tech.inputs[None], tech.labor[None], *changed)
+    done = _analyze_rows(*(row[None] for row in rows), *changed, (inputs, labor))
     patched = Technology._certified(inputs[0], labor[0], done.new_values[0], done.new_bounds[0])
     classification = _classifications(done.costs)[0]
     values = ValueSystem(tech.values, done.bundle_value[0].item(), done.exploitation[0].item())

@@ -179,8 +179,10 @@ def _verify_rows(inputs, labor, values, quantities, sectors, columns, labors, ne
     per_bundle = (lambda array: array) if owner is None else itemgetter(owner)
     pre = _price_rows(_augmented(inputs, labor, quantities), quantities)
     _check_prices(pre)
+    # The patched stack is passed, not kept: the post-change solve below
+    # builds its own, and a large table should not hold two.
     analysis = _analyze_rows(inputs, labor, values, quantities, pre.prices, sectors, columns,
-                             labors)
+                             labors, _patch_rows(inputs, labor, sectors, columns, labors))
     changed = map(per_bundle, (inputs, labor, sectors, columns, labors))
     post = _price_rows(_augmented(*_patch_rows(*changed), news), news)
     _check_prices(post)
@@ -579,7 +581,8 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> _SweepGroup:
     changes = sectors, synthesized.new_columns, synthesized.new_labor
     _check_changes(*changes)
     # Synthesis makes only viable changes, which have regions.
-    regions = _analyze_rows(*economies, *changes).regions
+    regions = _analyze_rows(*economies, *changes,
+                            _patch_rows(drawn.inputs, drawn.labor, *changes)).regions
     constant = _sample_rows(regions, constant_seeds.tolist())
     rising = _sample_rows(regions, rising_seeds.tolist(), shrink=True)
     # Each economy's constant, old and rising bundle, in that order.

@@ -64,6 +64,22 @@ class TestAnalyzeChange:
             analysis.region.price_plane_intercepts, region.price_plane_intercepts
         )
 
+    def test_patches_its_row_once(self, ref_tech, ref_bundle, ref_change, monkeypatch):
+        # At 400 sectors each patch copies a 1.28 MB matrix.
+        calls, patch_rows = [], synthesis._patch_rows
+
+        def counted(*args):
+            calls.append(args)
+            return patch_rows(*args)
+
+        monkeypatch.setattr(synthesis, "_patch_rows", counted)
+        equilibrium = uniform_profit_rate(ref_tech, ref_bundle)
+        analysis = analyze_change(ref_tech, ref_bundle, equilibrium, ref_change)
+        assert len(calls) == 1
+        patched = apply_change(ref_tech, ref_change)
+        assert np.array_equal(analysis.patched.inputs, patched.inputs)
+        assert np.array_equal(analysis.patched.labor, patched.labor)
+
     def test_change_that_is_not_viable_has_no_region(self, ref_tech, ref_bundle):
         dearer = TechChange(
             sector=2, new_column=ref_tech.input_column(2) + 0.01, new_labor=0.25

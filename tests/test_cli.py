@@ -100,6 +100,23 @@ MALFORMED = {
     "wage b string": ("verify", "--wage", {"b": ["0.0086", 1.17, 0.0086]}, "'b'"),
     "wage b nested": ("verify", "--wage", {"b": [[0.0086, 1.17, 0.0086]]}, "'b'"),
 }
+# Files that are not strict JSON, as raw bytes, which json.dump cannot write.
+ECONOMY_BYTES = json.dumps(REF_ECONOMY).encode()
+ECONOMY_NOT_JSON = "economy file is not valid JSON"
+NOT_JSON = {
+    "economy empty": ("analyze", "--economy", b"", ECONOMY_NOT_JSON),
+    "economy trailing comma": ("analyze", "--economy", ECONOMY_BYTES[:-1] + b",}",
+                               ECONOMY_NOT_JSON),
+    "economy NaN": ("analyze", "--economy", ECONOMY_BYTES.replace(b"0.2,", b"NaN,"),
+                    ECONOMY_NOT_JSON),
+    "economy overflow": ("analyze", "--economy", ECONOMY_BYTES.replace(b"0.2,", b"1e400,"),
+                         ECONOMY_NOT_JSON),
+    "economy BOM": ("analyze", "--economy", b"\xef\xbb\xbf" + ECONOMY_BYTES, ECONOMY_NOT_JSON),
+    "economy byte ff": ("analyze", "--economy", b"\xff" + ECONOMY_BYTES, ECONOMY_NOT_JSON),
+    "wage trailing comma": ("verify", "--wage", json.dumps(SOLVED_WAGE).encode()[:-1] + b",}",
+                            "wage file is not valid JSON"),
+}
+BAD_FILES = {**MALFORMED, **NOT_JSON}
 FILE_OPTIONS = {
     "analyze": ("--economy",),
     "check-tc": ("--economy", "--tc"),
@@ -107,14 +124,14 @@ FILE_OPTIONS = {
 }
 
 
-@pytest.mark.parametrize("command, option, content, named", MALFORMED.values(), ids=MALFORMED)
+@pytest.mark.parametrize("command, option, content, named", BAD_FILES.values(), ids=BAD_FILES)
 def test_malformed_file_is_an_input_error(
     command, option, content, named, economy_file, tc_file, wage_file, tmp_path, capsys
 ):
     files = {"--economy": economy_file, "--tc": tc_file, "--wage": wage_file}
     files[option] = str(tmp_path / "malformed.json")
-    with open(files[option], "w", encoding="utf-8") as handle:
-        json.dump(content, handle)
+    with open(files[option], "wb") as handle:
+        handle.write(content if isinstance(content, bytes) else json.dumps(content).encode())
     argv = [command] + [part for name in FILE_OPTIONS[command] for part in (name, files[name])]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ exact fractions are noted where the data admits them.
 
 import collections
 import json
+import random
 
 import numpy as np
 import pytest
@@ -42,10 +43,12 @@ from okishio_lab.linear_economy import (
     RESIDUAL_TOO_LARGE,
     SINGULAR,
     VALUE_NOT_POSITIVE,
+    _as_floats,
     _certify_rows,
     _certify_stack,
     _check_bundles,
     _connected_rows,
+    _read_fields,
 )
 
 
@@ -695,6 +698,47 @@ class TestEconomyFiles:
         np.testing.assert_array_equal(tech.inputs, ref_tech.inputs)
         np.testing.assert_array_equal(tech.labor, ref_tech.labor)
         np.testing.assert_array_equal(bundle.quantities, ref_bundle.quantities)
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # Subnormals, 17-digit reprs and signed zeros come back as the same
+        # doubles, not merely close ones.
+        inputs = np.array([
+            [0.35, 0.05000000000000001, 0.25],
+            [5e-324, 0.45, -0.0],
+            [0.15, 0.15000000000000002, 0.35000000000000003],
+        ])
+        labor = np.array([0.2, 2.2250738585072014e-308, 0.12345678901234568])
+        quantities = np.array([-0.0, 4.9406564584124654e-324, 0.3333333333333333])
+        first, second = tmp_path / "econ.json", tmp_path / "econ2.json"
+        save_economy(first, Technology(inputs, labor), WageBundle(quantities))
+        tech, bundle = load_economy(first)
+        for read, written in ((tech.inputs, inputs), (tech.labor, labor),
+                              (bundle.quantities, quantities)):
+            np.testing.assert_array_equal(read.view(np.int64), written.view(np.int64))
+        save_economy(second, tech, bundle)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_reader_rounds_as_the_standard_library_does(self, tmp_path):
+        # Decimals of 17 to 19 significant digits from below the subnormals
+        # to near the top of the double range, integers beyond 64 bits, and
+        # the halfway cases at the bottom of the range.
+        rng = random.Random(20221)
+        corpus = []
+        for _ in range(100_000):
+            count = rng.randint(17, 19)
+            digits = str(rng.randrange(10 ** (count - 1), 10 ** count))
+            sign = rng.choice(("-", ""))
+            corpus.append(f"{sign}{digits[0]}.{digits[1:]}e{rng.randint(-330, 306)}")
+        corpus += [str(rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 200))
+                   for _ in range(2_000)]
+        corpus += ["2.2250738585072011e-308", "4.9406564584124654e-324",
+                   "2.4703282292062328e-324", "2.4703282292062327e-324"]
+        text = "[" + ", ".join(corpus) + "]"
+        path = tmp_path / "corpus.json"
+        path.write_text('{"x": ' + text + "}")
+        read = _read_fields(path, "corpus", {"x": _as_floats}, lambda floats: floats)
+        expected = np.array(json.loads(text), dtype=float)
+        np.testing.assert_array_equal(read.view(np.int64), expected.view(np.int64))
 
     def test_missing_key_named(self, tmp_path):
         bad = tmp_path / "bad.json"
