@@ -46,8 +46,7 @@ class Infeasible(EconomyError):
 
 
 class SamplingExhausted(EconomyError):
-    """Rejection sampler gave up: its proposal budget ran out, or a pinned
-    proposal, which every round would repeat, failed."""
+    """A sampler's one proposal for a bundle failed its check; none is redrawn."""
 
 
 class OracleLimit(EconomyError):

@@ -19,8 +19,8 @@ rate). Both forms are computed; they must always agree.
 applied, revalued and given its region: ``_analyze_rows`` for one row.
 
 Samplers draw bundles from that region (or strictly inside the price
-side of it, for rising exploitation) by rejection with a fixed proposal
-budget. Everything is deterministic given a seed.
+side of it, for rising exploitation): one proposal and one check per
+bundle, none redrawn. Everything is deterministic given a seed.
 
 ``synthesize_culs_change`` runs the other direction: given an economy
 whose wage bundle has admissibility headroom, it constructs a viable
@@ -47,7 +47,6 @@ from .technical_change import (
 )
 
 ON_PLANE_TOL = 1e-10
-PROPOSAL_BUDGET = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +233,8 @@ class EqualOffPivot:
     value: float | None = None
 
 
-def _pivot_plan(regions: _Regions, strategy) -> list:
-    """What each row's proposals keep: the pivot, its coordinate's bounds,
+def _pivot_plan(regions: _Regions, strategy) -> tuple:
+    """What each row's proposal needs: the pivot, its coordinate's bounds,
     equal where it is not drawn, its new value, the weights spreading the
     rest of the value over the other goods with their value, and ``bare``:
     rows with no weight left, whose whole value, fixed or not, is the pivot's."""
@@ -268,87 +267,88 @@ def _pivot_plan(regions: _Regions, strategy) -> list:
     off_value[bare], weights[bare] = 1.0, 0.0
     lows = x[at] if fixed is None else np.where(bare, x[at], float(fixed))
     highs = np.where(bare, lows, y[at]) if fixed is None else lows
-    return [at[1], lows, highs, values[at], weights, off_value, bare]
+    return at[1], lows, highs, values[at], weights, off_value, bare
 
 
 def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
     """The samplers for each row, row i drawing from ``default_rng(seeds[i])``.
 
-    Each round proposes for the rows still open, each from its own
-    generator in its own order, so a row is what the sampler alone gives
-    it. ``shrink`` scales on-plane samples inside, for rising exploitation.
-    A pinned row, whose coordinate is not drawn (a fixed value or a bare
-    row), proposes the same every round, so its first failure raises.
+    Each row makes one proposal, from its own generator, and one check:
+    the first row that fails raises SamplingExhausted, naming its pivot
+    coordinate and the first inequality it breaks. ``shrink`` scales the
+    on-plane samples inside, for rising exploitation, and checks them again.
+
+    One proposal is enough. On a drawn pivot p's interval ``[x_p, y_p]``
+    a bundle's cost less the break-even wage is linear in the coordinate,
+    ``r v'_p (y_p - x_p)`` and ``p_p (y_p - x_p)`` at the ends, r the
+    off-pivot weights' price-to-value ratio, so every draw clears it by at
+    least ``(y_p - x_p) min(r v'_p, p_p)``. A drawn row fails only when the
+    region is all but empty at the pivot, or when rounding puts the
+    coordinate on ``y_p`` and leaves the rest negative by an ulp. A pinned
+    row (a fixed value, or a bare row) fails when its coordinate gives no bundle.
     """
     if not regions.feasible.all():
         raise Infeasible("wage region does not meet the nonnegative orthant")
-    plan = _pivot_plan(regions, PivotUniform() if strategy is None else strategy)
-    rngs, rows = [np.random.default_rng(seed) for seed in seeds], np.arange(len(regions.prices))
-    sampled = np.empty(regions.prices.shape)
-    for _ in range(PROPOSAL_BUDGET):
-        # A candidate on the value plane: the pivot coordinate, drawn where
-        # its bounds differ, and the rest spread by weight (none if bare).
-        pivots, lows, highs, pivot_values, weights, off_value, bare = plan
-        coords = np.array([rng.uniform(lo, hi) if lo < hi else lo
-                           for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
-        # A pinned value may be infinite or NaN; it fails the checks below,
-        # and its arithmetic on the way warns of nothing.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rest = regions.value_offset - pivot_values * coords
-            base = weights * (rest / off_value)[:, None]
-            np.copyto(coords, regions.value_offset / pivot_values, where=bare)
-            base[np.arange(len(coords)), pivots] = coords
-            # Neither the rest nor an entry may be negative. The other entries
-            # are nonnegative multiples of the rest, which leaves the pivot's;
-            # NaN fails here as it fails the on-plane test.
-            posed = (np.fmin(rest, coords) >= 0) & (
-                np.abs(_dots(regions.new_values, base) - regions.value_offset) <= ON_PLANE_TOL)
-            cost, floor = _dots(regions.prices, base), regions.price_offset + STRICT_MARGIN
-            accepted = posed & (cost > floor)
-            if shrink:
-                hi = 1.0 - STRICT_MARGIN / regions.value_offset
-                lo = floor / cost
-                accepted &= lo < hi
-            pinned = ~accepted & ~(lows < highs)
-            if pinned.any():
-                raise SamplingExhausted(_pinned_failure(
-                    pinned.argmax(), coords, rest, posed, cost, regions, pivot_values))
-            if shrink:
-                # Away from both endpoints, so the strict margins are macroscopic.
-                draws = [rng.uniform(0.25, 0.75) if drawn else 0.0
-                         for rng, drawn in zip(rngs, accepted.tolist())]
-                base = (lo + np.array(draws) * (hi - lo))[:, None] * base
-                accepted &= (_dots(regions.prices, base) > floor) & (
-                    _dots(regions.new_values, base) < regions.value_offset - STRICT_MARGIN)
-        sampled[rows] = base
-        if accepted.all():
-            return sampled
-        kept = ~accepted
-        rows, rngs = rows[kept], [rng for rng, keep in zip(rngs, kept.tolist()) if keep]
-        regions = _Regions(*(field[kept] for field in regions))
-        plan = [part[kept] for part in plan]
-    raise SamplingExhausted(
-        f"no strictly-inside bundle in {PROPOSAL_BUDGET} proposals" if shrink else
-        f"no admissible bundle in {PROPOSAL_BUDGET} proposals; check the strategy's pivot and "
-        "value against the region"
-    )
+    pivots, lows, highs, pivot_values, weights, off_value, bare = _pivot_plan(
+        regions, PivotUniform() if strategy is None else strategy)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # A candidate on the value plane: the pivot coordinate, drawn where
+    # its bounds differ, and the rest spread by weight (none if bare).
+    coords = np.array([rng.uniform(lo, hi) if lo < hi else lo
+                       for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
+    bundle_value, break_even = regions.value_offset, regions.price_offset
+    # A pinned value may be infinite or NaN; it fails the checks below,
+    # and its arithmetic on the way warns of nothing.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = bundle_value - pivot_values * coords
+        base = weights * (rest / off_value)[:, None]
+        np.copyto(coords, bundle_value / pivot_values, where=bare)
+        base[np.arange(len(coords)), pivots] = coords
+        gap, cost = _dots(regions.new_values, base) - bundle_value, _dots(regions.prices, base)
+        floor = break_even + STRICT_MARGIN
+        # Neither the rest nor an entry may be negative. The other entries
+        # are nonnegative multiples of the rest, which leaves the pivot's;
+        # a NaN one is not nonnegative either.
+        checks = [
+            (coords >= 0, lambda i: "is not nonnegative"),
+            (rest >= 0, lambda i: f"carries value {pivot_values[i] * coords[i]:.6g}, above the "
+                                  f"bundle value {bundle_value[i]:.6g}"),
+            (np.abs(gap) <= ON_PLANE_TOL, lambda i: f"leaves the bundle {gap[i]:+.3g} off the "
+                                                    f"value plane at {bundle_value[i]:.6g}"),
+            (cost > floor, lambda i: _cost_failure("gives", cost[i], break_even[i])),
+        ]
+        if shrink:
+            lo, hi = floor / cost, 1.0 - STRICT_MARGIN / bundle_value
+            checks.append((lo < hi, lambda i: "leaves no room strictly below the bundle value"))
+        _require(coords, checks)
+    if not shrink:
+        return base
+    # Away from both endpoints, so the strict margins are macroscopic.
+    draws = np.array([rng.uniform(0.25, 0.75) for rng in rngs])
+    base *= (lo + draws * (hi - lo))[:, None]
+    shrunk, worth = _dots(regions.prices, base), _dots(regions.new_values, base)
+    _require(coords, [
+        (shrunk > floor, lambda i: _cost_failure("shrinks to", shrunk[i], break_even[i])),
+        (worth < bundle_value - STRICT_MARGIN, lambda i: f"shrinks to a bundle worth "
+                                                         f"{worth[i]:.6g}, not below par"),
+    ])
+    return base
 
 
-def _pinned_failure(row, coords, rest, posed, cost, regions, pivot_values) -> str:
-    """Why the pinned coordinate of ``row`` fails: the first inequality it breaks."""
-    coord, bundle_value = coords[row], regions.value_offset[row]
-    checks = (
-        (coord >= 0, "is not nonnegative"),
-        (rest[row] >= 0, f"carries value {pivot_values[row] * coord:.6g}, above the bundle "
-                         f"value {bundle_value:.6g}"),
-        (posed[row], f"leaves the bundle off the value plane at {bundle_value:.6g}"),
-        (cost[row] > regions.price_offset[row] + STRICT_MARGIN,
-         f"gives a bundle costing {cost[row]:.6g}, not above the break-even wage "
-         f"{regions.price_offset[row]:.6g}"),
-    )
-    why = next((text for holds, text in checks if not holds),
-               "leaves no room strictly below the bundle value")
-    return f"pinned pivot coordinate {coord:.6g} {why}; every proposal would repeat it"
+def _cost_failure(verb: str, cost: float, break_even: float) -> str:
+    return (f"{verb} a bundle costing {cost:.6g}, not above the break-even wage {break_even:.6g} "
+            f"by more than {STRICT_MARGIN:.0e} (margin {cost - break_even:+.3g})")
+
+
+def _require(coords, checks) -> None:
+    """Raise SamplingExhausted for the first row failing one of ``checks``,
+    pairs of a row mask and the text of a row's failure, naming the row's
+    pivot coordinate and the first check it fails."""
+    passed = np.logical_and.reduce([holds for holds, _ in checks])
+    if not passed.all():
+        row = passed.argmin()
+        why = next(text(row) for holds, text in checks if not holds[row])
+        raise SamplingExhausted(f"pivot coordinate {coords[row]:.6g} {why}")
 
 
 def sample_constant_exploitation(
@@ -359,9 +359,9 @@ def sample_constant_exploitation(
     """Draw a bundle in the region: dearer than the old wage, same value.
 
     Deterministic for a given (region, seed, strategy). Raises Infeasible
-    when the region misses the nonnegative orthant and SamplingExhausted
-    if the proposal budget runs out (pathological strategies only), or at
-    once when a pinned coordinate fails, naming the inequality. The
+    when the region misses the nonnegative orthant, and SamplingExhausted
+    when its one proposal fails (a pinned coordinate outside the region,
+    or a region all but empty at the pivot), naming the inequality. The
     one-row call of ``_sample_rows``.
     """
     return WageBundle(_sample_rows(_one_region(region), [seed], strategy)[0])

@@ -179,12 +179,10 @@ def _verify_rows(inputs, labor, values, quantities, sectors, columns, labors, ne
     per_bundle = (lambda array: array) if owner is None else itemgetter(owner)
     pre = _price_rows(_augmented(inputs, labor, quantities), quantities)
     _check_prices(pre)
-    # The patched stack is passed, not kept: the post-change solve below
-    # builds its own, and a large table should not hold two.
+    patched = _patch_rows(inputs, labor, sectors, columns, labors)
     analysis = _analyze_rows(inputs, labor, values, quantities, pre.prices, sectors, columns,
-                             labors, _patch_rows(inputs, labor, sectors, columns, labors))
-    changed = map(per_bundle, (inputs, labor, sectors, columns, labors))
-    post = _price_rows(_augmented(*_patch_rows(*changed), news), news)
+                             labors, patched)
+    post = _price_rows(_augmented(*map(per_bundle, patched), news), news)
     _check_prices(post)
     value_post = _dots(per_bundle(analysis.new_values), news)
     costs, value_pre = _Costs(*map(per_bundle, analysis.costs)), analysis.bundle_value

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from okishio_lab import synthesis
 from okishio_lab import (
@@ -232,12 +233,10 @@ class TestConstantExploitationSampler:
 
     def test_impossible_pinned_value_exhausts(self, ref_region):
         # A pivot coordinate worth more than the whole bundle value leaves
-        # a negative remainder for the tail; no proposal can succeed, and
-        # a pinned one is the same every round, so the first fails at once.
+        # a negative remainder for the tail, so the one proposal fails.
         bad = EqualOffPivot(pivot=1, value=2.0)
-        with pytest.raises(SamplingExhausted, match=r"^pinned pivot coordinate 2 carries value "
-                           r"0\.959416, above the bundle value 0\.571429; every proposal would "
-                           r"repeat it$"):
+        with pytest.raises(SamplingExhausted, match=r"^pivot coordinate 2 carries value "
+                           r"0\.959416, above the bundle value 0\.571429$"):
             sample_constant_exploitation(ref_region, seed=1, strategy=bad)
 
     @pytest.mark.parametrize("value, why", [
@@ -253,8 +252,7 @@ class TestConstantExploitationSampler:
             with pytest.raises(SamplingExhausted) as excinfo:
                 sample_constant_exploitation(
                     ref_region, seed=1, strategy=EqualOffPivot(pivot=1, value=value))
-        assert str(excinfo.value) == (
-            f"pinned pivot coordinate {value:.6g} {why}; every proposal would repeat it")
+        assert str(excinfo.value) == f"pivot coordinate {value:.6g} {why}"
 
     def test_weight_only_on_the_pivot_puts_the_whole_value_there(self, ref_region):
         # Pivot sector 3 (largest ratio of value to price intercept) is the
@@ -378,6 +376,54 @@ class TestRisingExploitationSampler:
         worth = float(one_sector_region.new_values @ bundle.quantities)
         assert cost > one_sector_region.price_offset + 1e-12
         assert worth < one_sector_region.value_offset - 1e-12
+
+
+@st.composite
+def feasible_regions(draw, n):
+    """A region of ``n`` sectors whose best value intercept is at least
+    1 + 1e-6 times its price intercept."""
+    entries = st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)
+    prices, new_values = np.array(draw(entries)), np.array(draw(entries))
+    break_even, headroom = draw(st.floats(0.5, 2.0)), 10.0 ** draw(st.floats(-6.0, 0.0))
+    bundle_value = (1.0 + headroom) * break_even / (prices / new_values).max()
+    return build_region(_fake_eq(prices), new_values, bundle_value, _FakeViable(break_even))
+
+
+class TestOneProposal:
+    @pytest.mark.parametrize("sample", [sample_constant_exploitation, sample_rising_exploitation])
+    def test_region_all_but_empty_at_the_pivot_raises_at_once(self, sample):
+        # Only sector 1 is feasible, its value intercept 1e-13 above its
+        # price intercept: every coordinate clears the break-even wage by
+        # less than the strict margin, and the one proposal says so.
+        region = build_region(
+            _fake_eq(np.ones(3)), np.array([0.6 / (0.5 * (1 + 1e-13)), 10.0, 10.0]), 0.6,
+            _FakeViable(0.5),
+        )
+        assert region.feasible_sectors.tolist() == [True, False, False]
+        with pytest.raises(SamplingExhausted, match=r"^pivot coordinate 0\.5 gives a bundle "
+                           r"costing 0\.5, not above the break-even wage 0\.5 by more than "
+                           r"1e-12 \(margin \+\d\.\d+e-1[34]\)$"):
+            sample(region, seed=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(feasible_regions(n), min_size=1,
+                                                        max_size=3)),
+           st.integers(0, 2**32 - 1))
+    def test_feasible_regions_sample_on_the_first_proposal(self, regions, seed):
+        seeds = [seed + row for row in range(len(regions))]
+        stack = synthesis._Regions(
+            *map(np.concatenate, zip(*map(synthesis._one_region, regions))))
+        constant = synthesis._sample_rows(stack, seeds)
+        rising = synthesis._sample_rows(stack, seeds, shrink=True)
+        for row, (region, row_seed) in enumerate(zip(regions, seeds)):
+            bundle = sample_constant_exploitation(region, row_seed)
+            assert np.array_equal(constant[row], bundle.quantities)
+            assert oracle_region_membership(bundle, region).overall
+            shrunk = sample_rising_exploitation(region, row_seed)
+            assert np.array_equal(rising[row], shrunk.quantities)
+            membership = oracle_region_membership(shrunk, region)
+            assert membership.nonnegative and membership.above_price_plane
+            assert float(region.new_values @ shrunk.quantities) < region.value_offset - 1e-12
 
 
 class TestSynthesize:

@@ -110,6 +110,25 @@ class TestRunScenario:
         with pytest.raises(NotProductive):
             run_scenarios(tech, bundle, heavy, ())
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_patches_the_change_once(self, ref_tech, ref_bundle, ref_change, monkeypatch, count):
+        # At 400 sectors each patch copies a 1.28 MB matrix; the analysis
+        # and the post-change solve share one.
+        calls, patch_rows = [], verify._patch_rows
+
+        def counted(*args):
+            calls.append(args)
+            return patch_rows(*args)
+
+        monkeypatch.setattr(verify, "_patch_rows", counted)
+        bundles = (WageBundle(SOLVED_BUNDLE), ref_bundle, WageBundle(0.999 * SOLVED_BUNDLE))
+        reports = run_scenarios(ref_tech, ref_bundle, ref_change, bundles[:count])
+        assert len(calls) == 1
+        alone = [run_scenario(ref_tech, ref_bundle, ref_change, each) for each in bundles[:count]]
+        for report, single in zip(reports, alone):
+            assert report.post_profit == single.post_profit
+            assert np.array_equal(report.post_prices, single.post_prices)
+
     def test_verdict_never_contradicts_profit_flags(self, ref_tech, ref_bundle, ref_change):
         report = run_scenario(
             ref_tech, ref_bundle, ref_change, WageBundle(SOLVED_BUNDLE)
