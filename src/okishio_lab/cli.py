@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 golden-replay mismatch, 2 input validation
 failure, 3 internal guarantee violation. Text output rounds to 7
 significant digits; JSON carries full precision. No command takes a
 solver tolerance: every price solve is certified by its Collatz–Wielandt
-bracket and checked against the fixed ``equilibrium.RESIDUAL_TOL``.
+bracket and checked against the fixed ``tolerances.RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .errors import EconomyError, Infeasible
+from .errors import EconomyError
 from .equilibrium import admissibility, max_profit_rate, uniform_profit_rate
 from .linear_economy import (
     load_economy,
@@ -152,18 +152,9 @@ def cmd_check_tc(args) -> int:
         "break_even_wage": classification.break_even_wage,
     }
     if properties is not None:
-        payload.update(
-            {
-                "more_expensive": properties.more_expensive,
-                "value_constant": properties.value_constant,
-                "saving_bounded": properties.saving_bounded,
-                "surplus_ok_post": properties.surplus_ok_post,
-                "new_bundle_cost": properties.new_bundle_cost,
-                "bundle_value_pre": properties.bundle_value_pre,
-                "bundle_value_post": properties.bundle_value_post,
-                "labor_cost_margin": properties.labor_cost_margin,
-            }
-        )
+        payload.update((name, getattr(properties, name)) for name in (
+            "more_expensive", "value_constant", "saving_bounded", "surplus_ok_post",
+            "new_bundle_cost", "bundle_value_pre", "bundle_value_post", "labor_cost_margin"))
     if args.format == "json":
         _emit_json(payload)
         return 0
@@ -228,14 +219,7 @@ def cmd_synth_wage(args) -> int:
         if pivot is not None and not 0 <= pivot < tech.n:
             raise ValueError(f"--pivot must be in 1..{tech.n}, got {args.pivot}")
         strategy = EqualOffPivot(pivot=pivot, value=args.pivot_value)
-        try:
-            sampled = sample_constant_exploitation(region, args.seed, strategy)
-        except Infeasible as err:
-            # The library numbers the pivot from 0; name it as --pivot does.
-            zero_based = f"pivot {pivot} (0-based)"
-            if pivot is None or not str(err).startswith(zero_based):
-                raise
-            raise Infeasible(f"sector {args.pivot}{str(err)[len(zero_based):]}") from None
+        sampled = sample_constant_exploitation(region, args.seed, strategy)
     else:
         weights = tuple(float(x) for x in bundle.quantities)
         sampled = sample_constant_exploitation(

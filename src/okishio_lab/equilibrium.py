@@ -13,17 +13,17 @@ measures the input matrix's own radius, on the transpose ``T`` from the
 positive start ``x = 1``. Every iterate carries a Collatz–Wielandt bracket
 ``min_i (Tx)_i/x_i <= rho <= max_i (Tx)_i/x_i`` (Meyer, *Matrix
 Analysis*, ch. 8), and the solver stops when its relative width is at
-most CW_TOL. Plain power steps are taken while each shrinks the width
-at least tenfold; from the first that does not, Noda's shifted inverse
-iteration (Numer. Math. 17, 1971) takes over, which converges
-quadratically however close the second eigenvalue is to ``rho``. The
-bracket does not depend on the units of goods or labor, and neither
-does the returned residual, which is measured relative to the largest
-price. The bracket also bounds that residual: for prices from an iterate
-whose bracket has relative width ``w``, it is at most ``w/2`` plus a
-few ulps per sector of rounding. A solve is rejected only if its
-residual exceeds the fixed RESIDUAL_TOL, far above that bound, so the
-check guards the solver's arithmetic and leaves no tolerance to choose.
+most ``tolerances.CW_TOL``. Plain power steps are taken while each
+shrinks the width at least tenfold; from the first that does not, Noda's
+shifted inverse iteration (Numer. Math. 17, 1971) takes over, which
+converges quadratically however close the second eigenvalue is to
+``rho``. The bracket does not depend on the units of goods or labor, and
+neither does the returned residual, which is measured relative to the
+largest price. The bracket also bounds that residual: for prices from an
+iterate whose bracket has relative width ``w``, it is at most ``w/2``
+plus a few ulps per sector of rounding. A solve is rejected only if its
+residual exceeds the fixed ``tolerances.RESIDUAL_TOL``, far above that
+bound, so it guards the solver's arithmetic and leaves no tolerance to choose.
 
 ``_price_rows`` prices a ``(k, n, n)`` stack of economies of one size:
 ``_left_perron`` runs its plain loop for one row and a masked loop over
@@ -42,15 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
-from .linear_economy import (
-    CW_TOL, Technology, WageBundle, _dots, _left_perron, _require_size
-)
-
-# Fixed-point residual, relative to the largest price, above which a
-# certified solve is rejected.
-RESIDUAL_TOL = 1e-9
-# Strictness margin for price-value ratio, cost and elementwise comparisons.
-STRICT_MARGIN = 1e-12
+from .linear_economy import Technology, WageBundle, _dots, _left_perron, _require_size
+from .tolerances import RESIDUAL_TOL, strictly_above
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +183,7 @@ def admissibility(prices, values, bundle_value) -> WageAdmissibility:
     max_ratio, sector = ratios.max(axis=-1), ratios.argmax(axis=-1)
     surplus_ok = (0.0 < bundle_value) & (bundle_value <= 1.0)
     with np.errstate(divide="ignore"):
-        headroom = surplus_ok & (max_ratio > np.divide(1.0, bundle_value) + STRICT_MARGIN)
+        headroom = surplus_ok & strictly_above(max_ratio, np.divide(1.0, bundle_value))
     if ratios.ndim > 1:
         return WageAdmissibility(surplus_ok, headroom, max_ratio, sector)
     return WageAdmissibility(bool(surplus_ok), bool(headroom), float(max_ratio), int(sector))

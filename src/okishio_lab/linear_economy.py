@@ -53,14 +53,7 @@ from .errors import (
     NotProductive,
     SingularSystem,
 )
-
-# Margin by which the spectral radius must stay below one.
-PRODUCTIVITY_MARGIN = 1e-12
-# Acceptable residual for the value-accounting system, relative to the
-# largest value.
-VALUE_RESIDUAL_TOL = 1e-10
-# Relative width of the Collatz–Wielandt bracket at which _left_perron stops.
-CW_TOL = 1e-14
+from .tolerances import CW_TOL, VALUE_RESIDUAL_TOL, strictly_below
 
 
 def _owned(values) -> np.ndarray:
@@ -338,7 +331,7 @@ def check_productive_indecomposable(inputs) -> ProductivityDiagnosis:
         rho = _perron_radius(arr)
     else:
         rho = float(np.max(np.abs(np.linalg.eigvals(arr))))
-    passed = connected and rho < 1.0 - PRODUCTIVITY_MARGIN
+    passed = connected and strictly_below(rho, 1.0)
     return ProductivityDiagnosis(rho, connected, passed)
 
 
@@ -392,7 +385,7 @@ def _certify_stack(inputs: np.ndarray, labor: np.ndarray) -> _Certificate:
     Nonnegative inputs, positive labor, strong connectivity, then one
     stacked value solve (``_value_rows``), positive values, the relative
     residual against VALUE_RESIDUAL_TOL and the Collatz–Wielandt bound
-    against ``1 - PRODUCTIVITY_MARGIN``. Each check runs on the rows
+    against ``1 - STRICT_MARGIN``. Each check runs on the rows
     that passed the checks before it, and a row that fails is only
     marked with its reason. Entries must be finite. ``Technology`` is
     the one-row case and turns the reason into its error.
@@ -422,7 +415,7 @@ def _certify_stack(inputs: np.ndarray, labor: np.ndarray) -> _Certificate:
         return _Certificate(reasons, values, residual, bound, err)
     fail(~(live(values).min(axis=1) > 0.0), VALUE_NOT_POSITIVE)
     fail(~(live(residual) <= VALUE_RESIDUAL_TOL), RESIDUAL_TOO_LARGE)
-    fail(~(live(bound) < 1.0 - PRODUCTIVITY_MARGIN), BOUND_NOT_BELOW_ONE)
+    fail(~strictly_below(live(bound), 1.0), BOUND_NOT_BELOW_ONE)
     return _Certificate(reasons, values, residual, bound, None)
 
 
@@ -434,7 +427,7 @@ class Technology:
     labor, indecomposability and productivity, or raises: it is the
     one-row case of ``_certify_stack``. Productivity rests on the
     labor-value solve, whose Collatz–Wielandt bound must be below
-    ``1 - PRODUCTIVITY_MARGIN``; its values are kept, read-only, as
+    ``1 - STRICT_MARGIN``; its values are kept, read-only, as
     ``values``, and the bound as ``productivity_bound``. Only when that
     certificate fails is ``spectral_radius`` measured during
     construction: NotProductive if it is not below the margin either,
@@ -504,7 +497,7 @@ class Technology:
         return tech
 
     def _require_productive(self) -> None:
-        if not self.spectral_radius < 1.0 - PRODUCTIVITY_MARGIN:
+        if not strictly_below(self.spectral_radius, 1.0):
             raise NotProductive(
                 "input matrix is not productive: spectral radius "
                 f"{self.spectral_radius:.6f} is not below 1"
@@ -667,7 +660,7 @@ def _read_fields(path, kind: str, fields: dict, build):
     A file that is not strict JSON (RFC 8259: no NaN or Infinity, no number
     beyond double range) or not one object raises ValueError naming the
     ``kind`` of file; one that lacks a key, or has an entry of the wrong type
-    or shape, names the key too.
+    or shape, names the key too. A ValueError from ``build`` names the kind.
     The parsed file is released when ``build`` returns; releasing it before
     ``build`` leaves the peak of a process that loads a 400-sector table
     over and over where it is, within 0.1 MB.
@@ -690,7 +683,10 @@ def _read_fields(path, kind: str, fields: dict, build):
             read.append(convert(raw[key]))
         except (TypeError, ValueError) as err:
             raise ValueError(f"{kind} file has a malformed '{key}': {err}") from err
-    return build(*read)
+    try:
+        return build(*read)
+    except ValueError as err:
+        raise ValueError(f"{kind} file is invalid: {err}") from err
 
 
 def load_economy(path) -> tuple[Technology, WageBundle]:
@@ -699,10 +695,12 @@ def load_economy(path) -> tuple[Technology, WageBundle]:
     "A" is the row-major input matrix (column i = sector i's recipe),
     "L" the direct labor vector, "b" the wage bundle.
     """
-    tech, bundle = _read_fields(
-        path, "economy", {"A": partial(_as_floats, ndim=2), "L": _as_floats, "b": _as_floats},
-        lambda inputs, labor, quantities: (Technology(inputs, labor), WageBundle(quantities)),
-    )
+    fields = {"A": partial(_as_floats, ndim=2), "L": _as_floats, "b": _as_floats}
+    return _read_fields(path, "economy", fields, _economy)
+
+
+def _economy(inputs, labor, quantities) -> tuple[Technology, WageBundle]:
+    tech, bundle = Technology(inputs, labor), WageBundle(quantities)
     _require_size(bundle, tech.n)
     return tech, bundle
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidFraction, InvalidSector, NotInB, SamplingExhausted
-from .equilibrium import STRICT_MARGIN, Equilibrium, admissibility
+from .equilibrium import Equilibrium, admissibility
 from .linear_economy import (
     Technology, ValueSystem, WageBundle, _certify_rows, _dots, exploitation_rate
 )
@@ -45,8 +45,7 @@ from .technical_change import (
     ChangeClassification, TechChange, _change_row, _check_changes, _classifications,
     _classify_rows, _patch_rows, _require_fit,
 )
-
-ON_PLANE_TOL = 1e-10
+from .tolerances import ON_PLANE_TOL, STRICT_MARGIN, matches, strictly_above, strictly_below
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,13 +245,13 @@ def _pivot_plan(regions: _Regions, strategy) -> tuple:
     fixed, pivot = getattr(strategy, "value", None), getattr(strategy, "pivot", None)
     if pivot is not None:
         if not 0 <= pivot < n:
-            raise InvalidSector(f"pivot {pivot} outside range 0..{n - 1}")
+            raise InvalidSector(f"pivot sector {pivot + 1} outside range 1..{n}")
         at[1][:] = pivot
         # No coordinate between the intercepts to draw: refused, not retried.
         short = ~regions.feasible_sectors[:, pivot]
         if fixed is None and short.any():
             y0, x0 = y[short, pivot][0], x[short, pivot][0]
-            raise Infeasible(f"pivot {pivot} (0-based) cannot carry a bundle: its value intercept "
+            raise Infeasible(f"sector {pivot + 1} cannot carry a bundle: its value intercept "
                              f"{y0:.6g} is not above its price intercept {x0:.6g}")
     weights = np.ones((k, n))
     if getattr(strategy, "weights", None) is not None:
@@ -304,8 +303,7 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
         base = weights * (rest / off_value)[:, None]
         np.copyto(coords, bundle_value / pivot_values, where=bare)
         base[np.arange(len(coords)), pivots] = coords
-        gap, cost = _dots(regions.new_values, base) - bundle_value, _dots(regions.prices, base)
-        floor = break_even + STRICT_MARGIN
+        worth, cost = _dots(regions.new_values, base), _dots(regions.prices, base)
         # Neither the rest nor an entry may be negative. The other entries
         # are nonnegative multiples of the rest, which leaves the pivot's;
         # a NaN one is not nonnegative either.
@@ -313,12 +311,13 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
             (coords >= 0, lambda i: "is not nonnegative"),
             (rest >= 0, lambda i: f"carries value {pivot_values[i] * coords[i]:.6g}, above the "
                                   f"bundle value {bundle_value[i]:.6g}"),
-            (np.abs(gap) <= ON_PLANE_TOL, lambda i: f"leaves the bundle {gap[i]:+.3g} off the "
-                                                    f"value plane at {bundle_value[i]:.6g}"),
-            (cost > floor, lambda i: _cost_failure("gives", cost[i], break_even[i])),
+            (matches(worth, bundle_value, ON_PLANE_TOL), lambda i: f"leaves the bundle "
+             f"{worth[i] - bundle_value[i]:+.3g} off the value plane at {bundle_value[i]:.6g}"),
+            (strictly_above(cost, break_even),
+             lambda i: _cost_failure("gives", cost[i], break_even[i])),
         ]
         if shrink:
-            lo, hi = floor / cost, 1.0 - STRICT_MARGIN / bundle_value
+            lo, hi = (break_even + STRICT_MARGIN) / cost, 1.0 - STRICT_MARGIN / bundle_value
             checks.append((lo < hi, lambda i: "leaves no room strictly below the bundle value"))
         _require(coords, checks)
     if not shrink:
@@ -326,11 +325,12 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     # Away from both endpoints, so the strict margins are macroscopic.
     draws = np.array([rng.uniform(0.25, 0.75) for rng in rngs])
     base *= (lo + draws * (hi - lo))[:, None]
-    shrunk, worth = _dots(regions.prices, base), _dots(regions.new_values, base)
+    shrunk, shrunk_worth = _dots(regions.prices, base), _dots(regions.new_values, base)
     _require(coords, [
-        (shrunk > floor, lambda i: _cost_failure("shrinks to", shrunk[i], break_even[i])),
-        (worth < bundle_value - STRICT_MARGIN, lambda i: f"shrinks to a bundle worth "
-                                                         f"{worth[i]:.6g}, not below par"),
+        (strictly_above(shrunk, break_even),
+         lambda i: _cost_failure("shrinks to", shrunk[i], break_even[i])),
+        (strictly_below(shrunk_worth, bundle_value),
+         lambda i: f"shrinks to a bundle worth {shrunk_worth[i]:.6g}, not below par"),
     ])
     return base
 
@@ -463,7 +463,7 @@ def synthesize_culs_change(
         if not 0.0 < frac < 1.0:
             raise InvalidFraction(f"{name} must lie strictly between 0 and 1, got {frac}")
     if sector < 0 or sector >= tech.n:
-        raise InvalidSector(f"sector {sector} outside range 0..{tech.n - 1}")
+        raise InvalidSector(f"sector {sector + 1} outside range 1..{tech.n}")
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
     knobs = np.array([sector]), float(epsilon_frac), float(labor_frac)
     synthesized = _synthesize_rows(*(row[None] for row in rows), *knobs)

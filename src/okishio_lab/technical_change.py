@@ -18,14 +18,12 @@ import json
 import numpy as np
 
 from .errors import InvalidSector
-from .equilibrium import STRICT_MARGIN, Equilibrium
+from .equilibrium import Equilibrium
 from .linear_economy import (
     Technology, WageBundle, _as_float, _as_floats, _as_readonly, _column_dots, _dots, _owned,
-    _read_fields,
+    _read_fields, _require_size,
 )
-
-# Sameness tolerance for the bundle-value comparison.
-VALUE_MATCH_TOL = 1e-9
+from .tolerances import matches, strict_gain, strictly_above
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +72,7 @@ def _check_changes(sectors, new_columns, new_labor) -> None:
         raise ValueError("replacement input column must be nonnegative")
     if np.ravel(bad_labor)[row]:
         raise ValueError(f"replacement labor must be positive, got {np.ravel(new_labor)[row]}")
-    raise InvalidSector(f"sector {np.ravel(sectors)[row]} outside range 0..{n - 1}")
+    raise InvalidSector(f"sector {np.ravel(sectors)[row] + 1} outside range 1..{n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +96,7 @@ class ChangeClassification:
 def _require_fit(tech: Technology, change: TechChange) -> None:
     """Raise unless ``change`` names a sector of ``tech`` with a column of its length."""
     if change.sector >= tech.n:
-        raise InvalidSector(f"sector {change.sector} outside range 0..{tech.n - 1}")
+        raise InvalidSector(f"sector {change.sector + 1} outside range 1..{tech.n}")
     if change.new_column.shape[0] != tech.n:
         raise ValueError(
             f"replacement column length {change.new_column.shape[0]} does not "
@@ -120,10 +118,10 @@ def _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor) -> _C
     cost_drop = cost_pre - cost_post
     # Each margin is relative to the quantity compared, so no verdict
     # depends on the units of labor or of any good.
-    viable = cost_drop > STRICT_MARGIN * cost_pre
+    viable = strict_gain(cost_drop, cost_pre)
     # A zero requirement must become strictly positive.
-    column_rises = (new_columns - old_columns > STRICT_MARGIN * old_columns).all(axis=1)
-    labor_falls = old_labor - new_labor > STRICT_MARGIN * old_labor
+    column_rises = strict_gain(new_columns - old_columns, old_columns).all(axis=1)
+    labor_falls = strict_gain(old_labor - new_labor, old_labor)
     return _Costs(
         viable, column_rises & labor_falls, cost_pre, cost_post, cost_drop, cost_drop / new_labor
     )
@@ -163,7 +161,7 @@ class PropertyReport:
     * ``more_expensive``: the new bundle costs strictly more than the old
       normalized wage of one.
     * ``value_constant``: the new bundle embodies the same labor as the
-      old one (within VALUE_MATCH_TOL).
+      old one (within ``tolerances.MATCH_TOL``).
     * ``saving_bounded``: the unit-cost saving is positive yet smaller
       than the extra outlay on the new labor, ``new_labor * (cost of new
       bundle - 1)``.
@@ -200,11 +198,11 @@ _Properties = namedtuple("_Properties", PropertyReport.__dataclass_fields__)
 def _property_rows(costs: _Costs, prices, new_labor, value_pre, value_post, new_quantities):
     """``check_properties`` for each row, from its change's ``_Costs`` and the
     labor values of the old bundle before and of the new one after it."""
-    new_bundle_cost, margin = _dots(prices, new_quantities), STRICT_MARGIN * costs.cost_pre
+    new_bundle_cost = _dots(prices, new_quantities)
     labor_cost_margin = new_labor * (new_bundle_cost - 1.0)
     return _Properties(
-        new_bundle_cost > 1.0 + STRICT_MARGIN, np.abs(value_pre - value_post) <= VALUE_MATCH_TOL,
-        costs.viable & (labor_cost_margin - costs.cost_drop > margin),
+        strictly_above(new_bundle_cost, 1.0), matches(value_pre, value_post),
+        costs.viable & strict_gain(labor_cost_margin - costs.cost_drop, costs.cost_pre),
         (0.0 < value_post) & (value_post <= 1.0), new_bundle_cost, value_pre, value_post,
         costs.cost_drop, labor_cost_margin,
     )
@@ -225,6 +223,9 @@ def check_properties(
     after ``change``; ``equilibrium`` prices the old technique with the
     old ``bundle`` as numeraire. The one-row call of ``_property_rows``.
     """
+    for each in (bundle, new_bundle):
+        _require_size(each, tech.n)
+    _require_fit(tech, change)
     prices, (sectors, columns, labor) = equilibrium.prices[None], _change_row(change)
     costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], sectors, columns, labor)
     value_pre = _dots(np.asarray(values, dtype=float)[None], bundle.quantities[None])

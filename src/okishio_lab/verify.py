@@ -49,6 +49,10 @@ from .synthesis import (
 from .technical_change import (
     TechChange, _change_row, _check_changes, _Costs, _patch_rows, _property_rows, _require_fit
 )
+from .tolerances import (
+    MATCH_TOL, ON_PLANE_TOL, ORACLE_BISECT_TOL, ORACLE_DECAY_TOL, STRICT_MARGIN, matches,
+    strictly_above,
+)
 
 # Economies that run_suite draws, solves and verifies together: at least
 # SUITE_BLOCK, and as many as hold SUITE_ENTRIES input-matrix entries at the
@@ -57,7 +61,6 @@ SUITE_BLOCK = 128
 SUITE_ENTRIES = 512 * 8 * 8
 # Candidate draws random_economy makes before giving up.
 DRAW_ATTEMPTS = 200
-EXPLOITATION_MATCH_TOL = 1e-9
 
 
 class Verdict(enum.Enum):
@@ -128,7 +131,7 @@ def _verdict_codes(pre_bounds, post_bounds, pre_exploitation, post_exploitation)
     it cannot both rise and fall."""
     change = post_exploitation - pre_exploitation
     # A fall's code: 3 with exploitation constant, 2 with it rising, else 0.
-    fall = 3 * (np.abs(change) <= EXPLOITATION_MATCH_TOL) + 2 * (change > EXPLOITATION_MATCH_TOL)
+    fall = 3 * matches(post_exploitation, pre_exploitation) + 2 * (change > MATCH_TOL)
     return _profit_fell(post_bounds, pre_bounds) + _profit_fell(pre_bounds, post_bounds) * fall
 
 
@@ -234,7 +237,6 @@ def run_scenario(
 
 
 ORACLE_MAX_SECTORS = 6
-_ORACLE_BISECT_TOL = 1e-10
 # 13 squarings = 8192 effective power, within a 10k-term budget.
 _ORACLE_SQUARINGS = 13
 
@@ -260,14 +262,14 @@ def _powers_decay(matrix: np.ndarray, mu: float) -> bool:
         if step == 0.0:
             return True
         log_norm = 2.0 * log_norm + float(np.log(step))
-        if log_norm < np.log(1e-12):
+        if log_norm < np.log(ORACLE_DECAY_TOL):
             return True
-        if log_norm > np.log(1e12):
+        if log_norm > -np.log(ORACLE_DECAY_TOL):
             return False
         iterate = squared / step
         delta = log_norm - prev
         prev = log_norm
-    return delta < -1e-12
+    return delta < -STRICT_MARGIN
 
 
 def oracle_spectral_radius(matrix) -> float:
@@ -295,7 +297,7 @@ def oracle_spectral_radius(matrix) -> float:
         # Row-sum bound attained; no smaller scale can converge.
         return hi
     lo = 0.0
-    while hi - lo > _ORACLE_BISECT_TOL:
+    while hi - lo > ORACLE_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -335,8 +337,8 @@ def oracle_region_membership(point, region: WageRegion) -> RegionMembership:
     worth = float(region.new_values @ quantities)
     return RegionMembership(
         nonnegative=bool(np.all(quantities >= 0)),
-        above_price_plane=cost > region.price_offset + 1e-12,
-        on_value_plane=abs(worth - region.value_offset) <= 1e-10,
+        above_price_plane=strictly_above(cost, region.price_offset),
+        on_value_plane=matches(worth, region.value_offset, ON_PLANE_TOL),
     )
 
 

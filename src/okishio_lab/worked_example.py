@@ -2,8 +2,8 @@
 
 The numbers below were produced once, independently of this package's
 solvers, and are replayed as a golden regression: ``replay()`` recomputes
-every figure from the embedded data and compares at REPLAY_TOL. The
-economy has a viable capital-using labor-saving change in sector 3 and a
+every figure and compares it at ``tolerances.REPLAY_TOL``. The economy
+has a viable capital-using labor-saving change in sector 3 and a
 replacement wage bundle that keeps the exploitation rate at 0.75 while
 the profit rate falls from about 0.176 to about 0.160.
 """
@@ -19,8 +19,7 @@ from .equilibrium import admissibility, uniform_profit_rate
 from .linear_economy import Technology, WageBundle, exploitation_rate, value_of_bundle
 from .synthesis import analyze_change
 from .technical_change import TechChange
-
-REPLAY_TOL = 1e-5
+from .tolerances import REPLAY_TOL, matches
 
 _INPUTS = [
     [0.35, 0.05, 0.25],
@@ -162,7 +161,7 @@ def replay(perturb: bool = False) -> ReplayReport:
             name=name,
             expected=expected,
             actual=float(actual[name]),
-            ok=abs(float(actual[name]) - expected) <= REPLAY_TOL,
+            ok=matches(float(actual[name]), expected, REPLAY_TOL),
         )
         for name, expected in REFERENCE.items()
     )

@@ -116,7 +116,18 @@ NOT_JSON = {
     "wage trailing comma": ("verify", "--wage", json.dumps(SOLVED_WAGE).encode()[:-1] + b",}",
                             "wage file is not valid JSON"),
 }
-BAD_FILES = {**MALFORMED, **NOT_JSON}
+# Files that parse but whose entries build no economy, change or bundle.
+INVALID = {
+    "economy b negative": ("analyze", "--economy", dict(REF_ECONOMY, b=[0.3, -0.1, 0.3]),
+                           "error: economy file is invalid: wage bundle quantities"),
+    "economy b too short": ("analyze", "--economy", dict(REF_ECONOMY, b=[0.5, 0.5]),
+                            "error: economy file is invalid: wage bundle length 2"),
+    "wage b negative": ("verify", "--wage", {"b": [0.1, -1.0, 0.1]},
+                        "error: wage file is invalid: wage bundle quantities"),
+    "change column negative": ("check-tc", "--tc", dict(REF_CHANGE, column=[0.27, -0.07, 0.37]),
+                               "error: technical change file is invalid: replacement input"),
+}
+BAD_FILES = {**MALFORMED, **NOT_JSON, **INVALID}
 FILE_OPTIONS = {
     "analyze": ("--economy",),
     "check-tc": ("--economy", "--tc"),
@@ -136,6 +147,28 @@ def test_malformed_file_is_an_input_error(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["check-tc", "verify", "synth-wage"])
+def test_sector_outside_the_economy_is_named_from_one(
+    command, economy_file, wage_file, tmp_path, capsys
+):
+    path = tmp_path / "tc.json"
+    path.write_text(json.dumps(dict(REF_CHANGE, sector=5)))
+    argv = [command, "--economy", economy_file, "--tc", str(path)]
+    assert main(argv + (["--wage", wage_file] if command == "verify" else [])) == 2
+    assert capsys.readouterr().err == "error: sector 5 outside range 1..3\n"
+
+
+def test_change_for_a_larger_economy_is_named_from_one(
+    economy_file, wage_file, tmp_path, capsys
+):
+    path = tmp_path / "tc.json"
+    path.write_text(json.dumps({"sector": 4, "column": [0.1, 0.1, 0.1, 0.1], "labor": 0.1}))
+    assert main(["verify", "--economy", economy_file, "--tc", str(path), "--wage", wage_file]) == 2
+    assert capsys.readouterr().err == (
+        "error: sector 4 outside range 1..3 (scenario with 3 sectors, change in sector 4)\n"
+    )
 
 
 class TestAnalyze:
@@ -319,6 +352,13 @@ class TestCheckTc:
         path.write_text(json.dumps({"sector": 0, "column": [0.1], "labor": 0.1}))
         assert main(["check-tc", "--economy", economy_file, "--tc", str(path)]) == 2
         assert "1-based" in capsys.readouterr().err
+
+    def test_short_new_bundle_is_refused(self, economy_file, tc_file, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"b": [0.5, 0.5]}))
+        argv = ["check-tc", "--economy", economy_file, "--tc", tc_file, "--wage", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: wage bundle length 2 does not match 3 sectors\n"
 
     @pytest.mark.parametrize("sector", [3.9, True], ids=["fractional", "boolean"])
     def test_non_integer_sector_in_file(self, sector, economy_file, tmp_path, capsys):

@@ -28,7 +28,8 @@ from okishio_lab import (
     value_of_bundle,
 )
 from okishio_lab import equilibrium, verify
-from okishio_lab.equilibrium import CW_TOL, _left_perron
+from okishio_lab.equilibrium import _left_perron
+from okishio_lab.tolerances import CW_TOL
 from okishio_lab.verify import iter_suite, suite_block
 
 

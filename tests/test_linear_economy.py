@@ -34,12 +34,10 @@ from okishio_lab import (
 )
 from okishio_lab.linear_economy import (
     BOUND_NOT_BELOW_ONE,
-    CW_TOL,
     DECOMPOSABLE,
     LABOR_NOT_POSITIVE,
     NEGATIVE_INPUT,
     PASSED,
-    PRODUCTIVITY_MARGIN,
     RESIDUAL_TOO_LARGE,
     SINGULAR,
     VALUE_NOT_POSITIVE,
@@ -50,6 +48,7 @@ from okishio_lab.linear_economy import (
     _connected_rows,
     _read_fields,
 )
+from okishio_lab.tolerances import CW_TOL, STRICT_MARGIN
 
 
 class TestValidation:
@@ -309,7 +308,7 @@ class TestValueCertificate:
         labor = np.array([1e-16, 1.0, 1.0])
         certificate = _certify_stack(ref_inputs[None], labor[None])
         assert certificate.reasons.tolist() == [BOUND_NOT_BELOW_ONE]
-        assert certificate.bound[0] >= 1.0 - PRODUCTIVITY_MARGIN
+        assert certificate.bound[0] >= 1.0 - STRICT_MARGIN
         tech = Technology(ref_inputs, labor)
         assert tech.spectral_radius == pytest.approx(0.65, rel=1e-14)
         assert np.all(tech.values > 0)
@@ -320,7 +319,7 @@ class TestValueCertificate:
         assert ref_tech.productivity_bound == certificate.bound[0]
         assert np.array_equal(ref_tech.values, certificate.values[0])
         assert ref_tech.productivity_bound >= ref_tech.spectral_radius * (1.0 - CW_TOL)
-        assert ref_tech.productivity_bound < 1.0 - PRODUCTIVITY_MARGIN
+        assert ref_tech.productivity_bound < 1.0 - STRICT_MARGIN
 
     def test_zero_matrix_has_radius_zero(self):
         tech = Technology(np.array([[0.0]]), np.array([1.0]))
@@ -430,7 +429,7 @@ class TestCertificateProperties:
         inputs[np.arange(n), np.roll(np.arange(n), 1)] += rng.uniform(0.01, 0.3, n)
         inputs *= radius / eigvals_radius(inputs)
         labor = rng.uniform(0.05, 0.5, n) * 10.0**k
-        if eigvals_radius(inputs) < 1.0 - PRODUCTIVITY_MARGIN:
+        if eigvals_radius(inputs) < 1.0 - STRICT_MARGIN:
             assert np.all(Technology(inputs, labor).values > 0)
         else:
             with pytest.raises(NotProductive):

@@ -297,7 +297,7 @@ class TestConstantExploitationSampler:
         # Sector 1's value intercept is below its price intercept: no drawn
         # coordinate lies between them, so the pin is refused, not retried.
         assert not ref_region.feasible_sectors[0]
-        with pytest.raises(Infeasible, match=r"pivot 0 \(0-based\) cannot carry a bundle: "
+        with pytest.raises(Infeasible, match=r"sector 1 cannot carry a bundle: "
                            r"its value intercept 1\.03682 is not above its price intercept "
                            r"1\.05556"):
             sample_constant_exploitation(ref_region, seed=1, strategy=EqualOffPivot(pivot=0))
@@ -308,7 +308,7 @@ class TestConstantExploitationSampler:
 
     @pytest.mark.parametrize("pivot", [-1, 3])
     def test_pivot_out_of_range_rejected(self, ref_region, pivot):
-        with pytest.raises(InvalidSector, match=f"pivot {pivot} outside range 0..2"):
+        with pytest.raises(InvalidSector, match=f"pivot sector {pivot + 1} outside range 1..3"):
             sample_constant_exploitation(ref_region, seed=1, strategy=EqualOffPivot(pivot=pivot))
 
     @pytest.mark.parametrize("weights", [(1.0, -1.0, 1.0), (1.0, 1.0)])

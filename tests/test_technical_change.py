@@ -139,6 +139,17 @@ class TestProperties:
         assert report.more_expensive
         assert not report.value_constant
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["old bundle", "new bundle"])
+    def test_bundle_of_another_size_is_refused(
+        self, ref_tech, ref_eq, ref_change, ref_bundle, which
+    ):
+        bundles = [ref_bundle, ref_bundle]
+        bundles[which] = WageBundle(np.array([0.5, 0.5]))
+        values = labor_values(ref_tech)
+        new_values = labor_values(apply_change(ref_tech, ref_change))
+        with pytest.raises(ValueError, match="wage bundle length 2 does not match 3 sectors"):
+            check_properties(ref_tech, ref_change, ref_eq, values, new_values, *bundles)
+
 
 class TestApplyChange:
     def test_reference_patch(self, ref_tech, ref_change):

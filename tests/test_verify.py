@@ -573,8 +573,11 @@ def _in_other_units(record, labor, goods):
 
 
 @pytest.mark.parametrize(
-    "labor, goods", [(1e-13, 1.0), (1.0, 1e-6), (1.0, 1e-12)],
-    ids=["labor*1e-13", "goods*1e-+6", "goods*1e-+12"],
+    "labor, goods",
+    [(1e-13, 1.0), (1.0, 1e-6), (1.0, 1e-12), (1e150, 1.0), (1e-150, 1.0), (1.0, 1e150),
+     (1.0, 1e-150)],
+    ids=["labor*1e-13", "goods*1e-+6", "goods*1e-+12", "labor*1e150", "labor*1e-150",
+         "goods*1e+-150", "goods*1e-+150"],
 )
 def test_scenario_verdicts_are_free_of_units(records, labor, goods):
     for record in records:
