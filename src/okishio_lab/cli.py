@@ -203,7 +203,13 @@ def cmd_synth_tc(args) -> int:
     return 0
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
+
+
 def cmd_synth_wage(args) -> int:
+    _require_seed(args.seed)
     if args.strategy != "equal-off-pivot" and (args.pivot, args.pivot_value) != (None, None):
         raise ValueError("--pivot and --pivot-value apply only to --strategy equal-off-pivot")
     tech, bundle = load_economy(args.economy)
@@ -325,6 +331,7 @@ def cmd_reproduce_example(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require_seed(args.seed)
     rows = iter_suite_rows(seed=args.seed, count=args.count, n_range=(args.n_min, args.n_max))
     if args.format == "csv":
         rows = _echoed_as_csv(rows)

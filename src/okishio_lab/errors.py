@@ -42,7 +42,8 @@ class InvalidFraction(EconomyError):
 
 
 class Infeasible(EconomyError):
-    """Requested sample from a wage region with no admissible points."""
+    """No admissible point: a wage region misses the orthant, or a synthesized
+    change would not clear the strict margin of its own classifier."""
 
 
 class SamplingExhausted(EconomyError):

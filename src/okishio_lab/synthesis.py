@@ -31,6 +31,7 @@ labor into a window whose endpoints the headroom dictates.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -269,6 +270,65 @@ def _pivot_plan(regions: _Regions, strategy) -> tuple:
     return at[1], lows, highs, values[at], weights, off_value, bare
 
 
+# NumPy's SeedSequence hash (O'Neill's seed_seq_fe, frozen under NEP 19) on
+# its pool of 4 words: mix_entropy takes 17 hash constants in turn and
+# generate_state(4, uint64) 9; each xors a word and the next multiplies it.
+_POOL_HASH, _STATE_HASH = (
+    np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(count)], dtype=np.uint32)
+    for init, mult, count in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = [np.array([dst for dst in range(4) if dst != src]) for src in range(4)]
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    words = (words ^ constants[:-1]) * constants[1:]
+    return words ^ words >> _XSHIFT
+
+
+@functools.cache
+def _given_state():
+    """An ISeedSequence handing PCG64 a state hashed beforehand, made at
+    first use: numpy.random is not imported when the package loads."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=None):  # PCG64 asks for 4 uint64 words
+            return self.state
+
+    return GivenState
+
+
+def _generators(seeds) -> list:
+    """``[np.random.default_rng(seed) for seed in seeds]``, bit for bit, each
+    seed an int or a sequence of ints, hashed for all rows in one array pass.
+
+    Each row's words, zero-padded to the pool's 4 (SeedSequence pads with
+    ``hashmix(0)``), run mix_entropy and generate_state as columns. One seed,
+    a value that is not a nonnegative int, or a row of more than 4 words goes
+    to ``default_rng`` itself, which raises its own errors.
+    """
+    rows = [seed if isinstance(seed, (list, tuple)) else (seed,) for seed in seeds]
+    if len(rows) > 1 and all(type(value) is int and value >= 0 for row in rows for value in row):
+        # SeedSequence's uint32 words of a row: each value's, low word first.
+        words = [[value >> shift & 0xFFFFFFFF for value in row
+                  for shift in range(0, max(value.bit_length(), 1), 32)] for row in rows]
+        if max(map(len, words)) <= 4:
+            pool = _hashmix(np.array([row + [0] * (4 - len(row)) for row in words],
+                                     dtype=np.uint32), _POOL_HASH[:5])
+            for src, others in enumerate(_OTHERS):
+                hashed = _hashmix(pool[:, src, None], _POOL_HASH[4 + 3 * src:8 + 3 * src])
+                mixed = pool[:, others] * _MIX_L - hashed * _MIX_R
+                pool[:, others] = mixed ^ mixed >> _XSHIFT
+            state = _hashmix(np.tile(pool, 2), _STATE_HASH).astype(np.uint64)
+            state = state[:, 1::2] << np.uint64(32) | state[:, ::2]  # little-endian pairs
+            given = _given_state()
+            return [np.random.Generator(np.random.PCG64(given(row))) for row in state]
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
     """The samplers for each row, row i drawing from ``default_rng(seeds[i])``.
 
@@ -290,7 +350,7 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
         raise Infeasible("wage region does not meet the nonnegative orthant")
     pivots, lows, highs, pivot_values, weights, off_value, bare = _pivot_plan(
         regions, PivotUniform() if strategy is None else strategy)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = _generators(seeds)
     # A candidate on the value plane: the pivot coordinate, drawn where
     # its bounds differ, and the rest spread by weight (none if bare).
     coords = np.array([rng.uniform(lo, hi) if lo < hi else lo
@@ -406,8 +466,9 @@ _Synthesized = namedtuple("_Synthesized", "sectors new_columns new_labor pivot i
 
 def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon_frac, labor_frac):
     """``synthesize_culs_change`` for each row, its arguments checked: the first
-    row whose bundle is not admissible raises NotInB. The changes it makes
-    are for the caller to check with ``_check_changes``."""
+    row whose bundle is not admissible raises NotInB, and the first whose
+    change would not clear the classifier's strict margin raises Infeasible.
+    The changes it makes are for the caller to check with ``_check_changes``."""
     bundle_value = _dots(values, quantities)
     flags = admissibility(prices, values, bundle_value)
     admissible = flags.admissible
@@ -416,15 +477,31 @@ def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon
         detail = ("bundle value outside (0, 1]" if not flags.nonnegative_surplus[failed]
                   else "no price-value ratio exceeds one plus exploitation")
         raise NotInB(f"wage bundle is not admissible: {detail}")
-    # The pivot's headroom fixes how deep the labor cut may go.
+    # The pivot's headroom h fixes how deep the labor cut may go.
     interval_ratio = bundle_value * flags.max_ratio
     rows = np.arange(len(sectors))
     old_labor, price_sum = labor[rows, sectors], prices.sum(axis=1)
+    old_columns = inputs[rows, :, sectors]
     increment = epsilon_frac * old_labor / price_sum
     upper = old_labor - increment * price_sum
     lower = upper / interval_ratio
     new_labor = lower + labor_frac * (upper - lower)
-    new_columns = inputs[rows, :, sectors] + increment[:, None]
+    new_columns = old_columns + increment[:, None]
+    # Unit cost falls by (1 - labor_frac)(1 - epsilon_frac) λ h/(1 + h) of
+    # itself, λ the sector's labor share, and each input rises by increment /
+    # a_is of itself, least for the largest: near either end of a knob, or
+    # with headroom near zero, one of them fails the margin classify applies.
+    costs = _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor)
+    failed = ~(costs.viable & costs.culs)
+    if failed.any():
+        row = failed.argmax()
+        drop = ((1.0 - labor_frac) * (1.0 - epsilon_frac) * old_labor / costs.cost_pre
+                * (1.0 - 1.0 / interval_ratio))
+        bound, gain = (("relative unit-cost drop", drop[row]) if not costs.viable[row] else
+                       ("smallest relative input rise", increment[row] / old_columns[row].max()))
+        raise Infeasible(f"a change in sector {sectors[row] + 1} would not be viable and "
+                         f"capital-using labor-saving: its {bound} {gain:.3g} is not above "
+                         f"{STRICT_MARGIN:.0e}")
     return _Synthesized(sectors, new_columns, new_labor, flags.max_ratio_sector, interval_ratio,
                         increment, lower, upper)
 
@@ -457,7 +534,11 @@ def synthesize_culs_change(
     The construction guarantees, at the pre-change equilibrium: unit
     cost strictly falls, every input requirement strictly rises, direct
     labor strictly falls, and the wage region of the change meets the
-    nonnegative orthant. The one-row call of ``_synthesize_rows``.
+    nonnegative orthant. Raises Infeasible, naming the bound and its
+    value, when the cost drop or the smallest input rise, each relative
+    to what it changes, would not exceed ``STRICT_MARGIN``: near either
+    end of a knob, or with headroom near zero. The one-row call of
+    ``_synthesize_rows``.
     """
     for name, frac in (("epsilon_frac", epsilon_frac), ("labor_frac", labor_frac)):
         if not 0.0 < frac < 1.0:

@@ -43,8 +43,8 @@ from .linear_economy import (
     _require_size, exploitation_rate,
 )
 from .synthesis import (
-    SynthesizedChange, WageRegion, _analyze_rows, _ratio_rows, _sample_rows, _synthesize_rows,
-    _synthesized_change, _wage_region,
+    SynthesizedChange, WageRegion, _analyze_rows, _generators, _ratio_rows, _sample_rows,
+    _synthesize_rows, _synthesized_change, _wage_region,
 )
 from .technical_change import (
     TechChange, _change_row, _check_changes, _Costs, _patch_rows, _property_rows, _require_fit
@@ -535,7 +535,7 @@ def _sweep_block(seed: int, indices: range, sizes: tuple, edge):
     economy in the first group that has one. ``edge(group)`` returns the
     function that gives the item of the group's row i.
     """
-    rngs = [np.random.default_rng([seed, index]) for index in indices]
+    rngs = _generators([(seed, index) for index in indices])
     groups = _by_size([int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs])
     # A waiting group keeps only its bit generators, which hold each stream's
     # state; it gets generators for them when it runs and drops them after

@@ -428,6 +428,26 @@ class TestSynthTc:
         assert main(["synth-tc", "--economy", economy_file, "--sector", "4"]) == 2
         assert "1..3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("knobs, bound", [
+        (["--epsilon-frac", "0.999999999", "--labor-frac", "0.99"], "relative unit-cost drop"),
+        (["--epsilon-frac", "1e-13"], "smallest relative input rise"),
+    ], ids=["cost-drop", "input-rise"])
+    def test_change_its_classifier_would_reject_exits_2(
+        self, economy_file, knobs, bound, capsys
+    ):
+        assert main(["synth-tc", "--economy", economy_file, "--sector", "3", *knobs]) == 2
+        assert bound in capsys.readouterr().err
+
+    def test_headroom_near_zero_exits_2(self, tmp_path, capsys):
+        # A = 1/8 + 1e-11 R has price-value headroom of about 2e-12.
+        inputs = 1.0 / 8.0 + 1e-11 * np.random.default_rng(3).uniform(size=(4, 4))
+        tech = Technology(inputs, np.full(4, 0.2))
+        path = tmp_path / "economy.json"
+        path.write_text(json.dumps({"A": inputs.tolist(), "L": [0.2] * 4,
+                                    "b": [0.5 / tech.values.sum()] * 4}))
+        assert main(["synth-tc", "--economy", str(path), "--sector", "1"]) == 2
+        assert "relative unit-cost drop" in capsys.readouterr().err
+
     def test_bad_fraction(self, economy_file, capsys):
         code = main(
             [
@@ -496,6 +516,11 @@ class TestSynthWage:
         for pivot in ("0", "5"):
             assert main(base + [pivot]) == 2
             assert capsys.readouterr().err == f"error: --pivot must be in 1..3, got {pivot}\n"
+
+    def test_negative_seed_is_refused_naming_the_flag(self, economy_file, tc_file, capsys):
+        argv = ["synth-wage", "--economy", economy_file, "--tc", tc_file, "--seed", "-1"]
+        assert main(argv) == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("strategy", ["pivot-uniform", "rising"])
     def test_pivot_flags_need_equal_off_pivot(
@@ -821,6 +846,12 @@ class TestSweep:
 
     def test_negative_count_rejected(self, capsys):
         assert main(["sweep", "--count", "-1"]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_negative_seed_is_refused_naming_the_flag(self, fmt, capsys):
+        assert main(["sweep", "--seed", "-1", "--count", "1", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--seed" in err
 
     @pytest.mark.parametrize("argv, n_range", [
         (["--count", "600"], (2, 8)),

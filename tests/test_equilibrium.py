@@ -6,6 +6,7 @@ with the production solver. Elsewhere ``max|eigvals|`` is the oracle.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -436,18 +437,39 @@ def economies(draw):
     return random_economy(rng, n)
 
 
+def exact_bracket(tech, bundle):
+    """The Collatz–Wielandt bracket of the exact ``A + b L``, in Fractions.
+
+    For any positive row vector x, ``min_j (x M)_j / x_j <= rho(M) <=
+    max_j (x M)_j / x_j``; x here is the left Perron vector ``np.linalg.eig``
+    finds for the rounded M. Floats are Fractions exactly, so nothing rounds.
+    """
+    moduli, vectors = np.linalg.eig(augmented_inputs(tech, bundle).T)
+    left = np.abs(vectors[:, np.argmax(np.abs(moduli))].real)
+    assert (left > 0).all()
+    x = [Fraction(entry) for entry in left.tolist()]
+    inputs = [[Fraction(entry) for entry in row] for row in tech.inputs.tolist()]
+    wage = [Fraction(entry) for entry in bundle.quantities.tolist()]
+    labor = [Fraction(entry) for entry in tech.labor.tolist()]
+    sectors = range(tech.n)
+    ratios = [sum(x[i] * (inputs[i][j] + wage[i] * labor[j]) for i in sectors) / x[j]
+              for j in sectors]
+    return min(ratios), max(ratios)
+
+
 class TestCertificateProperties:
     @settings(max_examples=40, deadline=None)
     @given(economies())
-    def test_bracket_contains_eigvals(self, economy):
+    def test_bracket_overlaps_exact_bracket(self, economy):
         tech, bundle = economy
         eq = uniform_profit_rate(tech, bundle)
         lo, hi = eq.rho_bounds
         assert (hi - lo) / hi <= CW_TOL
-        # eigvals and the bracket's ratios each carry a few ulps of
-        # rounding, so containment is checked to CW_TOL.
-        rho = spectral_radius(augmented_inputs(tech, bundle))
-        assert lo * (1.0 - CW_TOL) <= rho <= hi * (1.0 + CW_TOL)
+        # The exact bracket holds rho for certain; the solver's ratios carry
+        # a few ulps of rounding, so the overlap is checked to CW_TOL.
+        exact_lo, exact_hi = exact_bracket(tech, bundle)
+        assert exact_lo <= Fraction(hi * (1.0 + CW_TOL))
+        assert Fraction(lo * (1.0 - CW_TOL)) <= exact_hi
 
     @settings(max_examples=40, deadline=None)
     @given(economies(), st.integers(-6, 6))

@@ -15,7 +15,9 @@ from okishio_lab import (
     NotInB,
     PivotUniform,
     SamplingExhausted,
+    Technology,
     WageBundle,
+    analyze_change,
     apply_change,
     build_region,
     check_properties,
@@ -515,6 +517,103 @@ class TestSynthesize:
             synthesize_culs_change(ref_tech, ref_bundle, eq, sector=3)
         with pytest.raises(InvalidSector):
             synthesize_culs_change(ref_tech, ref_bundle, eq, sector=-1)
+
+    # The relative cost drop is (1 - labor_frac)(1 - epsilon_frac) λ h/(1 + h):
+    # about 1e-13 here. With epsilon_frac = 1e-13 each input rises by less
+    # than 1e-12 of itself.
+    @pytest.mark.parametrize("epsilon_frac, labor_frac, bound", [
+        (0.999999999, 0.99, "relative unit-cost drop 1.01e-13"),
+        (1e-13, 0.5, "smallest relative input rise 2.38e-14"),
+    ], ids=["cost-drop", "input-rise"])
+    def test_knobs_near_their_ends_are_infeasible(
+        self, ref_tech, ref_bundle, epsilon_frac, labor_frac, bound
+    ):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        with pytest.raises(Infeasible, match=f"sector 3 .*{bound} is not above 1e-12"):
+            synthesize_culs_change(ref_tech, ref_bundle, eq, 2, epsilon_frac, labor_frac)
+
+    def test_headroom_near_zero_never_gives_a_change_its_classifier_rejects(self):
+        outcomes = set()
+        for delta in np.geomspace(1e-12, 1e-9, 61):
+            tech, bundle = headroom_economy(delta)
+            eq = uniform_profit_rate(tech, bundle)
+            for sector in range(tech.n):
+                try:
+                    synth = synthesize_culs_change(tech, bundle, eq, sector)
+                except (NotInB, Infeasible) as err:
+                    outcomes.add(type(err))
+                    continue
+                analysis = analyze_change(tech, bundle, eq, synth.change)
+                assert analysis.classification.viable and analysis.classification.culs
+                assert analysis.region is not None and analysis.region.feasible
+                outcomes.add(None)
+        # The family runs from no headroom through too little to enough.
+        assert outcomes == {NotInB, Infeasible, None}
+
+
+def headroom_economy(delta):
+    """``A = 1/8 + delta R`` and a bundle worth half a day: the price-value
+    headroom h grows from zero with delta (h is about 0.19 delta)."""
+    inputs = 1.0 / 8.0 + delta * np.random.default_rng(3).uniform(size=(4, 4))
+    tech = Technology(inputs, np.full(4, 0.2))
+    return tech, WageBundle(np.full(4, 0.5 / tech.values.sum()))
+
+
+def first_draws(rng):
+    return rng.uniform(), rng.integers(2**63 - 1), rng.uniform(size=(4, 4))
+
+
+def assert_default_streams(seeds):
+    generators = synthesis._generators(seeds)
+    assert len(generators) == len(seeds)
+    for rng, seed in zip(generators, seeds):
+        (x, i, block), (y, j, expected) = map(first_draws, (rng, np.random.default_rng(seed)))
+        assert (x, i) == (y, j)
+        np.testing.assert_array_equal(block, expected)
+
+
+class TestGenerators:
+    """``_generators`` hashes many seeds at once; every stream must be
+    ``default_rng``'s, bit for bit."""
+
+    INTEGER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2] + [
+        int(seed) for seed in np.random.default_rng(21).integers(2**63 - 1, size=595)
+    ]
+
+    @pytest.mark.parametrize("k", [1, 2, 600])
+    def test_integer_seeds(self, k):
+        for start in range(0, len(self.INTEGER_SEEDS), k):
+            assert_default_streams(self.INTEGER_SEEDS[start:start + k])
+
+    # One to four words of seed, then the index: entropy of 2, 3, 4 and 5 words.
+    @pytest.mark.parametrize("seed", [1000, 2**32 + 7, 2**64 + 3, 2**96 + 5])
+    @pytest.mark.parametrize("k", [1, 2, 600])
+    def test_seed_index_pairs(self, seed, k):
+        assert_default_streams([(seed, index) for index in range(k)])
+
+    @pytest.mark.parametrize("seeds, batched", [
+        ([7], False),
+        ([(2**64 + 3, 0), (2**64 + 3, 1)], True),
+        ([(2**96 + 5, 0), (2**96 + 5, 1)], False),
+        ([np.int64(7), 8], False),
+    ], ids=["one-seed", "four-words", "five-words", "numpy-int"])
+    def test_only_pooled_rows_of_two_or_more_seeds_are_batched(self, seeds, batched, monkeypatch):
+        calls, default_rng = [], np.random.default_rng
+
+        def counted(seed):
+            calls.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        synthesis._generators(seeds)
+        assert calls == ([] if batched else list(seeds))
+
+    @pytest.mark.parametrize("seeds", [[-1], [-1, 2], [(-1, 0), (-1, 1)], [(5, 0), (5, -1)]])
+    def test_negative_seed_raises_default_rngs_error(self, seeds):
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(min(seeds))
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            synthesis._generators(seeds)
 
 
 class TestFeasibilityFormsAgree:

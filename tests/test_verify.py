@@ -455,6 +455,15 @@ class TestSuite:
         assert header[0] == "index"
         assert "verdict" in header
 
+    def test_negative_seed_error_is_the_same_for_one_economy_and_many(self):
+        # One economy draws from default_rng itself, several from its batched hash.
+        errors = []
+        for count in (1, 5):
+            with pytest.raises(ValueError) as raised:
+                run_suite(seed=-1, count=count)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
     def test_different_seed_differs(self, records):
         other = run_suite(seed=1001, count=5)
         assert other[0].scenario.pre_profit != records[0].scenario.pre_profit
