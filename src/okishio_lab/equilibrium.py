@@ -26,12 +26,14 @@ residual exceeds the fixed ``tolerances.RESIDUAL_TOL``, far above that
 bound, so it guards the solver's arithmetic and leaves no tolerance to choose.
 
 ``_price_rows`` prices a ``(k, n, n)`` stack of economies of one size:
-``_left_perron`` runs its plain loop for one row and a masked loop over
-stacked products and solves for more, and the normalization and
-residual are array expressions that round as the 1-d products do. So
-an equilibrium does not depend on what was solved beside it.
-``uniform_profit_rate`` is its one-row call; the sweep's draw and its
-verifier call it on whole stacks.
+``_left_perron`` runs its plain loop a row at a time on a stack of up to
+``PLAIN_ROWS`` rows and a masked loop over stacked products and solves
+on a taller one, and the normalization and residual are array
+expressions that round as the 1-d products do. So an equilibrium does
+not depend on what was solved beside it. ``uniform_profit_rate`` is its
+one-row call; the sweep's draw calls it on whole stacks, and the
+verifier once per call on the equilibria before and after the change
+stacked together.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
-from .linear_economy import Technology, WageBundle, _dots, _left_perron, _require_size
+from .linear_economy import (
+    Technology, WageBundle, _dots, _left_perron, _require_size, _sector_max
+)
 from .tolerances import RESIDUAL_TOL, strictly_above
 
 
@@ -103,13 +107,14 @@ def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     return _augmented(tech.inputs[None], tech.labor[None], bundle.quantities[None])[0]
 
 
-def _augmented(inputs, labor, quantities) -> np.ndarray:
-    """``augmented_inputs`` for ``(k, n, n)`` inputs, ``(k, n)`` labor and bundles.
+def _augmented(inputs, labor, quantities, out=None) -> np.ndarray:
+    """``augmented_inputs`` for ``(k, n, n)`` inputs, ``(k, n)`` labor and bundles,
+    written to ``out`` if given.
 
     The wage goods are added to the inputs in place of a third stack; the
     sum is the same either way round.
     """
-    augmented = quantities[:, :, None] * labor[:, None, :]
+    augmented = np.multiply(quantities[:, :, None], labor[:, None, :], out=out)
     augmented += inputs
     return augmented
 
@@ -130,7 +135,7 @@ def _price_rows(augmented: np.ndarray, quantities: np.ndarray) -> _Prices:
         # pM/rho, not (1 + profit) pM: when rho >> 1, 1 + (1/rho - 1) would
         # lose about log10(rho) digits and the residual with them.
         image = (prices[:, None, :] @ augmented)[:, 0, :] / rho[:, None]
-        residual = np.abs(prices - image).max(axis=1) / prices.max(axis=1)
+        residual = _sector_max(np.abs(prices - image)) / _sector_max(prices)
     return _Prices(prices, profit, rho, residual, steps, bounds, cost)
 
 

@@ -83,6 +83,10 @@ def _require_square(inputs: np.ndarray) -> None:
         raise ValueError("input matrix must have at least one sector")
 
 
+# Search levels _connected_rows takes for the whole stack at once.
+STACKED_LEVELS = 2
+
+
 def _connected_rows(stack: np.ndarray) -> np.ndarray:
     """Strong connectivity of each matrix of a ``(k, n, n)`` stack.
 
@@ -90,17 +94,29 @@ def _connected_rows(stack: np.ndarray) -> np.ndarray:
     is no edge: that pattern alone survives a change of units. One
     search: a ``(2k, n)`` frontier from sector 0, forward and on the
     transpose, propagated through the boolean adjacency by stacked
-    products until no row grows.
+    products. A dense pattern is done within STACKED_LEVELS of them; a row
+    still growing then finishes alone, so a deep graph (a long cycle) costs
+    each level a read of its frontier's rows rather than a product over
+    the whole stack.
     """
     adjacency = stack > 0.0
     graphs = np.concatenate((adjacency, adjacency.transpose(0, 2, 1)))
     seen = graphs[:, 0, :].copy()  # sector 0 and the sectors it reaches directly
     seen[:, 0] = True
     frontier = seen
+    levels = 0
     # A dense pattern is done here, before any product.
     while not seen.all() and np.count_nonzero(frontier):
+        if levels == STACKED_LEVELS:
+            for row in (frontier.any(axis=1) & ~seen.all(axis=1)).nonzero()[0].tolist():
+                graph, reached, ahead = graphs[row], seen[row], frontier[row]
+                while ahead.any():
+                    ahead = graph[ahead].any(axis=0) & ~reached
+                    reached |= ahead  # a view: the row of seen
+            break
         frontier = (frontier[:, None, :] @ graphs)[:, 0, :] & ~seen
         seen |= frontier
+        levels += 1
     return seen.reshape((2,) + adjacency.shape[:2]).all(axis=(0, 2))
 
 
@@ -116,6 +132,19 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a[i] @ b[i]`` for each row of two ``(k, n)`` stacks, rounded as that is:
     a stacked ``matmul`` rounds as the 1-d product, ``einsum`` does not."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _sector_min(stack: np.ndarray) -> np.ndarray:
+    """``stack.min(axis=1)`` of a ``(k, n)`` stack; see ``_sector_max``."""
+    return np.minimum.reduce(np.ascontiguousarray(stack.T))
+
+
+def _sector_max(stack: np.ndarray) -> np.ndarray:
+    """``stack.max(axis=1)`` of a ``(k, n)`` stack, reduced elementwise over a
+    sector-major copy: NumPy reduces ``(k, n)`` along its rows a row at a
+    time, 25 µs at k = 250, n = 8, and the ``(n, k)`` copy in about 5. The
+    maximum is exact, so the order gives the same value, NaN included."""
+    return np.maximum.reduce(np.ascontiguousarray(stack.T))
 
 
 def _column_dots(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -148,6 +177,10 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _solve_gufunc(a, b, signature="dd->d")
 
 
+# The tallest stack _left_perron solves a row at a time.
+PLAIN_ROWS = 3
+
+
 def _left_perron(
     stack: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -167,26 +200,28 @@ def _left_perron(
     strictly positive raises NoConvergence. The width starts below one,
     so there are at most 14 power steps before the switch.
 
-    One row (k = 1) runs a plain loop; more run one masked loop of
-    stacked products and solves, each row leaving once converged, with
-    the same arithmetic, so a result does not depend on the rows beside
-    it. On a failure there the rows run one at a time, so the first
-    failing row raises its own error. Both loops stay: run on one row,
-    the masked loop gives the same bits but takes 1.4 to 3.7 times as
-    long (n = 2 to 24 and 400, one BLAS thread), and one-economy calls
-    price one row at a time while the sweep prices whole stacks.
+    A stack of at most PLAIN_ROWS rows runs a plain loop, a row at a
+    time; a taller one runs one masked loop of stacked products and
+    solves, each row leaving once converged, with the same arithmetic, so
+    a result depends neither on the rows beside it nor on which loop ran.
+    On a failure there the rows run one at a time, so the first failing
+    row raises its own error. Both loops stay: the masked loop saves
+    NumPy's cost per call on the sweep's tall stacks of small matrices,
+    but pays for its bookkeeping on a few rows. At n = 3, 8 and 24 (one
+    BLAS thread) it overtakes the plain loop at 3 to 6 rows; at n = 400
+    it is slower at every height up to 8. A one-economy scenario stacks
+    a row before the change and one per new bundle after it: two for the
+    CLI's ``verify``, four for a sweep economy's three bundles.
 
     Returns, per row, the bracket's midpoint, the iterate it certifies,
     the number of steps and the bracket, as arrays of shape ``(k,)``,
     ``(k, n)``, ``(k,)`` and ``(k, 2)``.
     """
-    if stack.shape[0] == 1:
-        rho, vector, steps, bounds = _perron_one(stack[0])
-        return np.array([rho]), vector[None], np.array([steps]), np.array([bounds])
-    solved = _perron_stack(stack)
-    if solved is not None:
-        return solved
-    rho, vectors, steps, bounds = zip(*map(_perron_one, stack))
+    if not 0 < len(stack) <= PLAIN_ROWS:
+        solved = _perron_stack(stack)
+        if solved is not None:
+            return solved
+    rho, vectors, steps, bounds = zip(*[_perron_one(matrix) for matrix in stack])
     return np.array(rho), np.array(vectors), np.array(steps), np.array(bounds)
 
 
@@ -249,7 +284,7 @@ def _perron_stack(stack: np.ndarray):
     rows, matrices = np.arange(k), np.ascontiguousarray(stack, dtype=float)
     vec = np.ones((k, n))
     image = (matrices.transpose(0, 2, 1) @ vec[:, :, None])[:, :, 0]
-    lo, hi = image.min(axis=1), image.max(axis=1)
+    lo, hi = _sector_min(image), _sector_max(image)
     if not (hi > 0.0).all():
         return None
     width = (hi - lo) / hi
@@ -281,14 +316,14 @@ def _perron_stack(stack: np.ndarray):
                 return None
             step[shifted] = scale * solved
             del system  # before the rows are copied out for the power step
-        step /= step.max(axis=1, keepdims=True)
-        if not (step.min(axis=1) > 0.0).all():
+        step /= _sector_max(step)[:, None]
+        if not (_sector_min(step) > 0.0).all():
             return None
         working = matrices if rows.size == k else matrices[rows]
         image = (working.transpose(0, 2, 1) @ step[:, :, None])[:, :, 0]
         del working  # before the next step's system is built
         ratios = image / step
-        lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+        lo, hi = _sector_min(ratios), _sector_max(ratios)
         new_width = (hi - lo) / hi
         if (shifted & ~(new_width < width)).any():
             return None
@@ -354,8 +389,8 @@ def _value_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, ...]
     # residual against the largest value makes it free of units. A value
     # that is not positive fails its row anyway.
     with np.errstate(divide="ignore", invalid="ignore"):
-        residual = np.abs(values - image - labor).max(axis=1) / values.max(axis=1)
-        bound = (image / values).max(axis=1)
+        residual = _sector_max(np.abs(values - image - labor)) / _sector_max(values)
+        bound = _sector_max(image / values)
     return values, residual, bound
 
 
@@ -413,7 +448,7 @@ def _certify_stack(inputs: np.ndarray, labor: np.ndarray) -> _Certificate:
     except np.linalg.LinAlgError as err:
         reasons[rows] = SINGULAR
         return _Certificate(reasons, values, residual, bound, err)
-    fail(~(live(values).min(axis=1) > 0.0), VALUE_NOT_POSITIVE)
+    fail(~(_sector_min(live(values)) > 0.0), VALUE_NOT_POSITIVE)
     fail(~(live(residual) <= VALUE_RESIDUAL_TOL), RESIDUAL_TOO_LARGE)
     fail(~strictly_below(live(bound), 1.0), BOUND_NOT_BELOW_ONE)
     return _Certificate(reasons, values, residual, bound, None)

@@ -16,7 +16,9 @@ product of the two markups (one plus exploitation, one plus saving
 rate). Both forms are computed; they must always agree.
 
 ``analyze_change`` is the one place a candidate change is classified,
-applied, revalued and given its region: ``_analyze_rows`` for one row.
+applied, revalued and given its region: ``_analyze_rows`` for one row,
+on the costs ``_classify_rows`` gives it. The sweep passes the costs its
+synthesis classified, the verifier its own.
 
 Samplers draw bundles from that region (or strictly inside the price
 side of it, for rising exploitation): one proposal and one check per
@@ -140,19 +142,18 @@ class ChangeAnalysis:
 
 
 # _analyze_rows' results, one row each; new_values and new_bounds certify the patched rows.
-_Analyses = namedtuple("_Analyses", "bundle_value exploitation costs new_values new_bounds regions")
+_Analyses = namedtuple("_Analyses", "bundle_value exploitation new_values new_bounds regions")
 
 
-def _analyze_rows(inputs, labor, values, quantities, prices, sectors, new_columns, new_labor,
-                  patched):
-    """``analyze_change`` for each row, certifying the ``patched`` techniques
-    (``_patch_rows`` of the changes) in one stacked check; a row's region
-    means something only if its change is viable."""
+def _analyze_rows(values, quantities, prices, costs, patched):
+    """``analyze_change`` for each row, from the ``_classify_rows`` costs of its
+    change at ``prices``, certifying the ``patched`` techniques (``_patch_rows``
+    of the changes) in one stacked check; a row's region means something only
+    if its change is viable."""
     bundle_value = _dots(values, quantities)
-    costs = _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor)
     new_values, new_bounds = _certify_rows(*patched)
     regions = _region_rows(prices, new_values, bundle_value, 1.0 + costs.saving_rate)
-    return _Analyses(bundle_value, exploitation_rate(bundle_value), costs, new_values, new_bounds,
+    return _Analyses(bundle_value, exploitation_rate(bundle_value), new_values, new_bounds,
                      regions)
 
 
@@ -167,12 +168,12 @@ def analyze_change(
     technique is built from its certified row.
     """
     _require_fit(tech, change)
-    rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
-    changed = _change_row(change)
+    prices, changed = equilibrium.prices[None], _change_row(change)
+    costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], *changed)
     inputs, labor = _patch_rows(tech.inputs[None], tech.labor[None], *changed)
-    done = _analyze_rows(*(row[None] for row in rows), *changed, (inputs, labor))
+    done = _analyze_rows(tech.values[None], bundle.quantities[None], prices, costs, (inputs, labor))
     patched = Technology._certified(inputs[0], labor[0], done.new_values[0], done.new_bounds[0])
-    classification = _classifications(done.costs)[0]
+    classification = _classifications(costs)[0]
     values = ValueSystem(tech.values, done.bundle_value[0].item(), done.exploitation[0].item())
     region = _wage_region(done.regions, 0) if classification.viable else None
     return ChangeAnalysis(values, classification, patched, patched.values, region)
@@ -459,9 +460,10 @@ class SynthesizedChange:
         return self.change.sector
 
 
-# _synthesize_rows' changes and their knobs, one row each.
+# _synthesize_rows' changes and their knobs, one row each, and the changes'
+# _classify_rows costs at the prices they were made at.
 _Synthesized = namedtuple("_Synthesized", "sectors new_columns new_labor pivot interval_ratio "
-                          "increment lower upper")
+                          "increment lower upper costs")
 
 
 def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon_frac, labor_frac):
@@ -503,14 +505,14 @@ def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon
                          f"capital-using labor-saving: its {bound} {gain:.3g} is not above "
                          f"{STRICT_MARGIN:.0e}")
     return _Synthesized(sectors, new_columns, new_labor, flags.max_ratio_sector, interval_ratio,
-                        increment, lower, upper)
+                        increment, lower, upper, costs)
 
 
 def _synthesized_change(synthesized: _Synthesized, row: int) -> SynthesizedChange:
     """Row ``row``, whose change passed ``_check_changes``, as a
     ``SynthesizedChange`` owning a copy of its column."""
     sector, new_labor, pivot, ratio, increment, lower, upper = (
-        field[row].item() for field in synthesized if field.ndim == 1)
+        field[row].item() for field in synthesized[:-1] if field.ndim == 1)
     change = TechChange._checked(sector, synthesized.new_columns[row], new_labor)
     return SynthesizedChange(change, pivot, ratio, increment, (lower, upper))
 

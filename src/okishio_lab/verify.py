@@ -32,11 +32,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import EconomyError, OracleLimit
+from .errors import EconomyError, NoConvergence, OracleLimit
 # uniform_profit_rate is bound here for perfbench/tracing.py, which wraps
 # each name in every module that binds it, and for its tests.
 from .equilibrium import (  # noqa: F401
-    _augmented, _check_prices, _price_rows, admissibility, uniform_profit_rate
+    _augmented, _check_prices, _price_rows, _Prices, admissibility, uniform_profit_rate
 )
 from .linear_economy import (
     Technology, WageBundle, _by_size, _certify_rows, _check_bundles, _dots,
@@ -47,7 +47,8 @@ from .synthesis import (
     _synthesize_rows, _synthesized_change, _wage_region,
 )
 from .technical_change import (
-    TechChange, _change_row, _check_changes, _Costs, _patch_rows, _property_rows, _require_fit
+    TechChange, _change_row, _check_changes, _classify_rows, _Costs, _patch_rows, _property_rows,
+    _require_fit,
 )
 from .tolerances import (
     MATCH_TOL, ON_PLANE_TOL, ORACLE_BISECT_TOL, ORACLE_DECAY_TOL, STRICT_MARGIN, matches,
@@ -178,21 +179,42 @@ def _verify_rows(inputs, labor, values, quantities, sectors, columns, labors, ne
     bundle and the change of sector ``sectors[i]``. Each step is one array
     call, whose first failing row raises its error; ``_scenario_reports``
     builds reports from the result.
+
+    The patched techniques do not depend on the prices before the change,
+    so one ``_price_rows`` call prices both sides: the k cases before the
+    change stacked over the m bundles after it. Its checks run in the
+    chain's order: the prices before, the change's analysis from the
+    verifier's own costs, the prices after. When that call raises, the two
+    sides are priced apart in that order, so the first failing step raises
+    its own error.
     """
     per_bundle = (lambda array: array) if owner is None else itemgetter(owner)
-    pre = _price_rows(_augmented(inputs, labor, quantities), quantities)
-    _check_prices(pre)
+    k, (m, n) = len(quantities), news.shape
     patched = _patch_rows(inputs, labor, sectors, columns, labors)
-    analysis = _analyze_rows(inputs, labor, values, quantities, pre.prices, sectors, columns,
-                             labors, patched)
-    post = _price_rows(_augmented(*map(per_bundle, patched), news), news)
+    stack = np.empty((k + m, n, n))
+    before = _augmented(inputs, labor, quantities, out=stack[:k])
+    after = _augmented(*map(per_bundle, patched), news, out=stack[k:])
+    try:
+        both = _price_rows(stack, np.concatenate((quantities, news)))
+    except NoConvergence:
+        pre = post = None
+    else:
+        pre, post = (_Prices(*[field[rows] for field in both])
+                     for rows in (slice(None, k), slice(k, None)))
+    if pre is None:
+        pre = _price_rows(before, quantities)
+    _check_prices(pre)
+    costs = _classify_rows(pre.prices, inputs, labor, sectors, columns, labors)
+    analysis = _analyze_rows(values, quantities, pre.prices, costs, patched)
+    if post is None:
+        post = _price_rows(after, news)
     _check_prices(post)
-    value_post = _dots(per_bundle(analysis.new_values), news)
-    costs, value_pre = _Costs(*map(per_bundle, analysis.costs)), analysis.bundle_value
+    # A change that is not viable has no region.
+    viable, regions = costs.viable, analysis.regions
+    value_post, value_pre = _dots(per_bundle(analysis.new_values), news), analysis.bundle_value
+    costs = _Costs(*map(per_bundle, costs))
     properties = _property_rows(costs, per_bundle(pre.prices), per_bundle(labors),
                                 per_bundle(value_pre), value_post, news)
-    # A change that is not viable has no region.
-    viable, regions = analysis.costs.viable, analysis.regions
     admissible_pre = admissibility(pre.prices, values, value_pre).admissible
     flags = np.array([
         costs.viable, costs.culs, properties.more_expensive, properties.value_constant,
@@ -581,7 +603,7 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> _SweepGroup:
     changes = sectors, synthesized.new_columns, synthesized.new_labor
     _check_changes(*changes)
     # Synthesis makes only viable changes, which have regions.
-    regions = _analyze_rows(*economies, *changes,
+    regions = _analyze_rows(drawn.values, drawn.quantities, drawn.prices, synthesized.costs,
                             _patch_rows(drawn.inputs, drawn.labor, *changes)).regions
     constant = _sample_rows(regions, constant_seeds.tolist())
     rising = _sample_rows(regions, rising_seeds.tolist(), shrink=True)

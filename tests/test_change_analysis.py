@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import okishio_lab
-from okishio_lab import equilibrium, synthesis, verify
+from okishio_lab import equilibrium, linear_economy, synthesis, verify
 from okishio_lab import (
     DegenerateNormalization,
     EconomyError,
@@ -158,6 +158,23 @@ class TestRunScenarios:
 # re-solve, and one post-change equilibrium for each of three bundles.
 # The sweep draws no rejected candidate at this seed, so the bound is exact.
 MATRICES_PER_ECONOMY = 5
+
+
+def test_sweep_classifies_each_change_once_a_side(monkeypatch):
+    # The producer classifies a size group's changes once, when it makes
+    # them, and passes those costs on to its analysis; the verifier
+    # classifies them once more, at its own prices.
+    calls = {synthesis: [], verify: []}
+    for module, rows in calls.items():
+        def counted(*args, rows=rows, original=module._classify_rows):
+            rows.append(len(args[3]))
+            return original(*args)
+
+        monkeypatch.setattr(module, "_classify_rows", counted)
+    records = run_suite(seed=1000, count=20)
+    groups = sorted(collections.Counter(record.n for record in records).values())
+    assert len(groups) > 1
+    assert sorted(calls[synthesis]) == sorted(calls[verify]) == groups
 
 
 def _wrap_everywhere(monkeypatch, original, wrapper):
@@ -402,3 +419,75 @@ class TestFailingRowRaisesItsOwnError:
             np.array([0, 0]), np.array([0.5, 0.5]), np.array([0.5, 0.5]),
         )
         assert _raised(synthesis._synthesize_rows, *group) == alone
+
+
+def _raised_in_scenario(call, *args):
+    """The exception ``call(*args)`` raises, as (type, message with its notes)."""
+    with pytest.raises(EconomyError) as excinfo:
+        call(*args)
+    err = excinfo.value
+    return type(err), str(err) + "".join(getattr(err, "__notes__", []))
+
+
+def _failing_solves(monkeypatch, matrices):
+    """Make the solve of each matrix in ``matrices`` raise NoConvergence naming its key."""
+    original = linear_economy._perron_one
+
+    def perron_one(matrix):
+        for key, target in matrices.items():
+            if matrix.shape == target.shape and np.allclose(matrix, target, rtol=0, atol=1e-15):
+                raise NoConvergence(f"forced failure {key}")
+        return original(matrix)
+
+    monkeypatch.setattr(linear_economy, "_perron_one", perron_one)
+
+
+class TestErrorPrecedence:
+    """``run_scenarios`` raises the error of the first step of its chain that
+    fails: the prices before the change, the patched technique, then the
+    prices after it, though one call prices both sides."""
+
+    @pytest.mark.parametrize("fails", [
+        ("before", "patched", "after"), ("patched", "after"), ("after",)
+    ], ids=lambda fails: "-".join(fails))
+    def test_failing_solves(self, ref_tech, ref_bundle, ref_change, monkeypatch, fails):
+        change = ref_change
+        if "patched" in fails:  # the heavy change of test_error_carries_scenario_context
+            change = TechChange(2, ref_tech.input_column(2) + 1.0, 0.18)
+        new = WageBundle(np.array([0.3, 0.4, 0.3]))
+        inputs, labor = ref_tech.inputs.copy(), ref_tech.labor.copy()
+        inputs[:, 2], labor[2] = change.new_column, change.new_labor
+        solves = {"before": equilibrium.augmented_inputs(ref_tech, ref_bundle),
+                  "after": inputs + np.outer(new.quantities, labor)}
+        first = fails[0]
+        if first == "patched":
+            expected = _raised(apply_change, ref_tech, change)
+        else:
+            expected = (NoConvergence, f"forced failure {first}")
+        _failing_solves(monkeypatch, {side: solves[side] for side in fails if side in solves})
+        raised, text = _raised_in_scenario(run_scenarios, ref_tech, ref_bundle, change, (new,))
+        assert raised is expected[0]
+        assert text.startswith(expected[1])
+        assert "scenario with 3 sectors, change in sector 3" in text
+
+    def test_bundles_without_a_price(self):
+        # The skewed bundle costs 0 at either side's eigenvector, which the
+        # merged solve does not check: the first side to check it raises.
+        tech, skewed = _skewed_economy()
+        heavy = TechChange(0, tech.input_column(0) + 1.0, 0.1)
+        mild = TechChange(0, tech.input_column(0) * 1.01, 0.19)
+        ones = WageBundle(np.ones(2))
+        cases = [
+            ((tech, skewed, heavy, (ones,)), _raised(uniform_profit_rate, tech, skewed)),
+            ((tech, ones, heavy, (skewed,)), _raised(apply_change, tech, heavy)),
+            ((tech, ones, mild, (ones, skewed)),
+             _raised(uniform_profit_rate, apply_change(tech, mild), skewed)),
+        ]
+        assert [case[1][0] for case in cases] == [
+            DegenerateNormalization, NotProductive, DegenerateNormalization
+        ]
+        for args, (expected, message) in cases:
+            raised, text = _raised_in_scenario(run_scenarios, *args)
+            assert raised is expected
+            assert text.startswith(message)
+            assert "scenario with 2 sectors, change in sector 1" in text

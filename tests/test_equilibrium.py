@@ -28,8 +28,9 @@ from okishio_lab import (
     uniform_profit_rate,
     value_of_bundle,
 )
-from okishio_lab import equilibrium, verify
+from okishio_lab import equilibrium, linear_economy, verify
 from okishio_lab.equilibrium import _left_perron
+from okishio_lab.linear_economy import PLAIN_ROWS
 from okishio_lab.tolerances import CW_TOL
 from okishio_lab.verify import iter_suite, suite_block
 
@@ -594,6 +595,40 @@ class TestStackedSolve:
         slow = [augmented_inputs(*two_block_economy(rng, 1e-9, 0.999)) for _ in range(2)]
         steps = assert_rows_match_single(np.stack([slow[0], *fast, slow[1]]))
         assert max(steps[1:4]) < min(steps[0], steps[4])
+
+    def test_before_and_after_stacked_as_the_verifier_stacks_them(self):
+        # The verifier prices its cases before a change over its bundles
+        # after it in one call: each side's rows are those of its own call.
+        rng = np.random.default_rng(66)
+        sides = []
+        for n in range(1, 13):
+            before = rng.uniform(0.01, 0.3, (3, n, n))
+            sides.append((before, before * rng.uniform(0.9, 1.2, (3, n, n))))
+        slow = [augmented_inputs(*two_block_economy(rng, coupling, target))
+                for coupling, target in [(1e-9, 0.999), (1e-6, 0.9985), (1e-4, 0.99)]]
+        fast = [augmented_inputs(*random_economy(rng, 8)) for _ in range(3)]
+        sides += [(np.stack(slow[:2]), np.stack(fast)), (np.stack(fast[:1]), np.stack(slow))]
+        for before, after in sides:
+            merged = np.concatenate((before, after))
+            together = _left_perron(merged)
+            for rows, alone in ((slice(None, len(before)), _left_perron(before)),
+                                (slice(len(before), None), _left_perron(after))):
+                for field, part in zip(together, alone):
+                    assert np.array_equal(field[rows], part)
+            assert_rows_match_single(merged)
+
+    def test_both_loops_give_the_same_bits_around_the_threshold(self):
+        # Up to PLAIN_ROWS rows run the plain loop, more the masked one.
+        rng = np.random.default_rng(67)
+        fast = [augmented_inputs(*random_economy(rng, 6)) for _ in range(PLAIN_ROWS)]
+        slow = [augmented_inputs(*two_block_economy(rng, 1e-9, 0.999, size=3))
+                for _ in range(PLAIN_ROWS)]
+        stack = np.stack([row for pair in zip(fast, slow) for row in pair])
+        for k in range(1, 2 * PLAIN_ROWS + 1):
+            assert_rows_match_single(stack[:k])
+            masked = linear_economy._perron_stack(stack[:k])
+            for field, part in zip(_left_perron(stack[:k]), masked):
+                assert np.array_equal(field, part)
 
     def test_one_sector(self):
         stack = np.array([[[0.75]], [[0.2]], [[0.5]]])

@@ -47,6 +47,8 @@ from okishio_lab.linear_economy import (
     _check_bundles,
     _connected_rows,
     _read_fields,
+    _sector_max,
+    _sector_min,
 )
 from okishio_lab.tolerances import CW_TOL, STRICT_MARGIN
 
@@ -218,6 +220,40 @@ class TestConnectivity:
         assert verdicts[True] > 100 and verdicts[False] > 100
         assert _connected_rows(np.empty((0, 3, 3))).shape == (0,)
 
+    @pytest.mark.parametrize("n", [2, 200, 800])
+    def test_long_cycles_through_technology(self, n):
+        # A cycle is n levels deep: past the stacked levels each row
+        # finishes alone, and one edge fewer leaves it decomposable.
+        cycle = np.roll(np.eye(n), 1, axis=1) * 0.5
+        assert Technology(cycle, np.ones(n)).n == n
+        cycle[n - 1, 0] = 0.0
+        with pytest.raises(Decomposable, match="strongly connected"):
+            Technology(cycle, np.ones(n))
+
+    def test_sparse_irreducible_patterns_match_closure(self):
+        # A random cycle plus sparse entries, deep enough to outlast the
+        # stacked levels, alone and stacked by size; the same patterns with
+        # one cycle edge cut are connected or not as the extra entries fall.
+        rng = np.random.default_rng(2208)
+        verdicts, by_size = collections.Counter(), collections.defaultdict(list)
+        for _ in range(400):
+            n = int(rng.integers(3, 30))
+            order = rng.permutation(n)
+            pattern = rng.random((n, n)) < rng.uniform(0.05, 0.3)
+            pattern[order, np.roll(order, -1)] = True
+            cut = pattern.copy()
+            cut[order[0], order[1]] = False
+            for adjacency in (pattern, cut):
+                inputs = adjacency * rng.uniform(0.01, 0.3, (n, n))
+                expected = _reference_strongly_connected(adjacency)
+                assert _connected(inputs) is expected, adjacency
+                verdicts[expected] += 1
+                by_size[n].append((inputs, expected))
+        assert verdicts[True] > 400 and verdicts[False] > 50
+        for cases in by_size.values():
+            stack = np.array([inputs for inputs, _ in cases])
+            assert _connected_rows(stack).tolist() == [expected for _, expected in cases]
+
     def test_tiny_entries_are_edges(self):
         # Only an exact zero is missing: a 1e-14 input is an input in
         # some other unit of that good.
@@ -227,6 +263,24 @@ class TestConnectivity:
         assert _connected(cycle)
         cycle[0, 1] = 0.0
         assert not _connected(cycle)
+
+
+class TestSectorReductions:
+    # Reduced from a sector-major copy, they must give NumPy's own row
+    # reductions, of contiguous stacks and of views.
+    @pytest.mark.parametrize("k, n", [(0, 3), (1, 1), (1, 6), (2, 400), (5, 3), (250, 8)])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_equal_numpy_row_reductions(self, k, n, nan):
+        rng = np.random.default_rng(k * 1000 + n)
+        stack = rng.normal(size=(k, n))
+        if nan and k:
+            stack[k // 2, n // 2] = np.nan
+            stack[-1] = np.nan
+        for stacks in (stack, stack[::-1], np.asfortranarray(stack)):
+            for helper, reduce in ((_sector_min, np.min), (_sector_max, np.max)):
+                expected = reduce(stacks, axis=-1)
+                assert helper(stacks).shape == expected.shape == (k,)
+                assert np.array_equal(helper(stacks), expected, equal_nan=True)
 
 
 class TestLaborValues:
