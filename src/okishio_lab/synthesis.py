@@ -246,6 +246,9 @@ def _pivot_plan(regions: _Regions, strategy) -> tuple:
     at = np.arange(k), (y / x).argmax(axis=1)
     fixed, pivot = getattr(strategy, "value", None), getattr(strategy, "pivot", None)
     if pivot is not None:
+        # bool subclasses int, and a pivot of True is no sector.
+        if not isinstance(pivot, (int, np.integer)) or isinstance(pivot, bool):
+            raise InvalidSector(f"pivot sector must be an integer, got {pivot!r}")
         if not 0 <= pivot < n:
             raise InvalidSector(f"pivot sector {pivot + 1} outside range 1..{n}")
         at[1][:] = pivot
@@ -258,8 +261,8 @@ def _pivot_plan(regions: _Regions, strategy) -> tuple:
     weights = np.ones((k, n))
     if getattr(strategy, "weights", None) is not None:
         given = np.array(strategy.weights, dtype=float)
-        if given.shape != (n,) or (given < 0).any():
-            raise ValueError("weights must be nonnegative, one per sector")
+        if given.shape != (n,) or not (np.isfinite(given) & (given >= 0)).all():
+            raise ValueError("weights must be finite and nonnegative, one per sector")
         weights *= given
     weights[at] = 0.0
     off_value = _dots(values, weights)
@@ -470,7 +473,7 @@ def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon
     """``synthesize_culs_change`` for each row, its arguments checked: the first
     row whose bundle is not admissible raises NotInB, and the first whose
     change would not clear the classifier's strict margin raises Infeasible.
-    The changes it makes are for the caller to check with ``_check_changes``."""
+    The changes it makes then pass ``_check_changes``, as ``TechChange``'s do."""
     bundle_value = _dots(values, quantities)
     flags = admissibility(prices, values, bundle_value)
     admissible = flags.admissible
@@ -504,6 +507,7 @@ def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon
         raise Infeasible(f"a change in sector {sectors[row] + 1} would not be viable and "
                          f"capital-using labor-saving: its {bound} {gain:.3g} is not above "
                          f"{STRICT_MARGIN:.0e}")
+    _check_changes(sectors, new_columns, new_labor)
     return _Synthesized(sectors, new_columns, new_labor, flags.max_ratio_sector, interval_ratio,
                         increment, lower, upper, costs)
 
@@ -549,6 +553,4 @@ def synthesize_culs_change(
         raise InvalidSector(f"sector {sector + 1} outside range 1..{tech.n}")
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
     knobs = np.array([sector]), float(epsilon_frac), float(labor_frac)
-    synthesized = _synthesize_rows(*(row[None] for row in rows), *knobs)
-    _check_changes(*(field[0] for field in synthesized[:3]))  # the one change, as it stands
-    return _synthesized_change(synthesized, 0)
+    return _synthesized_change(_synthesize_rows(*(row[None] for row in rows), *knobs), 0)

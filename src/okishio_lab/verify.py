@@ -47,8 +47,7 @@ from .synthesis import (
     _synthesize_rows, _synthesized_change, _wage_region,
 )
 from .technical_change import (
-    TechChange, _change_row, _check_changes, _classify_rows, _Costs, _patch_rows, _property_rows,
-    _require_fit,
+    TechChange, _change_row, _classify_rows, _Costs, _patch_rows, _property_rows, _require_fit,
 )
 from .tolerances import (
     MATCH_TOL, ON_PLANE_TOL, ORACLE_BISECT_TOL, ORACLE_DECAY_TOL, STRICT_MARGIN, matches,
@@ -396,33 +395,33 @@ def _drawn_technology(drawn: _Drawn, row: int) -> Technology:
 def _draw_group(rngs: list, n: int) -> _Drawn:
     """``random_economy`` for several generators, all for ``n`` sectors.
 
-    Each round draws a candidate per economy still open, from its own
-    generator, in phases of one array call each. Only rejected economies
-    draw again, so a generator is consumed as ``random_economy`` alone
-    consumes it, and one that has made DRAW_ATTEMPTS draws raises
-    RuntimeError. Entries are positive (zero has probability 2**-53), so
-    each candidate is strongly connected with a positive radius; one that
-    were not would fail the round's stacked certificate as Decomposable.
-    No candidate becomes a ``Technology`` here.
+    Each round draws every open economy's candidate from its own generator
+    in one pass, then certifies, solves and checks them in one array call
+    each. Only rejected economies draw again, so a generator is consumed
+    as ``random_economy`` alone consumes it, and one that has made
+    DRAW_ATTEMPTS draws raises RuntimeError. Entries are positive (zero
+    has probability 2**-53), so each candidate is strongly connected with
+    a positive radius; one that were not would fail the round's stacked
+    certificate as Decomposable. No candidate becomes a ``Technology``
+    here.
     """
     k = len(rngs)
     pending, found = np.arange(k), None
     for _ in range(DRAW_ATTEMPTS):
         if not pending.size:
             break
-        open_rngs = [rngs[row] for row in pending.tolist()]
-        raw = np.array([rng.uniform(0.0, 0.3, (n, n)) for rng in open_rngs])
-        radii = np.abs(np.linalg.eigvals(raw)).max(axis=1)
-        raw *= (np.array([rng.uniform(0.3, 0.8) for rng in open_rngs]) / radii)[:, None, None]
-        labor = np.array([rng.uniform(0.05, 0.5, n) for rng in open_rngs])
+        raw, radius, labor, direction, target = map(np.array, zip(*[
+            (rng.uniform(0.0, 0.3, (n, n)), rng.uniform(0.3, 0.8), rng.uniform(0.05, 0.5, n),
+             rng.uniform(0.1, 1.0, n), rng.uniform(0.3, 0.9))
+            for rng in map(rngs.__getitem__, pending.tolist())
+        ]))
+        raw *= (radius / np.abs(np.linalg.eigvals(raw)).max(axis=1))[:, None, None]
         values, bounds = _certify_rows(raw, labor)
-        direction = np.array([rng.uniform(0.1, 1.0, n) for rng in open_rngs])
-        target = np.array([rng.uniform(0.3, 0.9) for rng in open_rngs])
         bundles = direction * (target / _dots(values, direction))[:, None]
         solved = _price_rows(_augmented(raw, labor, bundles), bundles)
         _check_prices(solved)
         flags = admissibility(solved.prices, values, _dots(values, bundles))
-        accepted = np.broadcast_to(flags.admissible, pending.shape).nonzero()[0]
+        accepted = np.flatnonzero(flags.admissible)
         rows = pending[accepted]
         parts = (raw, labor, values, bounds, bundles, solved.prices)
         found = found or [np.empty((k,) + part.shape[1:]) for part in parts]
@@ -552,22 +551,18 @@ def _iter_blocks(seed: int, count: int, n_range: tuple, edge):
 def _sweep_block(seed: int, indices: range, sizes: tuple, edge):
     """What ``edge`` makes of the economies ``indices``, in index order.
 
-    One ``_sweep_group`` per size, in the order sizes first appear, runs
-    before the first item: a block raises the error of the first failing
-    economy in the first group that has one. ``edge(group)`` returns the
-    function that gives the item of the group's row i.
+    One ``_sweep_group`` per size, on its economies' generators, runs in
+    the order sizes first appear, before the first item: a block raises
+    the error of the first failing economy in the first group that has
+    one. ``edge(group)`` returns the function that gives the item of the
+    group's row i.
     """
     rngs = _generators([(seed, index) for index in indices])
     groups = _by_size([int(rng.integers(sizes[0], sizes[1] + 1)) for rng in rngs])
-    # A waiting group keeps only its bit generators, which hold each stream's
-    # state; it gets generators for them when it runs and drops them after
-    # its last draw, so a block does not hold a generator per economy.
-    waiting = {n: [rngs[row].bit_generator for row in rows] for n, rows in groups.items()}
     places: list = [None] * len(rngs)
-    del rngs
     for n, rows in groups.items():
         item = edge(_sweep_group(seed, [indices[row] for row in rows],
-                                 list(map(np.random.Generator, waiting.pop(n))), n))
+                                 [rngs[row] for row in rows], n))
         for at, row in enumerate(rows):
             places[row] = item, at
     return (item(at) for item, at in places)
@@ -583,13 +578,14 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> _SweepGroup:
     """Economies of ``n`` sectors, drawn, synthesized and verified as arrays.
 
     The producer holds the group as arrays, one array call each to draw,
-    synthesize each change at its draw's equilibrium, analyze and sample.
-    Its change and bundle stacks are checked as ``TechChange`` and
-    ``WageBundle`` check them, before one ``_verify_rows`` call prices
-    every economy again from the raw inputs, before and after the change,
-    under its constant, old and rising bundle. When that call fails, the
-    economies run again one at a time, so the first failing one raises its
-    own error with its scenario. No object is built on success.
+    synthesize each change at its draw's equilibrium (checked there as
+    ``TechChange`` checks one), analyze and sample. Its bundle stack is
+    checked as ``WageBundle`` checks one before one ``_verify_rows`` call
+    prices every economy again from the raw inputs, before and after the
+    change, under its constant, old and rising bundle. When that call
+    fails, the economies run again one at a time, so the first failing one
+    raises its own error with its scenario, and if none does, the group's
+    error stands. No object is built on success.
     """
     drawn = _draw_group(rngs, n)
     sectors, epsilon_frac, labor_frac, constant_seeds, rising_seeds = map(np.array, zip(*[
@@ -597,11 +593,9 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> _SweepGroup:
          int(rng.integers(2**63 - 1)), int(rng.integers(2**63 - 1)))
         for rng in rngs
     ]))
-    del rngs  # drawn from for the last time
     economies = drawn.inputs, drawn.labor, drawn.values, drawn.quantities, drawn.prices
     synthesized = _synthesize_rows(*economies, sectors, epsilon_frac, labor_frac)
     changes = sectors, synthesized.new_columns, synthesized.new_labor
-    _check_changes(*changes)
     # Synthesis makes only viable changes, which have regions.
     regions = _analyze_rows(drawn.values, drawn.quantities, drawn.prices, synthesized.costs,
                             _patch_rows(drawn.inputs, drawn.labor, *changes)).regions

@@ -2,18 +2,24 @@
 
 One table, one entry per family: the smallest economy, a deep sparse one,
 sparse irreducible economies through synthesis, sampling and the verifier,
-a nearly decomposable economy under three bundles at once, and the
-synthesis knobs next to both ends of their range. Each family runs in well
-under 0.2 s.
+a nearly decomposable economy under three bundles at once, the synthesis
+knobs next to both ends of their range, price-value headroom next to zero,
+pinned pivot coordinates no bundle can carry, and the worked example's
+bundle far from its own scale. Each family runs in well under 0.2 s.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from okishio_lab import (
     Decomposable,
+    EqualOffPivot,
     Infeasible,
+    NegativeExploitationWarning,
     NotInB,
+    SamplingExhausted,
     TechChange,
     Technology,
     Verdict,
@@ -27,8 +33,10 @@ from okishio_lab import (
     sample_constant_exploitation,
     sample_rising_exploitation,
     save_economy,
+    save_tech_change,
     synthesize_culs_change,
     uniform_profit_rate,
+    value_system,
     worked_example,
 )
 from okishio_lab.cli import main
@@ -170,8 +178,68 @@ def knobs_at_their_ends(tmp_path):
             assert main(argv) == 2
 
 
+# delta in A = 1/8 + delta R, and what synthesis in sector 1 gives there:
+# None for a viable CU-LS change, else the refusal and what it names.
+HEADROOM = [
+    *((10.0**-k, None) for k in range(2, 11)),
+    (1e-11, (Infeasible, "relative unit-cost drop 1.6e-13 is not above 1e-12")),
+    (1e-12, (NotInB, "no price-value ratio exceeds one plus exploitation")),
+]
+
+
+def headroom_near_zero(tmp_path):
+    # Every sector alike at delta = 0: the headroom grows from zero with delta.
+    for delta, refusal in HEADROOM:
+        tech = Technology(1.0 / 8.0 + delta * np.random.default_rng(3).uniform(size=(4, 4)),
+                          np.full(4, 0.2))
+        bundle = WageBundle(np.full(4, 0.5 / tech.values.sum()))
+        eq = uniform_profit_rate(tech, bundle)
+        if refusal is None:
+            classification = classify(tech, eq, synthesize_culs_change(tech, bundle, eq, 0).change)
+            assert classification.viable and classification.culs, delta
+        else:
+            with pytest.raises(refusal[0], match=refusal[1]):
+                synthesize_culs_change(tech, bundle, eq, 0)
+
+
+# Pivot coordinates pinned where no bundle is, with the inequality each fails.
+PINNED = [("inf", "carries value inf, above the bundle value 0.571429"),
+          ("nan", "is not nonnegative"), ("-1", "is not nonnegative")]
+
+
+def pinned_pivot_values(tmp_path):
+    tech, bundle = worked_example.economy()
+    change = worked_example.change()
+    region = analyze_change(tech, bundle, uniform_profit_rate(tech, bundle), change).region
+    save_economy(tmp_path / "economy.json", tech, bundle)
+    save_tech_change(tmp_path / "tc.json", change)
+    for value, failure in PINNED:
+        with pytest.raises(SamplingExhausted, match=f"^pivot coordinate {value} {failure}$"):
+            sample_constant_exploitation(region, 1000, EqualOffPivot(1, float(value)))
+        assert main(["synth-wage", "--economy", str(tmp_path / "economy.json"), "--tc",
+                     str(tmp_path / "tc.json"), "--strategy", "equal-off-pivot", "--pivot", "2",
+                     f"--pivot-value={value}"]) == 2
+
+
+def worked_bundle_at_three_scales(tmp_path):
+    tech, bundle = worked_example.economy()
+    eq = uniform_profit_rate(tech, WageBundle(bundle.quantities * 1e9))
+    assert eq.spectral_radius == pytest.approx(2e8, rel=1e-8) and eq.iterations == 2
+    scaled = [WageBundle(bundle.quantities * (value / (tech.values @ bundle.quantities)))
+              for value in (1 - 1e-7, 1.2)]
+    # A hair under a whole day: profit and exploitation are just positive.
+    assert uniform_profit_rate(tech, scaled[0]).profit_rate == pytest.approx(3.5e-8, rel=1e-6)
+    # Above a whole day both are negative, which is flagged once, not refused.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eq, values = uniform_profit_rate(tech, scaled[1]), value_system(tech, scaled[1])
+    assert eq.profit_rate < 0 and values.exploitation < 0
+    assert [warning.category for warning in caught] == [NegativeExploitationWarning]
+
+
 FAMILIES = [one_sector, cycle_of_200, sparse_irreducible_chain, two_block_at_0_999,
-            knobs_at_their_ends]
+            knobs_at_their_ends, headroom_near_zero, pinned_pivot_values,
+            worked_bundle_at_three_scales]
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.__name__)

@@ -554,6 +554,12 @@ def assert_invariant_under_units(economy, k):
     np.testing.assert_allclose(eq.prices, base.prices * 10.0**k, rtol=units_bound(tech, bundle))
 
 
+# A row that converges in one power step (rank one) and one whose first
+# power step does not narrow its bracket tenfold, so its next is shifted.
+FAST = np.outer([1.0, 2.0], [0.2, 0.1])
+SLOW = np.array([[0.5, 0.1], [0.1, 0.3]])
+
+
 def assert_rows_match_single(stack):
     """A stacked solve returns, row for row, exactly the single solve."""
     rho, vectors, steps, bounds = _left_perron(stack)
@@ -662,6 +668,62 @@ class TestStackedSolve:
             _left_perron(np.stack([first, np.zeros((2, 2))]))
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == "shifted solve failed with bracket [0.3, 0.5]"
+
+    # The masked loop's failure exits, on stacks of PLAIN_ROWS rows that
+    # converge on power steps alone with the failing row last: the loop
+    # refuses the stack, the rows run one at a time, and the failing row
+    # raises its own error. Each exit refuses what it checks before any
+    # arithmetic on it, so a run warns of nothing. A fake solve stands for
+    # a failing shifted step; it fails the test once called ten times, as a
+    # loop that missed its exit would call it without end.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("failing, solution, message", [
+        (np.zeros((2, 2)), None, "dominant eigenvalue bracket [0.0, 0.0] is not positive"),
+        (np.diag([0.5, 0.3]), None, "shifted solve failed with bracket [0.3, 0.5]"),
+        (SLOW, [0.0, 1.0], "iterate lost positivity with bracket"),
+        (SLOW, [1.0, 1.0], "shifted step did not narrow the bracket"),
+    ], ids=["start-bracket", "singular-shift", "positivity", "no-narrowing"])
+    def test_masked_loop_refuses_and_the_row_raises_its_own_error(
+        self, monkeypatch, failing, solution, message
+    ):
+        if solution is not None:
+            calls = []
+
+            def fake_solve(a, b):
+                calls.append(len(a))
+                assert len(calls) < 10, "a refused shifted step ran again"
+                return np.broadcast_to(solution, b.shape).copy()
+
+            monkeypatch.setattr(linear_economy, "_solve", fake_solve)
+        stack = np.stack([FAST] * PLAIN_ROWS + [failing])
+        assert linear_economy._perron_stack(stack) is None
+        with pytest.raises(NoConvergence) as alone:
+            _left_perron(failing[None])
+        with pytest.raises(NoConvergence) as stacked:
+            _left_perron(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith(message)
+
+    def test_group_error_stands_when_every_economy_passes_alone(self, monkeypatch):
+        # The group's verification fails, every economy then passes alone:
+        # the group's own error is raised.
+        records = run_suite(seed=1000, count=20)
+        group = [record for record in records if record.n == records[0].n]
+        original, alone, error = verify._verify_rows, [], NoConvergence("the group failed")
+
+        def fails_for_groups(inputs, *rest):
+            if len(inputs) > 1:
+                raise error
+            alone.append(inputs[0])
+            return original(inputs, *rest)
+
+        monkeypatch.setattr(verify, "_verify_rows", fails_for_groups)
+        with pytest.raises(NoConvergence) as excinfo:
+            run_suite(seed=1000, count=20)
+        assert excinfo.value is error
+        assert len(group) > 1 and len(alone) == len(group)
+        for inputs, record in zip(alone, group):
+            assert np.array_equal(inputs, record.tech.inputs)
 
     def test_suite_error_names_its_scenario(self, monkeypatch):
         # The verifier gets a heavy change for the marked economies: their

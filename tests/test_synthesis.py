@@ -313,9 +313,22 @@ class TestConstantExploitationSampler:
         with pytest.raises(InvalidSector, match=f"pivot sector {pivot + 1} outside range 1..3"):
             sample_constant_exploitation(ref_region, seed=1, strategy=EqualOffPivot(pivot=pivot))
 
-    @pytest.mark.parametrize("weights", [(1.0, -1.0, 1.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("pivot", [1.5, True])
+    def test_pivot_that_is_not_an_integer_rejected(self, ref_region, pivot):
+        with pytest.raises(InvalidSector, match=f"pivot sector must be an integer, got {pivot}"):
+            sample_constant_exploitation(ref_region, seed=1, strategy=EqualOffPivot(pivot=pivot))
+
+    def test_numpy_integer_pivot_accepted(self, ref_region):
+        bundles = [sample_constant_exploitation(ref_region, seed=1, strategy=EqualOffPivot(pivot))
+                   for pivot in (np.int64(1), 1)]
+        assert np.array_equal(*(bundle.quantities for bundle in bundles))
+
+    @pytest.mark.parametrize("weights", [
+        (1.0, -1.0, 1.0), (1.0, 1.0), (float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0),
+    ])
     def test_bad_weights_rejected(self, ref_region, weights):
-        with pytest.raises(ValueError, match="nonnegative, one per sector"):
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative, one per "
+                                             "sector$"):
             sample_constant_exploitation(ref_region, seed=1, strategy=PivotUniform(weights))
 
     def test_unknown_strategy_rejected(self, ref_region):
