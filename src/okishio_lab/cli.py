@@ -216,8 +216,6 @@ def cmd_synth_wage(args) -> int:
     change = load_tech_change(args.tc)
     equilibrium = uniform_profit_rate(tech, bundle)
     region = analyze_change(tech, bundle, equilibrium, change).region
-    if region is None:
-        raise ValueError("wage region is only defined for a viable change")
     if args.strategy == "rising":
         sampled = sample_rising_exploitation(region, args.seed)
     elif args.strategy == "equal-off-pivot":

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
 from .linear_economy import (
-    Technology, WageBundle, _dots, _left_perron, _require_size, _sector_max
+    Technology, WageBundle, _dots, _left_perron, _require, _require_size, _sector_max
 )
 from .tolerances import RESIDUAL_TOL, strictly_above
 
@@ -140,15 +140,14 @@ def _price_rows(augmented: np.ndarray, quantities: np.ndarray) -> _Prices:
 
 
 def _check_prices(priced: _Prices) -> None:
-    """Raise the error of the first row that failed; a bundle lacks a price
-    only by underflow, raw being positive. NaN fails too."""
-    passed = (priced.cost > 0.0) & (priced.residual <= RESIDUAL_TOL)
-    if passed.all():
-        return
-    if not priced.cost[row := passed.argmin()] > 0.0:
-        raise DegenerateNormalization("wage bundle has zero cost at the eigenvector")
-    residual = priced.residual[row]
-    raise NoConvergence(f"equilibrium residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    """``_require`` on each row's bundle cost, then its residual; a bundle
+    lacks a price only by underflow, raw being positive. NaN fails too."""
+    _require([
+        (priced.cost > 0.0,
+         lambda row: DegenerateNormalization("wage bundle has zero cost at the eigenvector")),
+        (priced.residual <= RESIDUAL_TOL, lambda row: NoConvergence(
+            f"equilibrium residual {priced.residual[row]:.3e} exceeds {RESIDUAL_TOL:.0e}")),
+    ])
 
 
 def uniform_profit_rate(tech: Technology, bundle: WageBundle) -> Equilibrium:

@@ -44,6 +44,9 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+# NumPy's solve gufunc (LAPACK gesv), called directly by _solve: the wrapper's
+# argument handling costs about as much as factoring a 20-sector system.
+from numpy.linalg._umath_linalg import solve1 as _solve_gufunc
 
 from .errors import (
     Decomposable,
@@ -155,23 +158,14 @@ def _column_dots(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ spaced[:, :, :1])[:, 0, 0]
 
 
-try:  # np.linalg.solve's gufunc. Called directly, a small solve skips the
-    # wrapper's argument handling, which costs about as much as factoring
-    # a 20-sector system.
-    from numpy.linalg._umath_linalg import solve1 as _solve_gufunc
-except ImportError:  # pragma: no cover - a numpy that keeps it elsewhere
-    _solve_gufunc = None
-
-
 def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for float ``(..., n, n)`` and ``(..., n)``:
-    the same gufunc under the same error state, so the same bits and errors."""
-    if _solve_gufunc is None:
-        return np.linalg.solve(a, b[..., None])[..., 0]
+    """``x`` with ``a @ x = b`` for float ``(..., n, n)`` and ``(..., n)``: the
+    package's one linear solve, under the error state NumPy's own solve sets,
+    so a singular matrix raises LinAlgError("Singular matrix") as it does."""
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         return _solve_gufunc(a, b, signature="dd->d")
@@ -374,16 +368,16 @@ def _value_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, ...]
     """Labor values of a ``(k, n, n)`` stack, with residuals and bounds.
 
     Solves ``values (I - inputs) = labor`` for every row in one stacked
-    solve, and returns each row's values, its residual
+    ``_solve``, and returns each row's values, its residual
     ``max_i |values - values @ inputs - labor|_i`` relative to the largest
     value, and its Collatz–Wielandt bound ``max_i (values @ inputs)_i /
-    values_i``, whether or not they pass. Raises LinAlgError if any row
-    is singular.
+    values_i``, whether or not they pass. Raises LinAlgError("Singular
+    matrix") if any row is singular.
     """
     k, n, _ = inputs.shape
     system = np.negative(inputs, order="C")
     system.reshape(k, n * n)[:, :: n + 1] += 1.0
-    values = np.linalg.solve(system.transpose(0, 2, 1), labor[:, :, None])[:, :, 0]
+    values = _solve(system.transpose(0, 2, 1), labor)
     image = (values[:, None, :] @ inputs)[:, 0, :]
     # values @ inputs and labor are each at most values, so measuring the
     # residual against the largest value makes it free of units. A value
@@ -590,18 +584,28 @@ class WageBundle:
         return self.quantities.shape[0]
 
 
+def _require(checks) -> None:
+    """The package's one first-failing-row rule: ``checks`` pairs, in order, a
+    mask True where a row passes (0-d for one row as it stands) with a function
+    of a row's index giving its exception. The first failing row raises, from
+    the first check it fails, as it would alone; if none fails, this only ANDs
+    the masks."""
+    passed = np.logical_and.reduce([holds for holds, _ in checks])
+    if not passed.all():
+        row = passed.argmin()
+        raise next(error(row) for holds, error in checks if not np.ravel(holds)[row])
+
+
 def _check_bundles(quantities: np.ndarray) -> None:
-    """``WageBundle``'s checks on each row of a ``(k, n)`` stack of finite
-    quantities, or on the one bundle of a 1-d array, as ``WageBundle``
-    passes it: the first failing row raises its error."""
-    negative = quantities.min(axis=-1, initial=0.0) < 0.0
-    empty = ~(quantities.max(axis=-1, initial=0.0) > 0.0)
-    failed = negative | empty
-    if not np.count_nonzero(failed):
-        return
-    if np.ravel(negative)[failed.argmax()]:
-        raise ValueError("wage bundle quantities must be nonnegative")
-    raise ValueError("wage bundle must contain at least one positive quantity")
+    """``WageBundle``'s checks, through ``_require``, on each row of a ``(k, n)``
+    stack of finite quantities, or on the one bundle of a 1-d array, as
+    ``WageBundle`` passes it."""
+    _require([
+        (quantities.min(axis=-1, initial=0.0) >= 0.0,
+         lambda row: ValueError("wage bundle quantities must be nonnegative")),
+        (quantities.max(axis=-1, initial=0.0) > 0.0,
+         lambda row: ValueError("wage bundle must contain at least one positive quantity")),
+    ])
 
 
 def _require_size(bundle: WageBundle, n: int) -> None:
@@ -649,11 +653,9 @@ def exploitation_rate(bundle_value):
     that is flagged with NegativeExploitationWarning, once for each such
     value, rather than rejected. A NaN value gives a NaN rate.
     """
-    # fmin passes over NaN, so only a value that is not positive fails;
-    # no value at all passes.
-    if np.fmin.reduce(bundle_value, axis=None, initial=np.inf) <= 0:
-        low = np.extract(np.less_equal(bundle_value, 0), bundle_value)[0]
-        raise NonPositiveValue(f"bundle value must be positive, got {low}")
+    # Only a value that is not positive fails: NaN passes.
+    _require([(~np.less_equal(bundle_value, 0), lambda row: NonPositiveValue(
+        f"bundle value must be positive, got {np.ravel(bundle_value)[row]}"))])
     rate = (1.0 - bundle_value) / bundle_value
     if np.fmin.reduce(rate, axis=None, initial=np.inf) < 0:
         for value in np.extract(np.less(rate, 0), bundle_value).tolist():

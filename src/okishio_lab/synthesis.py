@@ -42,11 +42,11 @@ import numpy as np
 from .errors import Infeasible, InvalidFraction, InvalidSector, NotInB, SamplingExhausted
 from .equilibrium import Equilibrium, admissibility
 from .linear_economy import (
-    Technology, ValueSystem, WageBundle, _certify_rows, _dots, exploitation_rate
+    Technology, ValueSystem, WageBundle, _certify_rows, _dots, _require, exploitation_rate
 )
 from .technical_change import (
     ChangeClassification, TechChange, _change_row, _check_changes, _classifications,
-    _classify_rows, _patch_rows, _require_fit,
+    _classify_rows, _patch_rows, _require_fit, _require_integer,
 )
 from .tolerances import ON_PLANE_TOL, STRICT_MARGIN, matches, strictly_above, strictly_below
 
@@ -89,7 +89,9 @@ def _region_rows(prices, new_values, bundle_value, break_even_wage) -> _Regions:
 
 
 def _one_region(region: WageRegion) -> _Regions:
-    """A ``WageRegion`` as a one-row ``_Regions``."""
+    """A ``WageRegion`` as a one-row ``_Regions``; None, a non-viable change's, raises."""
+    if region is None:
+        raise ValueError("wage region is only defined for a viable change")
     return _Regions(*(np.asarray(field)[None] for field in vars(region).values()))
 
 
@@ -246,18 +248,15 @@ def _pivot_plan(regions: _Regions, strategy) -> tuple:
     at = np.arange(k), (y / x).argmax(axis=1)
     fixed, pivot = getattr(strategy, "value", None), getattr(strategy, "pivot", None)
     if pivot is not None:
-        # bool subclasses int, and a pivot of True is no sector.
-        if not isinstance(pivot, (int, np.integer)) or isinstance(pivot, bool):
-            raise InvalidSector(f"pivot sector must be an integer, got {pivot!r}")
+        _require_integer(pivot, "pivot sector")
         if not 0 <= pivot < n:
             raise InvalidSector(f"pivot sector {pivot + 1} outside range 1..{n}")
         at[1][:] = pivot
         # No coordinate between the intercepts to draw: refused, not retried.
-        short = ~regions.feasible_sectors[:, pivot]
-        if fixed is None and short.any():
-            y0, x0 = y[short, pivot][0], x[short, pivot][0]
-            raise Infeasible(f"sector {pivot + 1} cannot carry a bundle: its value intercept "
-                             f"{y0:.6g} is not above its price intercept {x0:.6g}")
+        if fixed is None:
+            _require([(regions.feasible_sectors[:, pivot], lambda row: Infeasible(
+                f"sector {pivot + 1} cannot carry a bundle: its value intercept "
+                f"{y[row, pivot]:.6g} is not above its price intercept {x[row, pivot]:.6g}"))])
     weights = np.ones((k, n))
     if getattr(strategy, "weights", None) is not None:
         given = np.array(strategy.weights, dtype=float)
@@ -336,10 +335,10 @@ def _generators(seeds) -> list:
 def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
     """The samplers for each row, row i drawing from ``default_rng(seeds[i])``.
 
-    Each row makes one proposal, from its own generator, and one check:
-    the first row that fails raises SamplingExhausted, naming its pivot
-    coordinate and the first inequality it breaks. ``shrink`` scales the
-    on-plane samples inside, for rising exploitation, and checks them again.
+    Each row makes one proposal, from its own generator, and one check: by
+    ``_require``, the first row that fails raises SamplingExhausted, naming
+    its pivot coordinate and the first inequality it breaks. ``shrink`` scales
+    the on-plane samples inside, for rising exploitation, and checks them again.
 
     One proposal is enough. On a drawn pivot p's interval ``[x_p, y_p]``
     a bundle's cost less the break-even wage is linear in the coordinate,
@@ -350,8 +349,8 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     coordinate on ``y_p`` and leaves the rest negative by an ulp. A pinned
     row (a fixed value, or a bare row) fails when its coordinate gives no bundle.
     """
-    if not regions.feasible.all():
-        raise Infeasible("wage region does not meet the nonnegative orthant")
+    _require([(regions.feasible,
+               lambda row: Infeasible("wage region does not meet the nonnegative orthant"))])
     pivots, lows, highs, pivot_values, weights, off_value, bare = _pivot_plan(
         regions, PivotUniform() if strategy is None else strategy)
     rngs = _generators(seeds)
@@ -360,6 +359,11 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     coords = np.array([rng.uniform(lo, hi) if lo < hi else lo
                        for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
     bundle_value, break_even = regions.value_offset, regions.price_offset
+
+    def exhausted(checks):  # pairs of a row mask and the text of a row's failure
+        return [(holds, lambda row, why=why: SamplingExhausted(
+            f"pivot coordinate {coords[row]:.6g} {why(row)}")) for holds, why in checks]
+
     # A pinned value may be infinite or NaN; it fails the checks below,
     # and its arithmetic on the way warns of nothing.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -383,36 +387,25 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
         if shrink:
             lo, hi = (break_even + STRICT_MARGIN) / cost, 1.0 - STRICT_MARGIN / bundle_value
             checks.append((lo < hi, lambda i: "leaves no room strictly below the bundle value"))
-        _require(coords, checks)
+        _require(exhausted(checks))
     if not shrink:
         return base
     # Away from both endpoints, so the strict margins are macroscopic.
     draws = np.array([rng.uniform(0.25, 0.75) for rng in rngs])
     base *= (lo + draws * (hi - lo))[:, None]
     shrunk, shrunk_worth = _dots(regions.prices, base), _dots(regions.new_values, base)
-    _require(coords, [
+    _require(exhausted([
         (strictly_above(shrunk, break_even),
          lambda i: _cost_failure("shrinks to", shrunk[i], break_even[i])),
         (strictly_below(shrunk_worth, bundle_value),
          lambda i: f"shrinks to a bundle worth {shrunk_worth[i]:.6g}, not below par"),
-    ])
+    ]))
     return base
 
 
 def _cost_failure(verb: str, cost: float, break_even: float) -> str:
     return (f"{verb} a bundle costing {cost:.6g}, not above the break-even wage {break_even:.6g} "
             f"by more than {STRICT_MARGIN:.0e} (margin {cost - break_even:+.3g})")
-
-
-def _require(coords, checks) -> None:
-    """Raise SamplingExhausted for the first row failing one of ``checks``,
-    pairs of a row mask and the text of a row's failure, naming the row's
-    pivot coordinate and the first check it fails."""
-    passed = np.logical_and.reduce([holds for holds, _ in checks])
-    if not passed.all():
-        row = passed.argmin()
-        why = next(text(row) for holds, text in checks if not holds[row])
-        raise SamplingExhausted(f"pivot coordinate {coords[row]:.6g} {why}")
 
 
 def sample_constant_exploitation(
@@ -470,18 +463,18 @@ _Synthesized = namedtuple("_Synthesized", "sectors new_columns new_labor pivot i
 
 
 def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon_frac, labor_frac):
-    """``synthesize_culs_change`` for each row, its arguments checked: the first
-    row whose bundle is not admissible raises NotInB, and the first whose
-    change would not clear the classifier's strict margin raises Infeasible.
-    The changes it makes then pass ``_check_changes``, as ``TechChange``'s do."""
+    """``synthesize_culs_change`` for each row, each knob ``(k,)``: by ``_require``,
+    the first row whose bundle is not admissible raises NotInB, and only then
+    the first whose change would not clear the classifier's strict margin
+    raises Infeasible. Its changes pass ``_check_changes``, as ``TechChange``'s do."""
     bundle_value = _dots(values, quantities)
     flags = admissibility(prices, values, bundle_value)
-    admissible = flags.admissible
-    if not admissible.all():
-        failed = admissible.argmin()
-        detail = ("bundle value outside (0, 1]" if not flags.nonnegative_surplus[failed]
-                  else "no price-value ratio exceeds one plus exploitation")
-        raise NotInB(f"wage bundle is not admissible: {detail}")
+    _require([
+        (flags.nonnegative_surplus,
+         lambda row: NotInB("wage bundle is not admissible: bundle value outside (0, 1]")),
+        (flags.ratio_headroom, lambda row: NotInB(
+            "wage bundle is not admissible: no price-value ratio exceeds one plus exploitation")),
+    ])
     # The pivot's headroom h fixes how deep the labor cut may go.
     interval_ratio = bundle_value * flags.max_ratio
     rows = np.arange(len(sectors))
@@ -497,16 +490,19 @@ def _synthesize_rows(inputs, labor, values, quantities, prices, sectors, epsilon
     # a_is of itself, least for the largest: near either end of a knob, or
     # with headroom near zero, one of them fails the margin classify applies.
     costs = _classify_rows(prices, inputs, labor, sectors, new_columns, new_labor)
-    failed = ~(costs.viable & costs.culs)
-    if failed.any():
-        row = failed.argmax()
-        drop = ((1.0 - labor_frac) * (1.0 - epsilon_frac) * old_labor / costs.cost_pre
-                * (1.0 - 1.0 / interval_ratio))
-        bound, gain = (("relative unit-cost drop", drop[row]) if not costs.viable[row] else
-                       ("smallest relative input rise", increment[row] / old_columns[row].max()))
-        raise Infeasible(f"a change in sector {sectors[row] + 1} would not be viable and "
-                         f"capital-using labor-saving: its {bound} {gain:.3g} is not above "
-                         f"{STRICT_MARGIN:.0e}")
+
+    def infeasible(row, bound, gain):
+        return Infeasible(f"a change in sector {sectors[row] + 1} would not be viable and "
+                          f"capital-using labor-saving: its {bound} {gain:.3g} is not above "
+                          f"{STRICT_MARGIN:.0e}")
+
+    _require([
+        (costs.viable, lambda row: infeasible(row, "relative unit-cost drop", (
+            (1.0 - labor_frac[row]) * (1.0 - epsilon_frac[row]) * old_labor[row]
+            / costs.cost_pre[row] * (1.0 - 1.0 / interval_ratio[row])))),
+        (costs.culs, lambda row: infeasible(row, "smallest relative input rise",
+                                            increment[row] / old_columns[row].max())),
+    ])
     _check_changes(sectors, new_columns, new_labor)
     return _Synthesized(sectors, new_columns, new_labor, flags.max_ratio_sector, interval_ratio,
                         increment, lower, upper, costs)
@@ -552,5 +548,5 @@ def synthesize_culs_change(
     if sector < 0 or sector >= tech.n:
         raise InvalidSector(f"sector {sector + 1} outside range 1..{tech.n}")
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
-    knobs = np.array([sector]), float(epsilon_frac), float(labor_frac)
+    knobs = np.array([sector]), np.array([epsilon_frac], float), np.array([labor_frac], float)
     return _synthesized_change(_synthesize_rows(*(row[None] for row in rows), *knobs), 0)

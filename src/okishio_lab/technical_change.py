@@ -21,20 +21,21 @@ from .errors import InvalidSector
 from .equilibrium import Equilibrium
 from .linear_economy import (
     Technology, WageBundle, _as_float, _as_floats, _as_readonly, _column_dots, _dots, _owned,
-    _read_fields, _require_size,
+    _read_fields, _require, _require_size,
 )
 from .tolerances import matches, strict_gain, strictly_above
 
 
 @dataclass(frozen=True, eq=False)
 class TechChange:
-    """Replacement recipe for a single sector (0-based ``sector``)."""
+    """Replacement recipe for a single sector (``sector`` a 0-based integer)."""
 
     sector: int
     new_column: np.ndarray
     new_labor: float
 
     def __post_init__(self):
+        _require_integer(self.sector, "sector")
         column, labor = _as_readonly(self.new_column, ndim=1), float(self.new_labor)
         _check_changes(self.sector, column, labor)
         object.__setattr__(self, "sector", int(self.sector))
@@ -51,28 +52,32 @@ class TechChange:
         return change
 
 
+def _require_integer(sector, name: str) -> None:
+    """Raise InvalidSector unless ``sector`` is an int or a NumPy integer: bool
+    subclasses int, and a sector of True is no sector."""
+    if not isinstance(sector, (int, np.integer)) or isinstance(sector, bool):
+        raise InvalidSector(f"{name} must be an integer, got {sector!r}")
+
+
 def _check_changes(sectors, new_columns, new_labor) -> None:
-    """``TechChange``'s checks on each of ``(k,)`` sectors and labor and
-    ``(k, n)`` finite columns: the first failing change raises its error.
+    """``TechChange``'s checks, through ``_require``, on each of ``(k,)``
+    integer sectors and labor and ``(k, n)`` finite columns: a nonnegative
+    column, then positive finite labor, then a sector in range.
 
     ``TechChange`` passes its one change as it stands, a 1-d column with
     a scalar sector and labor, which the same expressions check without
     the cost of making arrays of them.
     """
     n = new_columns.shape[-1]
-    negative = new_columns.min(axis=-1, initial=0.0) < 0.0
-    # NaN labor is not positive, and infinite labor is not finite.
-    bad_labor = (new_labor <= 0.0) | (new_labor != new_labor) | (new_labor == np.inf)
-    outside = (sectors < 0) | (sectors >= n)
-    failed = bad_labor | outside | negative
-    if not np.count_nonzero(failed):
-        return
-    row = failed.argmax()
-    if np.ravel(negative)[row]:
-        raise ValueError("replacement input column must be nonnegative")
-    if np.ravel(bad_labor)[row]:
-        raise ValueError(f"replacement labor must be positive, got {np.ravel(new_labor)[row]}")
-    raise InvalidSector(f"sector {np.ravel(sectors)[row] + 1} outside range 1..{n}")
+    _require([
+        (new_columns.min(axis=-1, initial=0.0) >= 0.0,
+         lambda row: ValueError("replacement input column must be nonnegative")),
+        # NaN labor is not positive, and infinite labor is not finite.
+        ((new_labor > 0.0) & (new_labor != np.inf), lambda row: ValueError(
+            f"replacement labor must be positive, got {np.ravel(new_labor)[row]}")),
+        ((sectors >= 0) & (sectors < n), lambda row: InvalidSector(
+            f"sector {np.ravel(sectors)[row] + 1} outside range 1..{n}")),
+    ])
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ reproducible across processes, not just within one.
 """
 
 import collections
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -923,3 +924,52 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == expected
         assert captured.err == "error: wage bundle quantities must be nonnegative\n"
+
+
+# The SHA-256 of outputs that are fixed byte for byte: five sweep CSVs, and
+# the worked example's three verify reports for a change synthesized in
+# sector 3 with a constant-exploitation bundle, the old bundle and a
+# rising-exploitation bundle. The same hashes pin the installed script.
+PINNED_SWEEPS = {
+    ("--count", "500"): "f9c3cd8a733f1127a9a516c56c6be66892b9f2041a6b82750833e39f26e5203b",
+    ("--seed", "1016164991", "--count", "500"):
+        "0582e6e104877e2082f1a810eb0d98c25a0f78988d001bde894afa89ef383b5e",
+    ("--count", "2000"): "b249d4d95982527916c4531ff3ef05070d17f8f190f4c26cb8ff98d9f2f6dcd9",
+    ("--count", "500", "--n-min", "2", "--n-max", "12"):
+        "649a2cc56abb380da5cecf486d43cd296f4c980f1094a53d1d6657fba8150b36",
+    ("--seed", "4294967296", "--count", "200"):
+        "f666a99e573d322e4252fdc20c66e693653c40d66a625eae4cd3dc723f6f42b1",
+}
+PINNED_REPORTS = {
+    "constant": "932d6f5907d1c159f12dc816dacbb29c84565e6b008adba05a03d86302a8083c",
+    "old": "09c62b8809ec0d8695e83b3e5eae6f4ca53f048e88e6bbbdce64839dcbbb41cf",
+    "rising": "0436f9e6ade5ef57cbc114affc4dbdb67924594f0e014e19bfa6515b80d2bbbf",
+}
+
+
+def test_pinned_outputs_match_their_hashes(tmp_path, capsys):
+    def output(*argv):
+        assert main(list(argv)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    def digest(*argv):
+        return hashlib.sha256(output(*argv).encode()).hexdigest()
+
+    sweeps = {args: digest("sweep", *args, "--format", "csv") for args in PINNED_SWEEPS}
+    assert sweeps == PINNED_SWEEPS
+    economy, tc = str(tmp_path / "economy.json"), tmp_path / "tc.json"
+    okishio_lab.save_economy(economy, *okishio_lab.worked_example.economy())
+    tc.write_text(output("synth-tc", "--economy", economy, "--sector", "3", "--format", "json"))
+    base = ["--economy", economy, "--tc", str(tc)]
+    wages = {"constant": [], "old": None, "rising": ["--strategy", "rising"]}
+    reports = {}
+    for name, strategy in wages.items():
+        wage = []
+        if strategy is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(output("synth-wage", *base, *strategy, "--format", "json"))
+            wage = ["--wage", str(path)]
+        reports[name] = digest("verify", *base, *wage, "--format", "json")
+    assert reports == PINNED_REPORTS

@@ -32,6 +32,7 @@ from okishio_lab import (
     value_of_bundle,
     value_system,
 )
+from okishio_lab import linear_economy
 from okishio_lab.linear_economy import (
     BOUND_NOT_BELOW_ONE,
     DECOMPOSABLE,
@@ -47,6 +48,7 @@ from okishio_lab.linear_economy import (
     _check_bundles,
     _connected_rows,
     _read_fields,
+    _require,
     _sector_max,
     _sector_min,
 )
@@ -401,7 +403,7 @@ class TestValueCertificate:
 
         # Both matrices have equal column sums, so measuring their radius
         # needs no solve of its own.
-        monkeypatch.setattr(np.linalg, "solve", failing)
+        monkeypatch.setattr(linear_economy, "_solve", failing)
         with pytest.raises(SingularSystem) as singular:
             Technology(ref_inputs, np.array([0.2, 0.15, 0.25]))
         # The solver's own message is kept.
@@ -430,14 +432,14 @@ class TestValueCertificate:
     ):
         # The solve's first value is scaled by factor: the technique stays
         # productive (radius 0.65), so its values are what is wrong.
-        solve = np.linalg.solve
+        solve = linear_economy._solve
 
         def perturbed(*args):
             out = solve(*args)
             out.flat[0] *= factor
             return out
 
-        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        monkeypatch.setattr(linear_economy, "_solve", perturbed)
         labor = np.array([0.2, 0.15, 0.25])
         assert _certify_stack(ref_inputs[None], labor[None]).reasons.tolist() == [reason]
         with pytest.raises(SingularSystem) as raised:
@@ -738,6 +740,50 @@ class TestExploitation:
         assert system.bundle_value == pytest.approx(4.0 / 7.0, abs=1e-12)
         assert system.exploitation == pytest.approx(0.75, abs=1e-12)
         np.testing.assert_allclose(system.values, [4 / 7, 0.5, 9 / 14], atol=1e-12)
+
+
+    def test_first_value_that_is_not_positive_is_named_and_nan_passes(self):
+        with pytest.raises(NonPositiveValue) as raised:
+            exploitation_rate(np.array([[0.5, np.nan], [-0.2, 0.0]]))
+        assert str(raised.value) == "bundle value must be positive, got -0.2"
+        assert np.isnan(exploitation_rate(np.nan))
+        assert exploitation_rate(np.array([])).shape == (0,)
+
+
+def _named(name):
+    """A check's error: a ValueError naming the check and the failing row."""
+    return lambda row: ValueError(f"{name} {row}")
+
+
+class TestRequire:
+    """``_require``, the one rule every stacked check raises by."""
+
+    def test_lowest_failing_row_raises_named_by_its_first_failing_check(self):
+        # Row 0 passes, row 1 fails b and c, row 2 a and b, row 3 only c.
+        checks = [
+            (np.array([True, True, False, True]), _named("a")),
+            (np.array([True, False, False, True]), _named("b")),
+            (np.array([True, False, True, False]), _named("c")),
+        ]
+        with pytest.raises(ValueError, match="^b 1$"):
+            _require(checks)
+        # Rows are numbered within the stack passed.
+        with pytest.raises(ValueError, match="^a 0$"):
+            _require([(holds[2:], error) for holds, error in checks])
+        with pytest.raises(ValueError, match="^c 0$"):
+            _require([(holds[3:], error) for holds, error in checks])
+
+    def test_one_row_as_it_stands(self):
+        with pytest.raises(ValueError, match="^b 0$"):
+            _require([(np.True_, _named("a")), (False, _named("b")), (np.False_, _named("c"))])
+        _require([(True, _named("a")), (np.True_, _named("b"))])
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_passing_stack_raises_nothing(self, rows):
+        def never(row):
+            raise AssertionError("a passing row's error was built")
+
+        _require([(np.ones(rows, dtype=bool), never), (np.ones(rows, dtype=bool), never)])
 
 
 class TestEconomyFiles:

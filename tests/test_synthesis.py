@@ -85,6 +85,16 @@ def _fake_eq(prices):
     )
 
 
+@pytest.mark.parametrize("call", [
+    sample_constant_exploitation, sample_rising_exploitation, ratio_condition_sectors,
+    ratio_condition_holds,
+])
+def test_missing_region_of_a_change_that_is_not_viable_is_refused(call):
+    # analyze_change gives a change that is not viable no region (None).
+    with pytest.raises(ValueError, match="^wage region is only defined for a viable change$"):
+        call(None)
+
+
 class TestRegionGeometry:
     def test_reference_intercepts(self, ref_region):
         np.testing.assert_allclose(
@@ -544,6 +554,28 @@ class TestSynthesize:
         eq = uniform_profit_rate(ref_tech, ref_bundle)
         with pytest.raises(Infeasible, match=f"sector 3 .*{bound} is not above 1e-12"):
             synthesize_culs_change(ref_tech, ref_bundle, eq, 2, epsilon_frac, labor_frac)
+
+    def test_stacked_synthesis_checks_every_bundle_before_any_change(self, ref_tech, ref_bundle):
+        # Row 0's change would be Infeasible (epsilon_frac 1e-13); row 1's
+        # bundle, at labor value 1.2, is not admissible. NotInB comes first.
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        dear = ref_bundle.quantities * (1.2 / value_of_bundle(ref_tech.values, ref_bundle))
+        economies = [np.stack([part] * 2) for part in
+                     (ref_tech.inputs, ref_tech.labor, ref_tech.values, eq.prices)]
+        economies.insert(3, np.stack([ref_bundle.quantities, dear]))
+        knobs = np.array([2, 2]), np.array([1e-13, 0.5]), np.array([0.5, 0.5])
+
+        def rows(which):
+            return [part[which] for part in economies + list(knobs)]
+
+        with pytest.raises(Infeasible, match="smallest relative input rise"):
+            synthesis._synthesize_rows(*rows(slice(0, 1)))
+        with pytest.raises(NotInB) as alone:
+            synthesis._synthesize_rows(*rows(slice(1, 2)))
+        with pytest.raises(NotInB) as stacked:
+            synthesis._synthesize_rows(*rows(slice(None)))
+        assert str(stacked.value) == str(alone.value) == (
+            "wage bundle is not admissible: bundle value outside (0, 1]")
 
     def test_headroom_near_zero_never_gives_a_change_its_classifier_rejects(self):
         outcomes = set()

@@ -302,6 +302,21 @@ class TestTechChangeFiles:
             TechChange(sector=0, new_column=np.array([0.1]), new_labor=-0.5)
 
 
+@pytest.mark.parametrize("sector, shown", [
+    (2.7, "2.7"), (True, "True"), (np.float64(2.0), repr(np.float64(2.0))),
+])
+def test_sector_that_is_not_an_integer_is_refused(sector, shown):
+    # Each would otherwise pass as sector 2 or 1 (0-based) once int() cut it.
+    with pytest.raises(InvalidSector) as raised:
+        TechChange(sector, np.array([0.1, 0.1, 0.1]), 0.2)
+    assert str(raised.value) == f"sector must be an integer, got {shown}"
+
+
+def test_numpy_integer_sector_is_accepted():
+    change = TechChange(np.int64(2), np.array([0.1, 0.1, 0.1]), 0.2)
+    assert change.sector == 2 and type(change.sector) is int
+
+
 # One-change arguments that TechChange refuses, each for one reason.
 BAD_CHANGES = {
     "negative column": (0, [0.1, -0.1], 0.2),

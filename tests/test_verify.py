@@ -354,7 +354,10 @@ class TestRandomEconomy:
             return original(inputs, labor)
 
         def rejects_everything(prices, values, bundle_value):
-            return WageAdmissibility(True, False, 0.0, 0)
+            # One flag per row, as admissibility gives for a stack.
+            rows = np.shape(bundle_value)
+            return WageAdmissibility(np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool),
+                                     np.zeros(rows), np.zeros(rows, dtype=int))
 
         monkeypatch.setattr(verify, "admissibility", rejects_everything)
         monkeypatch.setattr(verify, "_certify_rows", counted)
