@@ -180,8 +180,6 @@ def cmd_synth_tc(args) -> int:
     equilibrium = uniform_profit_rate(tech, bundle)
     if args.sector is None:
         raise ValueError("synth-tc requires --sector (1-based)")
-    if args.sector < 1 or args.sector > tech.n:
-        raise ValueError(f"--sector must be in 1..{tech.n}, got {args.sector}")
     synthesized = synthesize_culs_change(
         tech,
         bundle,
@@ -220,8 +218,6 @@ def cmd_synth_wage(args) -> int:
         sampled = sample_rising_exploitation(region, args.seed)
     elif args.strategy == "equal-off-pivot":
         pivot = None if args.pivot is None else args.pivot - 1
-        if pivot is not None and not 0 <= pivot < tech.n:
-            raise ValueError(f"--pivot must be in 1..{tech.n}, got {args.pivot}")
         strategy = EqualOffPivot(pivot=pivot, value=args.pivot_value)
         sampled = sample_constant_exploitation(region, args.seed, strategy)
     else:

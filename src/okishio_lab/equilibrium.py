@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateNormalization, NoConvergence
 from .linear_economy import (
-    Technology, WageBundle, _dots, _left_perron, _require, _require_size, _sector_max
+    Technology, WageBundle, _dots, _left_perron, _require, _require_fit, _sector_max
 )
 from .tolerances import RESIDUAL_TOL, strictly_above
 
@@ -103,7 +103,7 @@ class WageAdmissibility:
 
 def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     """Input matrix with wage goods folded into each sector's recipe."""
-    _require_size(bundle, tech.n)
+    _require_fit(tech, (bundle,))
     return _augmented(tech.inputs[None], tech.labor[None], bundle.quantities[None])[0]
 
 

@@ -50,6 +50,7 @@ from numpy.linalg._umath_linalg import solve1 as _solve_gufunc
 
 from .errors import (
     Decomposable,
+    InvalidSector,
     NegativeExploitationWarning,
     NoConvergence,
     NonPositiveValue,
@@ -474,10 +475,8 @@ class Technology:
         _require_square(inputs)
         labor = _as_readonly(self.labor, ndim=1)
         if labor.shape[0] != inputs.shape[0]:
-            raise ValueError(
-                f"labor vector length {labor.shape[0]} does not match "
-                f"{inputs.shape[0]} sectors"
-            )
+            raise ValueError(f"labor vector length {labor.shape[0]} does not match "
+                             f"{inputs.shape[0]} sectors")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labor", labor)
         certificate = _certify_stack(inputs[None], labor[None])
@@ -542,7 +541,8 @@ class Technology:
         return self.inputs.shape[0]
 
     def input_column(self, sector: int) -> np.ndarray:
-        """Recipe of produced inputs for one sector."""
+        """Recipe of produced inputs for one sector, by ``_require_sector``'s rule."""
+        _require_sector(sector, self.n, "sector")
         return self.inputs[:, sector]
 
 
@@ -608,10 +608,35 @@ def _check_bundles(quantities: np.ndarray) -> None:
     ])
 
 
-def _require_size(bundle: WageBundle, n: int) -> None:
-    """Raise unless ``bundle`` has one quantity for each of ``n`` sectors."""
-    if bundle.n != n:
-        raise ValueError(f"wage bundle length {bundle.n} does not match {n} sectors")
+def _is_integer(value) -> bool:  # bool subclasses int, and True counts nothing
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_sector(sector, n: int | None, name: str) -> None:
+    """The one sector rule: raise InvalidSector unless ``sector`` is an integer and,
+    if ``n`` is given (``TechChange`` knows no economy), a 0-based index of one of
+    ``n`` sectors. The message counts from 1: ``"{name} 5 outside range 1..3"``."""
+    if not _is_integer(sector):
+        raise InvalidSector(f"{name} must be an integer, got {sector!r}")
+    if n is not None and not 0 <= sector < n:
+        raise InvalidSector(f"{name} {sector + 1} outside range 1..{n}")
+
+
+def _require_fit(tech: Technology, bundles=(), change=None, prices=None) -> None:
+    """The one fit rule, called by each one-economy entry point before any arithmetic:
+    raise unless each bundle's length, the change's sector (``_require_sector``) and
+    column length, then the prices' length, in that order, fit ``tech.n`` sectors."""
+    n = tech.n
+    for bundle in bundles:
+        if bundle.n != n:
+            raise ValueError(f"wage bundle length {bundle.n} does not match {n} sectors")
+    if change is not None:
+        _require_sector(change.sector, n, "sector")
+        if change.new_column.shape[0] != n:
+            raise ValueError(f"replacement column length {change.new_column.shape[0]} does "
+                             f"not match {n} sectors")
+    if prices is not None and prices.shape[0] != n:
+        raise ValueError(f"price vector length {prices.shape[0]} does not match {n} sectors")
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,10 +662,8 @@ def value_of_bundle(values: np.ndarray, bundle: WageBundle) -> float:
     """Labor value of one wage bundle."""
     values = np.asarray(values, dtype=float)
     if values.shape != bundle.quantities.shape:
-        raise ValueError(
-            f"values of length {values.shape[0]} cannot price a bundle of "
-            f"length {bundle.n}"
-        )
+        raise ValueError(f"values of length {values.shape[0]} cannot price a bundle of "
+                         f"length {bundle.n}")
     return float(values @ bundle.quantities)
 
 
@@ -738,7 +761,7 @@ def load_economy(path) -> tuple[Technology, WageBundle]:
 
 def _economy(inputs, labor, quantities) -> tuple[Technology, WageBundle]:
     tech, bundle = Technology(inputs, labor), WageBundle(quantities)
-    _require_size(bundle, tech.n)
+    _require_fit(tech, (bundle,))
     return tech, bundle
 
 

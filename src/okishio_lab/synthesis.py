@@ -39,14 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, InvalidFraction, InvalidSector, NotInB, SamplingExhausted
+from .errors import Infeasible, InvalidFraction, NotInB, SamplingExhausted
 from .equilibrium import Equilibrium, admissibility
 from .linear_economy import (
-    Technology, ValueSystem, WageBundle, _certify_rows, _dots, _require, exploitation_rate
+    Technology, ValueSystem, WageBundle, _certify_rows, _dots, _require, _require_fit,
+    _require_sector, exploitation_rate,
 )
 from .technical_change import (
     ChangeClassification, TechChange, _change_row, _check_changes, _classifications,
-    _classify_rows, _patch_rows, _require_fit, _require_integer,
+    _classify_rows, _patch_rows,
 )
 from .tolerances import ON_PLANE_TOL, STRICT_MARGIN, matches, strictly_above, strictly_below
 
@@ -169,7 +170,7 @@ def analyze_change(
     acceptable. The one-row call of ``_analyze_rows``; the patched
     technique is built from its certified row.
     """
-    _require_fit(tech, change)
+    _require_fit(tech, (bundle,), change, equilibrium.prices)
     prices, changed = equilibrium.prices[None], _change_row(change)
     costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], *changed)
     inputs, labor = _patch_rows(tech.inputs[None], tech.labor[None], *changed)
@@ -248,9 +249,7 @@ def _pivot_plan(regions: _Regions, strategy) -> tuple:
     at = np.arange(k), (y / x).argmax(axis=1)
     fixed, pivot = getattr(strategy, "value", None), getattr(strategy, "pivot", None)
     if pivot is not None:
-        _require_integer(pivot, "pivot sector")
-        if not 0 <= pivot < n:
-            raise InvalidSector(f"pivot sector {pivot + 1} outside range 1..{n}")
+        _require_sector(pivot, n, "pivot sector")
         at[1][:] = pivot
         # No coordinate between the intercepts to draw: refused, not retried.
         if fixed is None:
@@ -527,11 +526,12 @@ def synthesize_culs_change(
 ) -> SynthesizedChange:
     """Construct a viable capital-using labor-saving change in ``sector``.
 
-    Requires the wage bundle to be admissible (positive surplus and
-    ratio headroom); raises NotInB otherwise. ``epsilon_frac`` sets how
-    much of the sector's labor cost is converted into the uniform input
-    increment, ``labor_frac`` places the new direct labor inside its
-    admissible window; both must lie strictly between 0 and 1.
+    ``epsilon_frac`` sets how much of the sector's labor cost becomes the
+    uniform input increment, ``labor_frac`` places the new direct labor in
+    its admissible window; both must lie strictly between 0 and 1. Then
+    ``sector``, a 0-based integer, passes ``_require_sector`` and the bundle
+    and prices ``_require_fit``. The bundle must be admissible (positive
+    surplus and ratio headroom); NotInB otherwise.
 
     The construction guarantees, at the pre-change equilibrium: unit
     cost strictly falls, every input requirement strictly rises, direct
@@ -545,8 +545,8 @@ def synthesize_culs_change(
     for name, frac in (("epsilon_frac", epsilon_frac), ("labor_frac", labor_frac)):
         if not 0.0 < frac < 1.0:
             raise InvalidFraction(f"{name} must lie strictly between 0 and 1, got {frac}")
-    if sector < 0 or sector >= tech.n:
-        raise InvalidSector(f"sector {sector + 1} outside range 1..{tech.n}")
+    _require_sector(sector, tech.n, "sector")
+    _require_fit(tech, (bundle,), prices=equilibrium.prices)
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
     knobs = np.array([sector]), np.array([epsilon_frac], float), np.array([labor_frac], float)
     return _synthesized_change(_synthesize_rows(*(row[None] for row in rows), *knobs), 0)

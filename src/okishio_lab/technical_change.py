@@ -21,7 +21,7 @@ from .errors import InvalidSector
 from .equilibrium import Equilibrium
 from .linear_economy import (
     Technology, WageBundle, _as_float, _as_floats, _as_readonly, _column_dots, _dots, _owned,
-    _read_fields, _require, _require_size,
+    _read_fields, _require, _require_fit, _require_sector,
 )
 from .tolerances import matches, strict_gain, strictly_above
 
@@ -35,7 +35,7 @@ class TechChange:
     new_labor: float
 
     def __post_init__(self):
-        _require_integer(self.sector, "sector")
+        _require_sector(self.sector, None, "sector")
         column, labor = _as_readonly(self.new_column, ndim=1), float(self.new_labor)
         _check_changes(self.sector, column, labor)
         object.__setattr__(self, "sector", int(self.sector))
@@ -50,13 +50,6 @@ class TechChange:
         object.__setattr__(change, "new_column", _owned(new_column))
         object.__setattr__(change, "new_labor", float(new_labor))
         return change
-
-
-def _require_integer(sector, name: str) -> None:
-    """Raise InvalidSector unless ``sector`` is an int or a NumPy integer: bool
-    subclasses int, and a sector of True is no sector."""
-    if not isinstance(sector, (int, np.integer)) or isinstance(sector, bool):
-        raise InvalidSector(f"{name} must be an integer, got {sector!r}")
 
 
 def _check_changes(sectors, new_columns, new_labor) -> None:
@@ -98,17 +91,6 @@ class ChangeClassification:
     break_even_wage: float
 
 
-def _require_fit(tech: Technology, change: TechChange) -> None:
-    """Raise unless ``change`` names a sector of ``tech`` with a column of its length."""
-    if change.sector >= tech.n:
-        raise InvalidSector(f"sector {change.sector + 1} outside range 1..{tech.n}")
-    if change.new_column.shape[0] != tech.n:
-        raise ValueError(
-            f"replacement column length {change.new_column.shape[0]} does not "
-            f"match {tech.n} sectors"
-        )
-
-
 # _classify_rows' cost arithmetic, a ChangeClassification's fields one row each.
 _Costs = namedtuple("_Costs", "viable culs cost_pre cost_post cost_drop saving_rate")
 
@@ -147,7 +129,7 @@ def classify(
     requirement must rise strictly for the change to be capital-using.
     The one-row call of ``_classify_rows``.
     """
-    _require_fit(tech, change)
+    _require_fit(tech, change=change, prices=equilibrium.prices)
     rows = (equilibrium.prices[None], tech.inputs[None], tech.labor[None], *_change_row(change))
     return _classifications(_classify_rows(*rows))[0]
 
@@ -228,9 +210,7 @@ def check_properties(
     after ``change``; ``equilibrium`` prices the old technique with the
     old ``bundle`` as numeraire. The one-row call of ``_property_rows``.
     """
-    for each in (bundle, new_bundle):
-        _require_size(each, tech.n)
-    _require_fit(tech, change)
+    _require_fit(tech, (bundle, new_bundle), change, equilibrium.prices)
     prices, (sectors, columns, labor) = equilibrium.prices[None], _change_row(change)
     costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], sectors, columns, labor)
     value_pre = _dots(np.asarray(values, dtype=float)[None], bundle.quantities[None])
@@ -255,7 +235,7 @@ def apply_change(tech: Technology, change: TechChange) -> Technology:
     as ``classify`` does, and NotProductive or Decomposable if the
     patched technique is no longer acceptable.
     """
-    _require_fit(tech, change)
+    _require_fit(tech, change=change)
     patched, labor = _patch_rows(tech.inputs[None], tech.labor[None], *_change_row(change))
     return Technology(patched[0], labor[0])
 

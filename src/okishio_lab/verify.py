@@ -39,15 +39,15 @@ from .equilibrium import (  # noqa: F401
     _augmented, _check_prices, _price_rows, _Prices, admissibility, uniform_profit_rate
 )
 from .linear_economy import (
-    Technology, WageBundle, _by_size, _certify_rows, _check_bundles, _dots,
-    _require_size, exploitation_rate,
+    Technology, WageBundle, _by_size, _certify_rows, _check_bundles, _dots, _is_integer,
+    _require_fit, exploitation_rate,
 )
 from .synthesis import (
     SynthesizedChange, WageRegion, _analyze_rows, _generators, _ratio_rows, _sample_rows,
     _synthesize_rows, _synthesized_change, _wage_region,
 )
 from .technical_change import (
-    TechChange, _change_row, _classify_rows, _Costs, _patch_rows, _property_rows, _require_fit,
+    TechChange, _change_row, _classify_rows, _Costs, _patch_rows, _property_rows,
 )
 from .tolerances import (
     MATCH_TOL, ON_PLANE_TOL, ORACLE_BISECT_TOL, ORACLE_DECAY_TOL, STRICT_MARGIN, matches,
@@ -149,9 +149,7 @@ def run_scenarios(
     """
     new_bundles = tuple(new_bundles)
     try:
-        for each in (bundle, *new_bundles):
-            _require_size(each, tech.n)
-        _require_fit(tech, change)
+        _require_fit(tech, (bundle, *new_bundles), change)
         news = np.array([each.quantities for each in new_bundles]).reshape(-1, tech.n)
         owner = None if len(news) == 1 else np.zeros(len(news), dtype=int)
         verified = _verify_rows(tech.inputs[None], tech.labor[None], tech.values[None],
@@ -528,8 +526,11 @@ def iter_suite_rows(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8))
 
 
 def _iter_blocks(seed: int, count: int, n_range: tuple, edge):
-    """The sweep's arguments checked, then its blocks' items in index order,
-    each size group's made by ``edge`` (see ``_sweep_block``)."""
+    """The sweep's arguments checked (a float or bool refused, not truncated), then
+    its blocks' items in index order, each size group's made by ``edge``."""
+    for name, value in (("n_min", n_range[0]), ("n_max", n_range[1]), ("count", count)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     lo, hi = int(n_range[0]), int(n_range[1])
     if not 2 <= lo <= hi:
         # One sector never has ratio headroom: price over value is one

@@ -15,6 +15,7 @@ from okishio_lab import (
     DegenerateNormalization,
     EconomyError,
     Infeasible,
+    InvalidSector,
     NoConvergence,
     NotInB,
     NotProductive,
@@ -25,6 +26,7 @@ from okishio_lab import (
     analyze_change,
     apply_change,
     build_region,
+    check_properties,
     classify,
     labor_values,
     random_economy,
@@ -491,3 +493,57 @@ class TestErrorPrecedence:
             assert raised is expected
             assert text.startswith(message)
             assert "scenario with 2 sectors, change in sector 1" in text
+
+
+# The one-economy entry points that take prices, each called on a technique,
+# a bundle, an equilibrium and a change; synthesis takes the change's sector.
+ENTRY_POINTS = {
+    "classify": lambda tech, bundle, eq, change: classify(tech, eq, change),
+    "check_properties": lambda tech, bundle, eq, change: check_properties(
+        tech, change, eq, tech.values, tech.values, bundle, bundle),
+    "analyze_change": analyze_change,
+    "synthesize_culs_change": lambda tech, bundle, eq, change: synthesize_culs_change(
+        tech, bundle, eq, change.sector),
+}
+
+
+class TestOneFitRule:
+    """Parts of another economy are refused by name, in one order: each
+    bundle's length, the change's sector, its column's length, the prices'."""
+
+    @pytest.fixture
+    def other(self):
+        tech = Technology(np.full((4, 4), 0.1), np.ones(4))
+        bundle = WageBundle(np.full(4, 0.2))
+        return bundle, uniform_profit_rate(tech, bundle)
+
+    @pytest.mark.parametrize("call", sorted(ENTRY_POINTS))
+    def test_prices_of_another_economy(self, call, ref_tech, ref_bundle, ref_change, other):
+        with pytest.raises(ValueError) as raised:
+            ENTRY_POINTS[call](ref_tech, ref_bundle, other[1], ref_change)
+        assert str(raised.value) == "price vector length 4 does not match 3 sectors"
+
+    @pytest.mark.parametrize("call", sorted(set(ENTRY_POINTS) - {"classify"}))
+    def test_bundle_of_another_length(self, call, ref_tech, ref_bundle, ref_change, other):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        with pytest.raises(ValueError) as raised:
+            ENTRY_POINTS[call](ref_tech, other[0], eq, ref_change)
+        assert str(raised.value) == "wage bundle length 4 does not match 3 sectors"
+
+    def test_misfits_are_named_in_order(self, ref_tech, ref_bundle, ref_change, other):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        far = TechChange(5, np.full(6, 0.1), 0.1)
+        long_column = TechChange(1, np.full(4, 0.1), 0.1)
+        cases = [
+            ((other[0], other[1], far), ValueError, "wage bundle length 4 does not match 3 sectors"),
+            ((ref_bundle, other[1], far), InvalidSector, "sector 6 outside range 1..3"),
+            ((ref_bundle, other[1], long_column), ValueError,
+             "replacement column length 4 does not match 3 sectors"),
+            ((ref_bundle, other[1], ref_change), ValueError,
+             "price vector length 4 does not match 3 sectors"),
+        ]
+        for (bundle, prices, change), error, message in cases:
+            with pytest.raises(error) as raised:
+                analyze_change(ref_tech, bundle, prices, change)
+            assert str(raised.value) == message
+        analyze_change(ref_tech, ref_bundle, eq, ref_change)

@@ -429,6 +429,11 @@ class TestSynthTc:
         assert main(["synth-tc", "--economy", economy_file, "--sector", "4"]) == 2
         assert "1..3" in capsys.readouterr().err
 
+    def test_sector_is_checked_by_the_library_and_named_from_one(self, economy_file, capsys):
+        for sector in ("0", "4"):
+            assert main(["synth-tc", "--economy", economy_file, "--sector", sector]) == 2
+            assert capsys.readouterr().err == f"error: sector {sector} outside range 1..3\n"
+
     @pytest.mark.parametrize("knobs, bound", [
         (["--epsilon-frac", "0.999999999", "--labor-frac", "0.99"], "relative unit-cost drop"),
         (["--epsilon-frac", "1e-13"], "smallest relative input rise"),
@@ -495,10 +500,12 @@ class TestSynthWage:
 
     def test_change_that_is_not_viable_has_no_bundle(self, economy_file, tmp_path, capsys):
         # A dearer column with more labor raises the unit cost at old prices.
+        # The missing region is named before a pivot outside the range is.
         path = tmp_path / "dearer.json"
         path.write_text(json.dumps({"sector": 3, "column": [0.26, 0.06, 0.36], "labor": 0.25}))
-        assert main(["synth-wage", "--economy", economy_file, "--tc", str(path)]) == 2
-        assert "only defined for a viable change" in capsys.readouterr().err
+        for flags in ([], ["--strategy", "equal-off-pivot", "--pivot", "5"]):
+            assert main(["synth-wage", "--economy", economy_file, "--tc", str(path), *flags]) == 2
+            assert "only defined for a viable change" in capsys.readouterr().err
 
     def test_pinned_pivot_that_cannot_carry_a_bundle(self, economy_file, tc_file, capsys):
         # Sector 1's value intercept lies below its price intercept, so no
@@ -516,7 +523,7 @@ class TestSynthWage:
                 "--strategy", "equal-off-pivot", "--pivot"]
         for pivot in ("0", "5"):
             assert main(base + [pivot]) == 2
-            assert capsys.readouterr().err == f"error: --pivot must be in 1..3, got {pivot}\n"
+            assert capsys.readouterr().err == f"error: pivot sector {pivot} outside range 1..3\n"
 
     def test_negative_seed_is_refused_naming_the_flag(self, economy_file, tc_file, capsys):
         argv = ["synth-wage", "--economy", economy_file, "--tc", tc_file, "--seed", "-1"]

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from okishio_lab import (
     Decomposable,
+    InvalidSector,
     NegativeExploitationWarning,
     NonPositiveValue,
     NotProductive,
@@ -108,6 +109,16 @@ class TestValidation:
 
     def test_input_column_is_recipe(self, ref_tech):
         np.testing.assert_allclose(ref_tech.input_column(0), [0.35, 0.15, 0.15])
+
+    @pytest.mark.parametrize("sector, message", [
+        (-1, "sector 0 outside range 1..3"), (3, "sector 4 outside range 1..3"),
+        (1.0, "sector must be an integer, got 1.0"),
+    ])
+    def test_input_column_of_no_sector_is_refused(self, ref_tech, sector, message):
+        # A negative index would otherwise count from the end.
+        with pytest.raises(InvalidSector) as raised:
+            ref_tech.input_column(sector)
+        assert str(raised.value) == message
 
     def test_zero_bundle_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -541,6 +541,21 @@ class TestSynthesize:
         with pytest.raises(InvalidSector):
             synthesize_culs_change(ref_tech, ref_bundle, eq, sector=-1)
 
+    @pytest.mark.parametrize("sector", [1.0, True, 2.5])
+    def test_sector_that_is_not_an_integer_rejected(self, ref_tech, ref_bundle, sector):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        with pytest.raises(InvalidSector) as raised:
+            synthesize_culs_change(ref_tech, ref_bundle, eq, sector=sector)
+        assert str(raised.value) == f"sector must be an integer, got {sector!r}"
+
+    def test_numpy_integer_sector_accepted(self, ref_tech, ref_bundle):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        made = [synthesize_culs_change(ref_tech, ref_bundle, eq, sector=sector)
+                for sector in (np.int64(2), 2)]
+        assert made[0].sector == made[1].sector == 2
+        assert np.array_equal(made[0].change.new_column, made[1].change.new_column)
+        assert made[0].change.new_labor == made[1].change.new_labor
+
     # The relative cost drop is (1 - labor_frac)(1 - epsilon_frac) λ h/(1 + h):
     # about 1e-13 here. With epsilon_frac = 1e-13 each input rises by less
     # than 1e-12 of itself.

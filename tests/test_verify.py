@@ -467,6 +467,22 @@ class TestSuite:
             errors.append(str(raised.value))
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(count=2.5), "count must be an integer, got 2.5"),
+        (dict(count=True), "count must be an integer, got True"),
+        (dict(count=3, n_range=(2.9, 3.9)), "n_min must be an integer, got 2.9"),
+        (dict(count=3, n_range=(2, 3.0)), "n_max must be an integer, got 3.0"),
+    ])
+    def test_arguments_that_are_not_integers_are_refused(self, kwargs, message):
+        # int() would cut (2.9, 3.9) to sizes 2..3 without a word.
+        with pytest.raises(ValueError) as raised:
+            run_suite(**kwargs)
+        assert str(raised.value) == message
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        given = run_suite(count=np.int64(3), n_range=(np.int64(2), np.int64(3)))
+        assert suite_csv(given) == suite_csv(run_suite(count=3, n_range=(2, 3)))
+
     def test_different_seed_differs(self, records):
         other = run_suite(seed=1001, count=5)
         assert other[0].scenario.pre_profit != records[0].scenario.pre_profit
