@@ -27,34 +27,16 @@ import sys
 
 from .errors import EconomyError
 from .equilibrium import admissibility, max_profit_rate, uniform_profit_rate
-from .linear_economy import (
-    load_economy,
-    load_wage,
-    value_system,
-    wage_payload,
-)
+from .linear_economy import load_economy, load_wage, value_system, wage_payload
 from .synthesis import (
-    EqualOffPivot,
-    PivotUniform,
-    analyze_change,
-    sample_constant_exploitation,
-    sample_rising_exploitation,
-    synthesize_culs_change,
+    EqualOffPivot, PivotUniform, analyze_change, sample_constant_exploitation,
+    sample_rising_exploitation, synthesize_culs_change,
 )
-from .technical_change import (
-    check_properties,
-    classify,
-    load_tech_change,
-    tech_change_payload,
-)
+from .technical_change import check_properties, classify, load_tech_change, tech_change_payload
 # run_suite is bound here for perfbench/tracing.py, which wraps each name
 # in every module that binds it, and for its tests.
 from .verify import (  # noqa: F401
-    SCENARIO_FLAG_NAMES,
-    SUITE_CSV_COLUMNS,
-    iter_suite_rows,
-    run_scenario,
-    run_suite,
+    SCENARIO_FLAG_NAMES, SUITE_CSV_COLUMNS, iter_suite_rows, run_scenario, run_suite,
     suite_summary,
 )
 from .worked_example import replay

@@ -103,7 +103,7 @@ class WageAdmissibility:
 
 def augmented_inputs(tech: Technology, bundle: WageBundle) -> np.ndarray:
     """Input matrix with wage goods folded into each sector's recipe."""
-    _require_fit(tech, (bundle,))
+    _require_fit(tech.n, (bundle,))
     return _augmented(tech.inputs[None], tech.labor[None], bundle.quantities[None])[0]
 
 

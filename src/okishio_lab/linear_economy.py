@@ -590,7 +590,9 @@ def _require(checks) -> None:
     of a row's index giving its exception. The first failing row raises, from
     the first check it fails, as it would alone; if none fails, this only ANDs
     the masks."""
-    passed = np.logical_and.reduce([holds for holds, _ in checks])
+    passed = np.True_
+    for holds, _ in checks:
+        passed = passed & holds
     if not passed.all():
         row = passed.argmin()
         raise next(error(row) for holds, error in checks if not np.ravel(holds)[row])
@@ -622,11 +624,11 @@ def _require_sector(sector, n: int | None, name: str) -> None:
         raise InvalidSector(f"{name} {sector + 1} outside range 1..{n}")
 
 
-def _require_fit(tech: Technology, bundles=(), change=None, prices=None) -> None:
+def _require_fit(n: int, bundles=(), change=None, prices=None, values=()) -> None:
     """The one fit rule, called by each one-economy entry point before any arithmetic:
     raise unless each bundle's length, the change's sector (``_require_sector``) and
-    column length, then the prices' length, in that order, fit ``tech.n`` sectors."""
-    n = tech.n
+    column length, the prices' length, then each labor value vector's shape, in that
+    order, fit ``n`` sectors."""
     for bundle in bundles:
         if bundle.n != n:
             raise ValueError(f"wage bundle length {bundle.n} does not match {n} sectors")
@@ -637,6 +639,9 @@ def _require_fit(tech: Technology, bundles=(), change=None, prices=None) -> None
                              f"not match {n} sectors")
     if prices is not None and prices.shape[0] != n:
         raise ValueError(f"price vector length {prices.shape[0]} does not match {n} sectors")
+    for vector in values:
+        if np.shape(vector) != (n,):
+            raise ValueError(f"value vector length {np.size(vector)} does not match {n} sectors")
 
 
 @dataclass(frozen=True, eq=False)
@@ -761,7 +766,7 @@ def load_economy(path) -> tuple[Technology, WageBundle]:
 
 def _economy(inputs, labor, quantities) -> tuple[Technology, WageBundle]:
     tech, bundle = Technology(inputs, labor), WageBundle(quantities)
-    _require_fit(tech, (bundle,))
+    _require_fit(tech.n, (bundle,))
     return tech, bundle
 
 

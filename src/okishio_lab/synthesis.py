@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -120,6 +121,7 @@ def build_region(
     """
     if not classification.viable:
         raise ValueError("wage region is only defined for a viable change")
+    _require_fit(equilibrium.prices.shape[0], values=(new_values,))
     new_values = np.asarray(new_values, dtype=float)
     if np.any(new_values <= 0):
         raise ValueError("post-change labor values must be strictly positive")
@@ -170,7 +172,7 @@ def analyze_change(
     acceptable. The one-row call of ``_analyze_rows``; the patched
     technique is built from its certified row.
     """
-    _require_fit(tech, (bundle,), change, equilibrium.prices)
+    _require_fit(tech.n, (bundle,), change, equilibrium.prices)
     prices, changed = equilibrium.prices[None], _change_row(change)
     costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], *changed)
     inputs, labor = _patch_rows(tech.inputs[None], tech.labor[None], *changed)
@@ -331,6 +333,12 @@ def _generators(seeds) -> list:
     return [np.random.default_rng(seed) for seed in seeds]
 
 
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)``, bit for bit and stream for stream, from the
+    doubles ``u`` that ``random()`` drew in its place, as NumPy maps them."""
+    return low + (high - low) * u
+
+
 def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) -> np.ndarray:
     """The samplers for each row, row i drawing from ``default_rng(seeds[i])``.
 
@@ -347,16 +355,14 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     region is all but empty at the pivot, or when rounding puts the
     coordinate on ``y_p`` and leaves the rest negative by an ulp. A pinned
     row (a fixed value, or a bare row) fails when its coordinate gives no bundle.
+    Each generator draws through ``random()`` and ``_uniform``: a pivot coordinate
+    whose bounds differ, then with ``shrink`` the shrink.
     """
     _require([(regions.feasible,
                lambda row: Infeasible("wage region does not meet the nonnegative orthant"))])
     pivots, lows, highs, pivot_values, weights, off_value, bare = _pivot_plan(
         regions, PivotUniform() if strategy is None else strategy)
-    rngs = _generators(seeds)
-    # A candidate on the value plane: the pivot coordinate, drawn where
-    # its bounds differ, and the rest spread by weight (none if bare).
-    coords = np.array([rng.uniform(lo, hi) if lo < hi else lo
-                       for rng, lo, hi in zip(rngs, lows.tolist(), highs.tolist())])
+    rngs, drawn = _generators(seeds), lows < highs
     bundle_value, break_even = regions.value_offset, regions.price_offset
 
     def exhausted(checks):  # pairs of a row mask and the text of a row's failure
@@ -366,6 +372,11 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     # A pinned value may be infinite or NaN; it fails the checks below,
     # and its arithmetic on the way warns of nothing.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A candidate on the value plane: the pivot coordinate, drawn where its
+        # bounds differ (else kept exactly), and the rest spread by weight.
+        coords = lows.copy()
+        coords[drawn] = _uniform(lows[drawn], highs[drawn],
+                                 np.array([rng.random() for rng in compress(rngs, drawn)]))
         rest = bundle_value - pivot_values * coords
         base = weights * (rest / off_value)[:, None]
         np.copyto(coords, bundle_value / pivot_values, where=bare)
@@ -390,7 +401,7 @@ def _sample_rows(regions: _Regions, seeds, strategy=None, shrink: bool = False) 
     if not shrink:
         return base
     # Away from both endpoints, so the strict margins are macroscopic.
-    draws = np.array([rng.uniform(0.25, 0.75) for rng in rngs])
+    draws = _uniform(0.25, 0.75, np.array([rng.random() for rng in rngs]))
     base *= (lo + draws * (hi - lo))[:, None]
     shrunk, shrunk_worth = _dots(regions.prices, base), _dots(regions.new_values, base)
     _require(exhausted([
@@ -546,7 +557,7 @@ def synthesize_culs_change(
         if not 0.0 < frac < 1.0:
             raise InvalidFraction(f"{name} must lie strictly between 0 and 1, got {frac}")
     _require_sector(sector, tech.n, "sector")
-    _require_fit(tech, (bundle,), prices=equilibrium.prices)
+    _require_fit(tech.n, (bundle,), prices=equilibrium.prices)
     rows = (tech.inputs, tech.labor, tech.values, bundle.quantities, equilibrium.prices)
     knobs = np.array([sector]), np.array([epsilon_frac], float), np.array([labor_frac], float)
     return _synthesized_change(_synthesize_rows(*(row[None] for row in rows), *knobs), 0)

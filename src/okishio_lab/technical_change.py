@@ -129,7 +129,7 @@ def classify(
     requirement must rise strictly for the change to be capital-using.
     The one-row call of ``_classify_rows``.
     """
-    _require_fit(tech, change=change, prices=equilibrium.prices)
+    _require_fit(tech.n, change=change, prices=equilibrium.prices)
     rows = (equilibrium.prices[None], tech.inputs[None], tech.labor[None], *_change_row(change))
     return _classifications(_classify_rows(*rows))[0]
 
@@ -210,7 +210,7 @@ def check_properties(
     after ``change``; ``equilibrium`` prices the old technique with the
     old ``bundle`` as numeraire. The one-row call of ``_property_rows``.
     """
-    _require_fit(tech, (bundle, new_bundle), change, equilibrium.prices)
+    _require_fit(tech.n, (bundle, new_bundle), change, equilibrium.prices, (values, new_values))
     prices, (sectors, columns, labor) = equilibrium.prices[None], _change_row(change)
     costs = _classify_rows(prices, tech.inputs[None], tech.labor[None], sectors, columns, labor)
     value_pre = _dots(np.asarray(values, dtype=float)[None], bundle.quantities[None])
@@ -235,7 +235,7 @@ def apply_change(tech: Technology, change: TechChange) -> Technology:
     as ``classify`` does, and NotProductive or Decomposable if the
     patched technique is no longer acceptable.
     """
-    _require_fit(tech, change=change)
+    _require_fit(tech.n, change=change)
     patched, labor = _patch_rows(tech.inputs[None], tech.labor[None], *_change_row(change))
     return Technology(patched[0], labor[0])
 

@@ -44,7 +44,7 @@ from .linear_economy import (
 )
 from .synthesis import (
     SynthesizedChange, WageRegion, _analyze_rows, _generators, _ratio_rows, _sample_rows,
-    _synthesize_rows, _synthesized_change, _wage_region,
+    _synthesize_rows, _synthesized_change, _uniform, _wage_region,
 )
 from .technical_change import (
     TechChange, _change_row, _classify_rows, _Costs, _patch_rows, _property_rows,
@@ -149,7 +149,7 @@ def run_scenarios(
     """
     new_bundles = tuple(new_bundles)
     try:
-        _require_fit(tech, (bundle, *new_bundles), change)
+        _require_fit(tech.n, (bundle, *new_bundles), change)
         news = np.array([each.quantities for each in new_bundles]).reshape(-1, tech.n)
         owner = None if len(news) == 1 else np.zeros(len(news), dtype=int)
         verified = _verify_rows(tech.inputs[None], tech.labor[None], tech.values[None],
@@ -393,10 +393,11 @@ def _drawn_technology(drawn: _Drawn, row: int) -> Technology:
 def _draw_group(rngs: list, n: int) -> _Drawn:
     """``random_economy`` for several generators, all for ``n`` sectors.
 
-    Each round draws every open economy's candidate from its own generator
-    in one pass, then certifies, solves and checks them in one array call
-    each. Only rejected economies draw again, so a generator is consumed
-    as ``random_economy`` alone consumes it, and one that has made
+    Each round draws every open economy's candidate with one ``random`` call
+    on its own generator, mapped into its five parts' ranges by ``_uniform``,
+    then certifies, solves and checks them in one array call each. Only
+    rejected economies draw again, so a generator is consumed as
+    ``random_economy`` alone consumes it, and one that has made
     DRAW_ATTEMPTS draws raises RuntimeError. Entries are positive (zero
     has probability 2**-53), so each candidate is strongly connected with
     a positive radius; one that were not would fail the round's stacked
@@ -408,11 +409,10 @@ def _draw_group(rngs: list, n: int) -> _Drawn:
     for _ in range(DRAW_ATTEMPTS):
         if not pending.size:
             break
-        raw, radius, labor, direction, target = map(np.array, zip(*[
-            (rng.uniform(0.0, 0.3, (n, n)), rng.uniform(0.3, 0.8), rng.uniform(0.05, 0.5, n),
-             rng.uniform(0.1, 1.0, n), rng.uniform(0.3, 0.9))
-            for rng in map(rngs.__getitem__, pending.tolist())
-        ]))
+        u, at = np.array([rngs[row].random(n * n + 2 * n + 2) for row in pending.tolist()]), n * n
+        raw = _uniform(0.0, 0.3, u[:, :at]).reshape(-1, n, n)
+        radius, labor = _uniform(0.3, 0.8, u[:, at]), _uniform(0.05, 0.5, u[:, at + 1:at + 1 + n])
+        direction, target = _uniform(0.1, 1.0, u[:, at + 1 + n:-1]), _uniform(0.3, 0.9, u[:, -1])
         raw *= (radius / np.abs(np.linalg.eigvals(raw)).max(axis=1))[:, None, None]
         values, bounds = _certify_rows(raw, labor)
         bundles = direction * (target / _dots(values, direction))[:, None]
@@ -580,20 +580,21 @@ def _sweep_group(seed: int, indices: list, rngs: list, n: int) -> _SweepGroup:
 
     The producer holds the group as arrays, one array call each to draw,
     synthesize each change at its draw's equilibrium (checked there as
-    ``TechChange`` checks one), analyze and sample. Its bundle stack is
-    checked as ``WageBundle`` checks one before one ``_verify_rows`` call
-    prices every economy again from the raw inputs, before and after the
-    change, under its constant, old and rising bundle. When that call
-    fails, the economies run again one at a time, so the first failing one
-    raises its own error with its scenario, and if none does, the group's
-    error stands. No object is built on success.
+    ``TechChange`` checks one), analyze and sample. Each economy's knobs are
+    drawn after it: the sector, both fractions in one ``random(2)`` call, and
+    two sampler seeds. Its bundle stack is checked as ``WageBundle`` checks
+    one before one ``_verify_rows`` call prices every economy again from the
+    raw inputs, before and after the change, under its constant, old and
+    rising bundle. When that call fails, the economies run again one at a
+    time, so the first failing one raises its own error with its scenario,
+    and if none does, the group's error stands. No object is built on success.
     """
     drawn = _draw_group(rngs, n)
-    sectors, epsilon_frac, labor_frac, constant_seeds, rising_seeds = map(np.array, zip(*[
-        (int(rng.integers(n)), float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9)),
-         int(rng.integers(2**63 - 1)), int(rng.integers(2**63 - 1)))
+    sectors, fractions, constant_seeds, rising_seeds = map(np.array, zip(*[
+        (rng.integers(n), rng.random(2), rng.integers(2**63 - 1), rng.integers(2**63 - 1))
         for rng in rngs
     ]))
+    epsilon_frac, labor_frac = _uniform(0.1, 0.9, fractions).T
     economies = drawn.inputs, drawn.labor, drawn.values, drawn.quantities, drawn.prices
     synthesized = _synthesize_rows(*economies, sectors, epsilon_frac, labor_frac)
     changes = sectors, synthesized.new_columns, synthesized.new_labor
@@ -707,10 +708,8 @@ def suite_summary(records) -> dict:
     for record in records:
         count += 1
         verdicts[record.verdict] += 1
-        if not record.okishio_ok:
-            okishio_violations += 1
-        if not record.rising_ok:
-            rising_violations += 1
+        okishio_violations += not record.okishio_ok
+        rising_violations += not record.rising_ok
     main_violations = count - verdicts[Verdict.PROFIT_FELL_EXPLOITATION_CONSTANT.value]
     return {
         "count": count,

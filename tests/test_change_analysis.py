@@ -547,3 +547,29 @@ class TestOneFitRule:
                 analyze_change(ref_tech, bundle, prices, change)
             assert str(raised.value) == message
         analyze_change(ref_tech, ref_bundle, eq, ref_change)
+
+    @pytest.mark.parametrize("misfit", ["values", "new_values"])
+    def test_check_properties_value_vector_of_another_length(
+        self, misfit, ref_tech, ref_bundle, ref_change
+    ):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        vectors = {"values": ref_tech.values, "new_values": ref_tech.values, misfit: np.ones(4)}
+        with pytest.raises(ValueError) as raised:
+            check_properties(ref_tech, ref_change, eq, vectors["values"], vectors["new_values"],
+                             ref_bundle, ref_bundle)
+        assert str(raised.value) == "value vector length 4 does not match 3 sectors"
+
+    def test_check_properties_names_prices_before_values(
+        self, ref_tech, ref_bundle, ref_change, other
+    ):
+        with pytest.raises(ValueError) as raised:
+            check_properties(ref_tech, ref_change, other[1], np.ones(4), np.ones(4),
+                             ref_bundle, ref_bundle)
+        assert str(raised.value) == "price vector length 4 does not match 3 sectors"
+
+    def test_build_region_new_values_of_another_length(self, ref_tech, ref_bundle, ref_change):
+        eq = uniform_profit_rate(ref_tech, ref_bundle)
+        classification = classify(ref_tech, eq, ref_change)
+        with pytest.raises(ValueError) as raised:
+            build_region(eq, [0.5, 0.5, 0.5, 0.5], 0.4, classification)
+        assert str(raised.value) == "value vector length 4 does not match 3 sectors"

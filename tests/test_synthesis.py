@@ -1,5 +1,6 @@
 """Wage-region geometry, samplers, and change synthesis."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -429,6 +430,17 @@ class TestOneProposal:
                            r"costing 0\.5, not above the break-even wage 0\.5 by more than "
                            r"1e-12 \(margin \+\d\.\d+e-1[34]\)$"):
             sample(region, seed=1)
+
+    @pytest.mark.parametrize("sample", [sample_constant_exploitation, sample_rising_exploitation])
+    def test_unbounded_pivot_interval_is_refused_by_name(self, sample, ref_region):
+        # An infinite value intercept draws an infinite coordinate, which the
+        # one check refuses, rather than NumPy's uniform refusing the range.
+        y = ref_region.value_plane_intercepts.copy()
+        y[1] = np.inf
+        region = dataclasses.replace(ref_region, value_plane_intercepts=y)
+        with pytest.raises(SamplingExhausted, match=r"^pivot coordinate inf carries value inf, "
+                           r"above the bundle value 0\.571429$"):
+            sample(region, seed=3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8).flatmap(lambda n: st.lists(feasible_regions(n), min_size=1,

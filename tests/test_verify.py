@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from okishio_lab import verify, worked_example
+from okishio_lab import synthesis, verify, worked_example
 from okishio_lab import (
     NotProductive,
     OracleLimit,
@@ -338,6 +338,27 @@ class TestRandomEconomy:
             assert rng.bit_generator.state == reference.bit_generator.state
         assert rounds > 1  # some economy was rejected and drew again
 
+    @pytest.mark.parametrize("picky", [False, True], ids=["admissibility", "picky"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_random_economy_leaves_the_generator_as_five_uniform_calls_do(
+        self, n, picky, monkeypatch
+    ):
+        # Real draws are almost never rejected; the picky rule rejects about
+        # a third, so some of these seeds need a second round or more.
+        admissible = _picky_admissibility if picky else admissibility
+        monkeypatch.setattr(verify, "admissibility", admissible)
+        rounds = []
+        for seed in range(8):
+            rng, twin = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            tech, bundle = random_economy(rng, n)
+            ref_tech, ref_bundle, attempts = _reference_draw(twin, n, admissible)
+            rounds.append(attempts)
+            assert tech.inputs.tobytes() == ref_tech.inputs.tobytes()
+            assert tech.labor.tobytes() == ref_tech.labor.tobytes()
+            assert bundle.quantities.tobytes() == ref_bundle.quantities.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert (max(rounds) > 1) == picky  # only the picky rule made a seed draw again
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_sectors_refused(self, n):
         # With one sector price over value is one over the bundle value,
@@ -364,6 +385,44 @@ class TestRandomEconomy:
         with pytest.raises(RuntimeError, match=f"in {verify.DRAW_ATTEMPTS} draws"):
             random_economy(np.random.default_rng(6), 3)
         assert len(certified) == verify.DRAW_ATTEMPTS
+
+
+def _worked_pivot_interval():
+    """The worked example's default pivot interval, which its samplers draw in."""
+    tech, bundle = worked_example.economy()
+    region = analyze_change(tech, bundle, uniform_profit_rate(tech, bundle),
+                            worked_example.change()).region
+    x, y = region.price_plane_intercepts, region.value_plane_intercepts
+    pivot = (y / x).argmax()
+    return float(x[pivot]), float(y[pivot])
+
+
+# Every (low, high) the package maps random() draws into with _uniform, and the
+# shape it draws there: random_economy's matrix, radius, labor, bundle direction
+# and bundle value, the sweep's two fractions, the samplers' pivot coordinate
+# and rising-exploitation shrink.
+UNIFORM_DRAWS = [
+    *(((0.0, 0.3), (n, n)) for n in range(2, 13)),
+    ((0.3, 0.8), None), ((0.05, 0.5), 7), ((0.1, 1.0), 7), ((0.3, 0.9), None),
+    ((0.1, 0.9), 2), ((0.1, 0.9), None), ((0.25, 0.75), None),
+    (_worked_pivot_interval(), None),
+]
+
+
+class TestUniformIdentity:
+    """The sweep draws with ``random()`` and maps the doubles as NumPy's
+    ``uniform`` maps them; a NumPy whose ``uniform`` differs fails here."""
+
+    @pytest.mark.parametrize("bounds, size", UNIFORM_DRAWS)
+    def test_uniform_is_random_mapped_bit_for_bit(self, bounds, size):
+        low, high = bounds
+        for seed in range(21):
+            drawn, mapped = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = np.asarray(drawn.uniform(low, high, size))
+            got = np.asarray(synthesis._uniform(low, high, mapped.random(size)))
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert mapped.bit_generator.state == drawn.bit_generator.state
 
 
 def _picky_admissibility(prices, values, bundle_value):
