@@ -160,8 +160,6 @@ def cmd_check_tc(args) -> int:
 def cmd_synth_tc(args) -> int:
     tech, bundle = load_economy(args.economy)
     equilibrium = uniform_profit_rate(tech, bundle)
-    if args.sector is None:
-        raise ValueError("synth-tc requires --sector (1-based)")
     synthesized = synthesize_culs_change(
         tech,
         bundle,
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "synth-tc", cmd_synth_tc, "construct a viable capital-using change"
     )
     synth_tc.add_argument("--economy", required=True)
-    synth_tc.add_argument("--sector", type=int, help="target sector (1-based)")
+    synth_tc.add_argument("--sector", type=int, required=True, help="target sector (1-based)")
     synth_tc.add_argument(
         "--epsilon-frac",
         type=float,

@@ -24,14 +24,12 @@ when that certificate fails is the radius itself measured, by
 ``_left_perron``, which also solves the price system in ``equilibrium``.
 
 The certificate is written once, for a ``(k, n, n)`` stack, in
-``_certify_stack``: it returns each row's first failed check as a reason
-code. ``Technology`` is its one-row case and turns that code into its
-error. ``_certify_rows`` hands a stack's values and bounds to the array
-forms and builds a ``Technology`` only for a row that fails, so the first
-failing row raises its own error. ``WageBundle`` is likewise the one-row
-call of ``_check_bundles``, and the array forms build techniques and
-bundles whose checks passed in the stack with ``_certified`` and
-``_checked``, which only copy.
+``_certify_rows``: it returns each row's values and bound, or raises,
+through ``_require``, the first failing row's error from the first check
+it fails. ``Technology`` is its one-row call, as ``WageBundle`` is of
+``_check_bundles``, and the array forms build techniques and bundles whose
+checks passed in the stack with ``_certified`` and ``_checked``, which
+only copy.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 # NumPy's solve gufunc (LAPACK gesv), called directly by _solve: the wrapper's
@@ -389,80 +386,77 @@ def _value_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, ...]
     return values, residual, bound
 
 
-# _certify_stack's reason codes: PASSED, or the first check a row fails.
-PASSED, NEGATIVE_INPUT, LABOR_NOT_POSITIVE, DECOMPOSABLE = range(4)
-SINGULAR, VALUE_NOT_POSITIVE, RESIDUAL_TOO_LARGE, BOUND_NOT_BELOW_ONE = range(4, 8)
-
-
-class _Certificate(NamedTuple):
-    """``_certify_stack``'s verdict on each row of a stack.
-
-    ``values``, ``residual`` and ``bound`` are meaningful only in rows
-    that reached the value solve and did not fail it. ``error`` is the
-    stacked solve's LinAlgError, which fails every row it solved.
-    """
-
-    reasons: np.ndarray
-    values: np.ndarray
-    residual: np.ndarray
-    bound: np.ndarray
-    error: np.linalg.LinAlgError | None
-
-
-def _certify_stack(inputs: np.ndarray, labor: np.ndarray) -> _Certificate:
+def _certify_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The technique certificate, for each row of a ``(k, n, n)`` stack.
 
-    Nonnegative inputs, positive labor, strong connectivity, then one
-    stacked value solve (``_value_rows``), positive values, the relative
-    residual against VALUE_RESIDUAL_TOL and the Collatz–Wielandt bound
-    against ``1 - STRICT_MARGIN``. Each check runs on the rows
-    that passed the checks before it, and a row that fails is only
-    marked with its reason. Entries must be finite. ``Technology`` is
-    the one-row case and turns the reason into its error.
+    Returns each row's labor values and Collatz–Wielandt bound, or raises,
+    through ``_require``, the first failing row's error from the first check
+    it fails: finite entries, nonnegative inputs, positive labor, strong
+    connectivity, productivity, then the value solve. One stacked solve
+    (``_value_rows``) certifies productivity by a bound below
+    ``1 - STRICT_MARGIN``. Only a row whose values fail that certificate
+    has its radius measured, in row order and up to the first row that
+    raises: NotProductive if it is not below the margin either,
+    SingularSystem if it is but the values are unusable. A bound that reads
+    1 (it is 1 - min_i labor_i / values_i up to rounding, so it does once
+    some labor is negligible next to its value) is accepted on the radius.
+    A failed stacked solve certifies the rows one at a time.
     """
     k = inputs.shape[0]
-    reasons = np.zeros(k, dtype=int)  # PASSED
-    rows = np.arange(k)
-
-    def live(array):
-        # Rows are copied out of the stack only once some row has failed.
-        return array if rows.size == k else array[rows]
-
-    def fail(failed, reason):
-        nonlocal rows
-        if np.count_nonzero(failed):
-            reasons[rows[failed]] = reason
-            rows = rows[~failed]
-
-    fail((inputs < 0).any(axis=(1, 2)), NEGATIVE_INPUT)
-    fail((live(labor) <= 0).any(axis=1), LABOR_NOT_POSITIVE)
-    fail(~_connected_rows(live(inputs)), DECOMPOSABLE)
-    values, residual, bound = np.empty(labor.shape), np.empty(k), np.empty(k)
+    nonnegative, paid = ~(inputs < 0).any(axis=(1, 2)), ~(labor <= 0).any(axis=1)
+    connected, singular = _connected_rows(inputs), None
     try:
-        values[rows], residual[rows], bound[rows] = _value_rows(live(inputs), live(labor))
+        values, residual, bound = _value_rows(inputs, labor)
     except np.linalg.LinAlgError as err:
-        reasons[rows] = SINGULAR
-        return _Certificate(reasons, values, residual, bound, err)
-    fail(~(_sector_min(live(values)) > 0.0), VALUE_NOT_POSITIVE)
-    fail(~(live(residual) <= VALUE_RESIDUAL_TOL), RESIDUAL_TOO_LARGE)
-    fail(~strictly_below(live(bound), 1.0), BOUND_NOT_BELOW_ONE)
-    return _Certificate(reasons, values, residual, bound, None)
+        if k > 1:
+            alone = [_certify_rows(inputs[row, None], labor[row, None]) for row in range(k)]
+            return tuple(np.concatenate(part) for part in zip(*alone))
+        # A lone row's failed solve: its NaN values fail ``positive`` with this error.
+        singular = SingularSystem(f"value accounting system is singular: {err}")
+        singular.__cause__ = err
+        values, residual = np.full(labor.shape, np.nan), np.full(1, np.nan)
+        bound = residual
+    positive, accurate = _sector_min(values) > 0.0, residual <= VALUE_RESIDUAL_TOL
+    certified = strictly_below(bound, 1.0)
+    if (nonnegative & paid & connected & positive & accurate & certified).all():
+        return values, bound
+    finite = np.isfinite(inputs).all(axis=(1, 2)) & np.isfinite(labor).all(axis=1)
+    sound, usable = finite & nonnegative & paid & connected, positive & accurate
+    radius = np.full(k, np.nan)
+    for row in np.flatnonzero(~(sound & usable & certified)).tolist():
+        if not sound[row]:
+            break
+        radius[row] = _perron_radius(inputs[row])
+        if not (usable[row] and strictly_below(radius[row], 1.0)):
+            break
+    _require([
+        (finite, lambda row: ValueError("array entries must be finite")),
+        (nonnegative, lambda row: ValueError("input matrix must be nonnegative")),
+        (paid, lambda row: ValueError("labor vector must be strictly positive")),
+        (connected, lambda row: Decomposable(
+            "economy is decomposable: sector input graph is not strongly connected")),
+        (certified | strictly_below(radius, 1.0), lambda row: NotProductive(
+            f"input matrix is not productive: spectral radius {radius[row]:.6f} is not below 1")),
+        (positive, lambda row: singular or SingularSystem(
+            f"value accounting system gives a value of {values[row].min():.3e}, not positive")),
+        (accurate, lambda row: SingularSystem(
+            f"value accounting residual {residual[row]:.3e} relative to the largest value "
+            f"exceeds {VALUE_RESIDUAL_TOL:.0e}")),
+    ])
+    return values, bound
 
 
 @dataclass(frozen=True, eq=False)
 class Technology:
     """An immutable (inputs, labor) pair describing production.
 
-    Construction certifies nonnegative inputs, strictly positive direct
-    labor, indecomposability and productivity, or raises: it is the
-    one-row case of ``_certify_stack``. Productivity rests on the
-    labor-value solve, whose Collatz–Wielandt bound must be below
-    ``1 - STRICT_MARGIN``; its values are kept, read-only, as
-    ``values``, and the bound as ``productivity_bound``. Only when that
-    certificate fails is ``spectral_radius`` measured during
-    construction: NotProductive if it is not below the margin either,
-    SingularSystem if it is but the values are unusable. Otherwise it is
-    measured the first time it is read.
+    Construction checks shapes and finite entries, then makes the one-row
+    call of ``_certify_rows``, which raises unless the inputs are
+    nonnegative, direct labor is strictly positive and the technique is
+    indecomposable and productive. The value solve's values are kept,
+    read-only, as ``values``, and its Collatz–Wielandt bound as
+    ``productivity_bound``; ``spectral_radius`` is measured the first time
+    it is read.
     """
 
     inputs: np.ndarray
@@ -479,42 +473,15 @@ class Technology:
                              f"{inputs.shape[0]} sectors")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labor", labor)
-        certificate = _certify_stack(inputs[None], labor[None])
-        reason = int(certificate.reasons[0])
-        values = certificate.values[0]
-        if reason == NEGATIVE_INPUT:
-            raise ValueError("input matrix must be nonnegative")
-        if reason == LABOR_NOT_POSITIVE:
-            raise ValueError("labor vector must be strictly positive")
-        if reason == DECOMPOSABLE:
-            raise Decomposable(
-                "economy is decomposable: sector input graph is not strongly connected"
-            )
-        if reason != PASSED:
-            # Unusable values, or a bound that reads 1 (it is 1 - min_i
-            # labor_i / values_i up to rounding, so it does once some labor
-            # is negligible next to its value): the measured radius decides.
-            self._require_productive()
-        if reason == SINGULAR:
-            raise SingularSystem(
-                f"value accounting system is singular: {certificate.error}"
-            ) from certificate.error
-        if reason == VALUE_NOT_POSITIVE:
-            raise SingularSystem(
-                f"value accounting system gives a value of {values.min():.3e}, not positive"
-            )
-        if reason == RESIDUAL_TOO_LARGE:
-            raise SingularSystem(
-                f"value accounting residual {certificate.residual[0]:.3e} relative to "
-                f"the largest value exceeds {VALUE_RESIDUAL_TOL:.0e}"
-            )
+        values, bound = _certify_rows(inputs[None], labor[None])
+        values = values[0]
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "productivity_bound", float(certificate.bound[0]))
+        object.__setattr__(self, "productivity_bound", float(bound[0]))
 
     @classmethod
     def _certified(cls, inputs, labor, values, bound) -> "Technology":
-        """A technique whose checks all passed in ``_certify_stack``.
+        """A technique whose row passed ``_certify_rows`` in a stack.
 
         Owns read-only copies of the arrays, never views into a stack.
         """
@@ -523,13 +490,6 @@ class Technology:
             object.__setattr__(tech, name, _owned(array))
         object.__setattr__(tech, "productivity_bound", float(bound))
         return tech
-
-    def _require_productive(self) -> None:
-        if not strictly_below(self.spectral_radius, 1.0):
-            raise NotProductive(
-                "input matrix is not productive: spectral radius "
-                f"{self.spectral_radius:.6f} is not below 1"
-            )
 
     @cached_property
     def spectral_radius(self) -> float:
@@ -544,21 +504,6 @@ class Technology:
         """Recipe of produced inputs for one sector, by ``_require_sector``'s rule."""
         _require_sector(sector, self.n, "sector")
         return self.inputs[:, sector]
-
-
-def _certify_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The technique certificate of a stack, as each row's values and bound.
-
-    Only a row that fails the stacked check becomes a ``Technology``, in
-    order, so the first of them raises its own error and a row whose bound
-    reads 1 is accepted on its radius with the values it solved alone.
-    """
-    certificate = _certify_stack(inputs, labor)
-    values, bound = certificate.values, certificate.bound
-    for row in certificate.reasons.nonzero()[0].tolist():
-        tech = Technology(inputs[row], labor[row])
-        values[row], bound[row] = tech.values, tech.productivity_bound
-    return values, bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -666,9 +611,7 @@ def labor_values(tech: Technology) -> np.ndarray:
 def value_of_bundle(values: np.ndarray, bundle: WageBundle) -> float:
     """Labor value of one wage bundle."""
     values = np.asarray(values, dtype=float)
-    if values.shape != bundle.quantities.shape:
-        raise ValueError(f"values of length {values.shape[0]} cannot price a bundle of "
-                         f"length {bundle.n}")
+    _require_fit(bundle.n, values=(values,))
     return float(values @ bundle.quantities)
 
 

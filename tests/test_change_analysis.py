@@ -210,7 +210,7 @@ def test_sweep_solves_each_object_once_per_side(monkeypatch):
     linear_economy = okishio_lab.linear_economy
     original_perron = linear_economy._left_perron
     original_rows = linear_economy._value_rows
-    original_certify = linear_economy._certify_stack
+    original_certify = linear_economy._certify_rows
     original_init = Technology.__post_init__
 
     def counted_perron(stack):

@@ -422,8 +422,10 @@ class TestSynthTc:
         assert "new column:" in out
 
     def test_missing_sector_flag(self, economy_file, capsys):
-        assert main(["synth-tc", "--economy", economy_file]) == 2
-        assert "--sector" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth-tc", "--economy", economy_file])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --sector" in capsys.readouterr().err
 
     def test_sector_out_of_range(self, economy_file, capsys):
         assert main(["synth-tc", "--economy", economy_file, "--sector", "4"]) == 2

@@ -35,17 +35,8 @@ from okishio_lab import (
 )
 from okishio_lab import linear_economy
 from okishio_lab.linear_economy import (
-    BOUND_NOT_BELOW_ONE,
-    DECOMPOSABLE,
-    LABOR_NOT_POSITIVE,
-    NEGATIVE_INPUT,
-    PASSED,
-    RESIDUAL_TOO_LARGE,
-    SINGULAR,
-    VALUE_NOT_POSITIVE,
     _as_floats,
     _certify_rows,
-    _certify_stack,
     _check_bundles,
     _connected_rows,
     _read_fields,
@@ -373,18 +364,18 @@ class TestValueCertificate:
         # Sector 1's labor is rounded away next to its value, so the bound
         # 1 - min_i L_i / v_i reads 1 although the radius is 0.65.
         labor = np.array([1e-16, 1.0, 1.0])
-        certificate = _certify_stack(ref_inputs[None], labor[None])
-        assert certificate.reasons.tolist() == [BOUND_NOT_BELOW_ONE]
-        assert certificate.bound[0] >= 1.0 - STRICT_MARGIN
+        values, bound = _certify_rows(ref_inputs[None], labor[None])
+        assert bound[0] >= 1.0 - STRICT_MARGIN
         tech = Technology(ref_inputs, labor)
         assert tech.spectral_radius == pytest.approx(0.65, rel=1e-14)
         assert np.all(tech.values > 0)
+        assert np.array_equal(tech.values, values[0])
+        assert tech.productivity_bound == bound[0]
 
     def test_productivity_bound_is_kept(self, ref_tech):
-        certificate = _certify_stack(ref_tech.inputs[None], ref_tech.labor[None])
-        assert certificate.reasons.tolist() == [PASSED]
-        assert ref_tech.productivity_bound == certificate.bound[0]
-        assert np.array_equal(ref_tech.values, certificate.values[0])
+        values, bound = _certify_rows(ref_tech.inputs[None], ref_tech.labor[None])
+        assert ref_tech.productivity_bound == bound[0]
+        assert np.array_equal(ref_tech.values, values[0])
         assert ref_tech.productivity_bound >= ref_tech.spectral_radius * (1.0 - CW_TOL)
         assert ref_tech.productivity_bound < 1.0 - STRICT_MARGIN
 
@@ -423,23 +414,18 @@ class TestValueCertificate:
             Technology(np.full((2, 2), 0.6), np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize(
-        "factor, reason, message",
+        "factor, message",
         [
-            (
-                -1.0,
-                VALUE_NOT_POSITIVE,
-                "value accounting system gives a value of -5.714e-01, not positive",
-            ),
+            (-1.0, "value accounting system gives a value of -5.714e-01, not positive"),
             (
                 1.0 + 1e-6,
-                RESIDUAL_TOO_LARGE,
                 "value accounting residual 5.778e-07 relative to the largest value "
                 "exceeds 1e-10",
             ),
         ],
     )
     def test_unusable_values_of_a_productive_technique_are_singular(
-        self, ref_inputs, monkeypatch, factor, reason, message
+        self, ref_inputs, monkeypatch, factor, message
     ):
         # The solve's first value is scaled by factor: the technique stays
         # productive (radius 0.65), so its values are what is wrong.
@@ -452,10 +438,12 @@ class TestValueCertificate:
 
         monkeypatch.setattr(linear_economy, "_solve", perturbed)
         labor = np.array([0.2, 0.15, 0.25])
-        assert _certify_stack(ref_inputs[None], labor[None]).reasons.tolist() == [reason]
         with pytest.raises(SingularSystem) as raised:
             Technology(ref_inputs, labor)
         assert str(raised.value) == message
+        with pytest.raises(SingularSystem) as stacked:
+            _certify_rows(ref_inputs[None], labor[None])
+        assert str(stacked.value) == message
 
 
 @st.composite
@@ -475,10 +463,9 @@ class TestCertificateProperties:
         # (radius 1/(1 + pi) < 1) with the bundle counted in 10^-k units.
         augmented = augmented_inputs(rescaled, WageBundle(bundle.quantities * 10.0**-k))
         stack = np.array([tech.inputs, augmented])
-        certificate = _certify_stack(stack, np.array([labor, labor]))
-        # Both value solves succeed; only the bound may read 1.
-        assert set(certificate.reasons.tolist()) <= {PASSED, BOUND_NOT_BELOW_ONE}
-        for inputs, values, bound in zip(stack, certificate.values, certificate.bound):
+        # Both are accepted, a bound that reads 1 on the radius.
+        certified = _certify_rows(stack, np.array([labor, labor]))
+        for inputs, values, bound in zip(stack, *certified):
             assert np.all(values > 0)
             assert bound >= eigvals_radius(inputs) * (1.0 - CW_TOL)
 
@@ -527,32 +514,45 @@ BAD_ROWS = {
 }
 BOUND_READS_ONE = (_ref_inputs(), np.array([1e-16, 1.0, 1.0]))
 
-# What each bad row raises, written out, and the reason _certify_stack
-# gives for it (a non-finite row never reaches it).
+# What each bad row raises, written out.
 BAD_ROW_ERRORS = {
-    "negative entry": (ValueError, "input matrix must be nonnegative", NEGATIVE_INPUT),
-    "non-finite entry": (ValueError, "array entries must be finite", None),
-    "labor not positive": (
-        ValueError,
-        "labor vector must be strictly positive",
-        LABOR_NOT_POSITIVE,
-    ),
+    "negative entry": (ValueError, "input matrix must be nonnegative"),
+    "non-finite entry": (ValueError, "array entries must be finite"),
+    "labor not positive": (ValueError, "labor vector must be strictly positive"),
     "decomposable": (
         Decomposable,
         "economy is decomposable: sector input graph is not strongly connected",
-        DECOMPOSABLE,
     ),
     "not productive": (
         NotProductive,
         "input matrix is not productive: spectral radius 1.200000 is not below 1",
-        VALUE_NOT_POSITIVE,
     ),
     "singular": (
         NotProductive,
         "input matrix is not productive: spectral radius 1.000000 is not below 1",
-        SINGULAR,
     ),
 }
+
+
+def _verdict(inputs, labor):
+    """What ``Technology`` makes of one row: its error's type and message,
+    or None with the row's values and bound."""
+    try:
+        tech = Technology(inputs, labor)
+    except Exception as err:
+        return type(err), str(err)
+    return None, tech.values, tech.productivity_bound
+
+
+def _stack_verdict(inputs, labor):
+    """``_verdict`` of ``_certify_rows`` on a stack: the error it raises, or
+    None with the stack's values and bounds."""
+    try:
+        with np.errstate(invalid="ignore"):  # a non-finite row's solve makes NaN
+            values, bounds = _certify_rows(np.array(inputs), np.array(labor))
+    except Exception as err:
+        return type(err), str(err)
+    return None, values, bounds
 
 
 def _built_techniques(monkeypatch) -> list:
@@ -606,39 +606,29 @@ class TestStackedCertificate:
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     def test_bad_row_raises_what_technology_raises(self, kind, monkeypatch):
         bad_inputs, bad_labor = BAD_ROWS[kind]
-        error, message, reason = BAD_ROW_ERRORS[kind]
+        error, message = BAD_ROW_ERRORS[kind]
         with pytest.raises(Exception) as alone:
             Technology(bad_inputs, bad_labor)
         assert type(alone.value) is error and str(alone.value) == message
+        assert _stack_verdict([bad_inputs], [bad_labor]) == (error, message)
         inputs, labor = _good_rows(np.random.default_rng(407), 3, 5)
         inputs.insert(2, bad_inputs)
         labor.insert(2, bad_labor)
-        # A non-finite row reaches the stacked solve, which makes NaN of it.
-        with pytest.raises(error) as stacked, np.errstate(invalid="ignore"):
-            _certify_rows(np.array(inputs), np.array(labor))
-        assert type(stacked.value) is error and str(stacked.value) == message
-        # The rows before the bad one certify on their own.
+        assert _stack_verdict(inputs, labor) == (error, message)
+        # The good rows, before and after the bad one, certify in a stack
+        # as each does alone, and no Technology is built for them.
+        del inputs[2], labor[2]
         built = _built_techniques(monkeypatch)
-        values, _ = _certify_rows(np.array(inputs[:2]), np.array(labor[:2]))
+        values, _ = _certify_rows(np.array(inputs), np.array(labor))
         assert built == []
-        for row, (a, l) in enumerate(zip(inputs[:2], labor[:2])):
+        for row, (a, l) in enumerate(zip(inputs, labor)):
             assert np.array_equal(values[row], Technology(a, l).values)
-        if reason is None:
-            return
-        assert _certify_stack(bad_inputs[None], bad_labor[None]).reasons.tolist() == [reason]
-        certificate = _certify_stack(np.array(inputs), np.array(labor))
-        # A singular row fails every row solved with it; Technology then
-        # certifies the others one at a time.
-        others = SINGULAR if kind == "singular" else PASSED
-        assert certificate.reasons.tolist() == [others] * 2 + [reason] + [others] * 3
-        for row in np.flatnonzero(certificate.reasons == PASSED):
-            assert np.array_equal(
-                certificate.values[row], Technology(inputs[row], labor[row]).values
-            )
 
-    def test_reasons_of_a_mixed_stack(self):
+    def test_each_row_of_a_mixed_stack_keeps_its_own_error(self):
         # Every finite bad row but the singular one, which would fail the
-        # whole solve, between good rows: each keeps its own first failure.
+        # whole solve, between good rows: each raises alone what Technology
+        # raises for it, and each tail of the stack raises its first bad
+        # row's error.
         (g0, g1, g2), good_labor = _good_rows(np.random.default_rng(411), 3, 3)
         rows = [
             BAD_ROWS["decomposable"],
@@ -650,21 +640,33 @@ class TestStackedCertificate:
             (g2, good_labor[2]),
             BAD_ROWS["labor not positive"],
         ]
-        inputs, labor = [np.array(column) for column in zip(*rows)]
-        certificate = _certify_stack(inputs, labor)
-        assert certificate.reasons.tolist() == [
-            DECOMPOSABLE,
-            PASSED,
-            NEGATIVE_INPUT,
-            VALUE_NOT_POSITIVE,
-            PASSED,
-            BOUND_NOT_BELOW_ONE,
-            PASSED,
-            LABOR_NOT_POSITIVE,
+        verdicts = [_verdict(*row) for row in rows]
+        assert [verdict[0] for verdict in verdicts] == [
+            Decomposable, None, ValueError, NotProductive, None, None, None, ValueError,
         ]
-        assert certificate.error is None
-        with pytest.raises(Decomposable):
-            _certify_rows(inputs, labor)
+        for row, verdict in zip(rows, verdicts):
+            if verdict[0] is not None:
+                assert _stack_verdict([row[0]], [row[1]]) == verdict
+        for start in range(len(rows)):
+            inputs, labor = zip(*rows[start:])
+            first = next(verdict for verdict in verdicts[start:] if verdict[0] is not None)
+            assert _stack_verdict(inputs, labor) == first
+
+    def test_failed_stacked_solve_certifies_rows_one_at_a_time(self, monkeypatch):
+        inputs, labor = _good_rows(np.random.default_rng(413), 4, 3)
+        alone = [Technology(a, l) for a, l in zip(inputs, labor)]
+        solve = linear_economy._solve
+
+        def lone_rows_only(a, b):
+            if a.ndim == 3 and len(a) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(linear_economy, "_solve", lone_rows_only)
+        values, bounds = _certify_rows(np.array(inputs), np.array(labor))
+        for row, tech in enumerate(alone):
+            assert np.array_equal(values[row], tech.values)
+            assert bounds[row] == tech.productivity_bound
 
     def test_first_bad_row_in_order_raises(self):
         inputs, labor = _good_rows(np.random.default_rng(408), 3, 4)
@@ -673,22 +675,43 @@ class TestStackedCertificate:
         with pytest.raises(Decomposable):
             _certify_rows(np.array(inputs), np.array(labor))
 
+    @pytest.mark.parametrize("first", sorted(BAD_ROWS) + ["bound reads one"])
+    @pytest.mark.parametrize("second", sorted(BAD_ROWS) + ["bound reads one"])
+    def test_first_failing_row_wins_across_kinds(self, first, second):
+        # [good, a, good, b, good]: the stack raises a's error, or b's if a
+        # is accepted; if both are, every row keeps its values and bound alone.
+        kinds = dict(BAD_ROWS, **{"bound reads one": BOUND_READS_ONE})
+        (g0, g1, g2), good_labor = _good_rows(np.random.default_rng(412), 3, 3)
+        rows = [(g0, good_labor[0]), kinds[first], (g1, good_labor[1]), kinds[second],
+                (g2, good_labor[2])]
+        verdicts = [_verdict(*row) for row in rows]
+        got = _stack_verdict(*zip(*rows))
+        failing = [verdict for verdict in verdicts if verdict[0] is not None]
+        if failing:
+            assert got == failing[0]
+            return
+        assert got[0] is None
+        for row, verdict in enumerate(verdicts):
+            assert np.array_equal(got[1][row], verdict[1])
+            assert got[2][row] == verdict[2]
+
     def test_bound_that_reads_one_is_accepted_on_the_radius(self, monkeypatch):
         inputs, labor = _good_rows(np.random.default_rng(409), 3, 4)
         inputs.insert(1, BOUND_READS_ONE[0])
         labor.insert(1, BOUND_READS_ONE[1])
-        inputs, labor = np.array(inputs), np.array(labor)
-        certificate = _certify_stack(inputs, labor)
-        assert certificate.reasons.tolist() == [PASSED, BOUND_NOT_BELOW_ONE] + [PASSED] * 3
-        built = _built_techniques(monkeypatch)
-        values, bounds = _certify_rows(inputs, labor)
-        # Only the row that failed the stacked check was built, and accepted.
-        assert len(built) == 1 and np.array_equal(built[0].inputs, inputs[1])
         single = Technology(*BOUND_READS_ONE)
+        alone = [Technology(a, l) for a, l in zip(inputs, labor)]
+        built = _built_techniques(monkeypatch)
+        values, bounds = _certify_rows(np.array(inputs), np.array(labor))
+        # No row is built as a Technology; the one whose bound reads 1 is
+        # accepted with the values it solves alone.
+        assert built == []
         assert np.array_equal(values[1], single.values)
-        assert np.array_equal(built[0].values, single.values)
-        assert bounds[1] == built[0].productivity_bound == single.productivity_bound == 1.0
-        assert built[0].spectral_radius == single.spectral_radius == pytest.approx(0.65)
+        assert bounds[1] == single.productivity_bound == 1.0
+        assert single.spectral_radius == pytest.approx(0.65)
+        for row, tech in enumerate(alone):
+            assert np.array_equal(values[row], tech.values)
+            assert bounds[row] == tech.productivity_bound
 
 
 class TestBundleValue:
