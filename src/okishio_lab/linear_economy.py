@@ -376,11 +376,11 @@ def _value_rows(inputs: np.ndarray, labor: np.ndarray) -> tuple[np.ndarray, ...]
     system = np.negative(inputs, order="C")
     system.reshape(k, n * n)[:, :: n + 1] += 1.0
     values = _solve(system.transpose(0, 2, 1), labor)
-    image = (values[:, None, :] @ inputs)[:, 0, :]
     # values @ inputs and labor are each at most values, so measuring the
     # residual against the largest value makes it free of units. A value
-    # that is not positive fails its row anyway.
+    # that is not positive, or a row that is not finite, fails its row anyway.
     with np.errstate(divide="ignore", invalid="ignore"):
+        image = (values[:, None, :] @ inputs)[:, 0, :]
         residual = _sector_max(np.abs(values - image - labor)) / _sector_max(values)
         bound = _sector_max(image / values)
     return values, residual, bound

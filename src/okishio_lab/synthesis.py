@@ -123,10 +123,10 @@ def build_region(
         raise ValueError("wage region is only defined for a viable change")
     _require_fit(equilibrium.prices.shape[0], values=(new_values,))
     new_values = np.asarray(new_values, dtype=float)
-    if np.any(new_values <= 0):
-        raise ValueError("post-change labor values must be strictly positive")
-    if bundle_value <= 0:
-        raise ValueError(f"bundle value must be positive, got {bundle_value}")
+    if not np.all(np.isfinite(new_values) & (new_values > 0)):
+        raise ValueError("post-change labor values must be finite and strictly positive")
+    if not 0 < bundle_value < np.inf:
+        raise ValueError(f"bundle value must be positive and finite, got {bundle_value}")
     offsets = np.array([bundle_value], dtype=float), np.array([classification.break_even_wage])
     return _wage_region(_region_rows(equilibrium.prices[None], new_values[None], *offsets), 0)
 

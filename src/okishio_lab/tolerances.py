@@ -25,10 +25,6 @@ MATCH_TOL = 1e-9
 ON_PLANE_TOL = MATCH_TOL / 10
 # The precision of the worked example's printed reference figures.
 REPLAY_TOL = 1e-5
-# Oracle only, both to go once strict inequalities are decided from
-# enclosures: the bisection's width and the decay test's cutoff on norms.
-ORACLE_BISECT_TOL = 1e-10
-ORACLE_DECAY_TOL = 1e-12
 
 
 def strictly_above(a, b):  # each rule takes numbers or arrays

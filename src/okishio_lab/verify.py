@@ -12,9 +12,9 @@ reports from its arrays with ``_scenario_reports``. ``iter_suite_rows``,
 which the CLI's sweep writes, reads its rows from those arrays and builds
 no report.
 
-The oracles here deliberately avoid the production code paths: the
-spectral-radius oracle brackets the dominant eigenvalue by testing
-geometric decay of matrix powers (no eigensolver), and the region
+The oracles here deliberately avoid the production code paths: in the
+spectral-radius oracle an eigensolver only proposes where to start and
+exact elimination decides every comparison with the radius, and the region
 membership oracle re-derives the defining inequalities from raw dot
 products. They exist so the main pipeline can be cross-checked on many
 random economies, not just on fixtures.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -49,10 +50,7 @@ from .synthesis import (
 from .technical_change import (
     TechChange, _change_row, _classify_rows, _Costs, _patch_rows, _property_rows,
 )
-from .tolerances import (
-    MATCH_TOL, ON_PLANE_TOL, ORACLE_BISECT_TOL, ORACLE_DECAY_TOL, STRICT_MARGIN, matches,
-    strictly_above,
-)
+from .tolerances import MATCH_TOL, ON_PLANE_TOL, matches, strictly_above
 
 # Economies that run_suite draws, solves and verifies together: at least
 # SUITE_BLOCK, and as many as hold SUITE_ENTRIES input-matrix entries at the
@@ -256,52 +254,44 @@ def run_scenario(
 
 
 ORACLE_MAX_SECTORS = 6
-# 13 squarings = 8192 effective power, within a 10k-term budget.
-_ORACLE_SQUARINGS = 13
 
 
-def _powers_decay(matrix: np.ndarray, mu: float) -> bool:
-    """True when powers of matrix/mu shrink geometrically.
-
-    Tracks the log of the infinity norm of dyadic powers; squaring the
-    normalized iterate keeps everything in floating range. The final
-    decision compares the last two log norms, so any constant factor in
-    the norm equivalence cancels.
-    """
-    scaled = matrix / mu
-    norm = float(np.max(np.abs(scaled).sum(axis=1)))
-    if norm == 0.0:
-        return True
-    log_norm = float(np.log(norm))
-    iterate = scaled / norm
-    prev = log_norm
-    for _ in range(_ORACLE_SQUARINGS):
-        squared = iterate @ iterate
-        step = float(np.max(np.abs(squared).sum(axis=1)))
-        if step == 0.0:
-            return True
-        log_norm = 2.0 * log_norm + float(np.log(step))
-        if log_norm < np.log(ORACLE_DECAY_TOL):
-            return True
-        if log_norm > -np.log(ORACLE_DECAY_TOL):
+def _below(rows: list, mu: float) -> bool:
+    """Whether the nonnegative matrix ``rows`` (Fractions) has spectral radius below
+    ``mu``, decided exactly: elimination of ``mu I - rows`` without pivoting keeps
+    every pivot positive exactly when it is a nonsingular M-matrix (Berman &
+    Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, SIAM 1994, ch. 6)."""
+    # Imported here, as in the oracle: fractions and its decimal would add a few
+    # milliseconds to every import of the package, for the tests' oracle alone.
+    from fractions import Fraction
+    mu = Fraction(mu)
+    system = [[(mu if i == j else 0) - a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+    for k, top in enumerate(system):
+        if not top[k] > 0:
             return False
-        iterate = squared / step
-        delta = log_norm - prev
-        prev = log_norm
-    return delta < -STRICT_MARGIN
+        for row in system[k + 1:]:
+            factor = row[k] / top[k]
+            for j in range(k + 1, len(row)):
+                row[j] -= factor * top[j]
+    return True
 
 
 def oracle_spectral_radius(matrix) -> float:
-    """Bracket the dominant eigenvalue of a nonnegative matrix.
+    """The least double strictly above the spectral radius of a nonnegative
+    matrix (0.0 for the zero matrix, and ``inf`` past the largest double).
 
-    Pure convergence test plus bisection: no eigensolver, no shared code
-    with the power iteration it is meant to check. Limited to 6 sectors
-    (OracleLimit beyond) since cost grows with the bisection depth.
-    Exact when the spectral radius equals the largest row sum.
+    The eigensolver only proposes where to start; every decision is
+    ``_below``'s exact elimination, which shares no code with the power
+    iteration it is meant to check. Steps that double from one ulp widen a
+    bracket around the start, then bisection narrows it to adjacent
+    doubles. Limited to 6 sectors (OracleLimit beyond), since the exact
+    arithmetic grows with the size.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("oracle requires a matrix of finite entries")
     if np.any(arr < 0):
         raise ValueError("oracle requires a nonnegative matrix")
     if arr.shape[0] > ORACLE_MAX_SECTORS:
@@ -309,22 +299,23 @@ def oracle_spectral_radius(matrix) -> float:
             f"spectral radius oracle supports up to {ORACLE_MAX_SECTORS} sectors, "
             f"got {arr.shape[0]}"
         )
-    hi = float(np.max(arr.sum(axis=1)))
-    if hi == 0.0:
+    if not arr.any():
         return 0.0
-    if not _powers_decay(arr, hi):
-        # Row-sum bound attained; no smaller scale can converge.
+    from fractions import Fraction
+    rows = [[Fraction(a) for a in row] for row in arr.tolist()]
+    # eigvals can overflow where the radius does not: start at most at the largest double.
+    start = min(float(np.max(np.abs(np.linalg.eigvals(arr)))), math.nextafter(math.inf, 0.0))
+    hi, step = start, math.ulp(start)
+    while hi < math.inf and not _below(rows, hi):
+        hi, step = hi + step, 2 * step
+    if hi == math.inf:
         return hi
-    lo = 0.0
-    while hi - lo > ORACLE_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _powers_decay(arr, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, step = start, math.ulp(start)
+    while lo > 0 and _below(rows, lo):
+        lo, step = max(lo - step, 0.0), 2 * step
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if _below(rows, mid) else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +362,8 @@ def random_economy(rng: np.random.Generator, n: int) -> tuple[Technology, WageBu
     draws. ``n`` must be at least 2: with one sector price over value is
     one over the bundle value exactly, so no bundle has ratio headroom.
     """
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(
             f"a random economy needs at least 2 sectors, got {n}: with one, "
@@ -528,7 +521,8 @@ def iter_suite_rows(seed: int = 1000, count: int = 500, n_range: tuple = (2, 8))
 def _iter_blocks(seed: int, count: int, n_range: tuple, edge):
     """The sweep's arguments checked (a float or bool refused, not truncated), then
     its blocks' items in index order, each size group's made by ``edge``."""
-    for name, value in (("n_min", n_range[0]), ("n_max", n_range[1]), ("count", count)):
+    checked = ("seed", seed), ("n_min", n_range[0]), ("n_max", n_range[1]), ("count", count)
+    for name, value in checked:
         if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     lo, hi = int(n_range[0]), int(n_range[1])
@@ -539,13 +533,14 @@ def _iter_blocks(seed: int, count: int, n_range: tuple, edge):
             f"bad sector range {n_range}: need 2 <= n_min <= n_max, "
             "since one sector admits no wage bundle"
         )
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    for name, value in ("seed", seed), ("count", count):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     block = suite_block(hi)
     return (
         item
         for start in range(0, count, block)
-        for item in _sweep_block(seed, range(start, min(start + block, count)), (lo, hi), edge)
+        for item in _sweep_block(int(seed), range(start, min(start + block, count)), (lo, hi), edge)
     )
 
 

@@ -548,8 +548,7 @@ def _stack_verdict(inputs, labor):
     """``_verdict`` of ``_certify_rows`` on a stack: the error it raises, or
     None with the stack's values and bounds."""
     try:
-        with np.errstate(invalid="ignore"):  # a non-finite row's solve makes NaN
-            values, bounds = _certify_rows(np.array(inputs), np.array(labor))
+        values, bounds = _certify_rows(np.array(inputs), np.array(labor))
     except Exception as err:
         return type(err), str(err)
     return None, values, bounds

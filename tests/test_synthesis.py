@@ -170,7 +170,14 @@ class TestRegionGeometry:
 
     @pytest.mark.parametrize(
         "new_values, bundle_value, message",
-        [([0.5, 0.0, 0.5], 0.6, "strictly positive"), ([0.5, 0.5, 0.5], 0.0, "must be positive")],
+        [
+            ([0.5, 0.0, 0.5], 0.6, "strictly positive"),
+            ([0.5, np.nan, 0.5], 0.6, "strictly positive"),
+            ([0.5, np.inf, 0.5], 0.6, "strictly positive"),
+            ([0.5, 0.5, 0.5], 0.0, "must be positive"),
+            ([0.5, 0.5, 0.5], np.nan, "must be positive"),
+            ([0.5, 0.5, 0.5], np.inf, "must be positive"),
+        ],
     )
     def test_bad_offsets_rejected(self, new_values, bundle_value, message):
         with pytest.raises(ValueError, match=message):

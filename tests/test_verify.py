@@ -1,6 +1,8 @@
 """Scenario runner, oracles, generator, and the random suite."""
 
 import dataclasses
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,6 +245,56 @@ class TestSpectralRadiusOracle:
         with pytest.raises(ValueError, match="nonnegative"):
             oracle_spectral_radius(np.array([[0.1, -0.1], [0.1, 0.1]]))
 
+    @pytest.mark.parametrize("matrix, rho", [
+        (np.diag([0.2, 0.7]), 0.7), (np.full((2, 2), 0.5), 1.0),
+    ])
+    def test_radius_that_is_a_double_gives_the_next_double(self, matrix, rho):
+        assert oracle_spectral_radius(matrix) == np.nextafter(rho, np.inf)
+
+    @pytest.mark.parametrize("kind", ["triangular", "nilpotent", "sparse"])
+    def test_result_is_the_least_double_above_the_radius(self, kind):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for _ in range(3):
+                matrix = rng.uniform(0.0, 1.0, (n, n))
+                if kind == "sparse":
+                    matrix *= rng.random((n, n)) < 0.4
+                else:
+                    matrix = np.triu(matrix, k=int(kind == "nilpotent"))
+                hi, rows = oracle_spectral_radius(matrix), _exact(matrix)
+                if matrix.any():  # the zero matrix gives 0.0, the radius itself
+                    assert verify._below(rows, hi)
+                    assert not verify._below(rows, np.nextafter(hi, 0.0))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_entries_that_are_not_finite_are_refused(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            oracle_spectral_radius(np.array([[0.5, entry], [0.1, 0.2]]))
+
+    def test_radius_past_the_largest_double_is_infinite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle_spectral_radius(np.full((2, 2), 1e308)) == np.inf
+
+
+def _exact(matrix) -> list:
+    return [[Fraction(entry) for entry in row] for row in np.asarray(matrix).tolist()]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP defect 2: rho_bounds is not an enclosure")
+def test_rho_bounds_enclose_the_exact_radius():
+    # Among these 51 draws, 2, 10, 16, 34 and 50 have the exact radius of
+    # A + b L outside the solver's bracket, by a few parts in 1e17.
+    rng = np.random.default_rng(2024)
+    for _ in range(51):
+        n = int(rng.integers(2, 9))
+        tech, bundle = random_economy(rng, n)
+        inputs, (labor, quantities) = _exact(tech.inputs), _exact([tech.labor, bundle.quantities])
+        augmented = [[a + b * l for a, l in zip(row, labor)] for row, b in zip(inputs, quantities)]
+        lo, hi = uniform_profit_rate(tech, bundle).rho_bounds
+        assert not verify._below(augmented, lo) and verify._below(augmented, hi)  # lo <= rho < hi
+
 
 class TestRegionMembershipOracle:
     @pytest.fixture
@@ -358,6 +410,11 @@ class TestRandomEconomy:
             assert bundle.quantities.tobytes() == ref_bundle.quantities.tobytes()
             assert rng.bit_generator.state == twin.bit_generator.state
         assert (max(rounds) > 1) == picky  # only the picky rule made a seed draw again
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_sizes_that_are_not_integers_are_refused(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            random_economy(np.random.default_rng(5), n)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_sectors_refused(self, n):
@@ -527,6 +584,9 @@ class TestSuite:
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("kwargs, message", [
+        (dict(seed=True, count=1), "seed must be an integer, got True"),
+        (dict(seed=5.0, count=1), "seed must be an integer, got 5.0"),
+        (dict(seed=-1, count=1), "seed must be nonnegative, got -1"),
         (dict(count=2.5), "count must be an integer, got 2.5"),
         (dict(count=True), "count must be an integer, got True"),
         (dict(count=3, n_range=(2.9, 3.9)), "n_min must be an integer, got 2.9"),
@@ -541,6 +601,11 @@ class TestSuite:
     def test_numpy_integer_arguments_are_accepted(self):
         given = run_suite(count=np.int64(3), n_range=(np.int64(2), np.int64(3)))
         assert suite_csv(given) == suite_csv(run_suite(count=3, n_range=(2, 3)))
+
+    def test_numpy_integer_seed_is_recorded_as_an_int(self):
+        given = run_suite(seed=np.uint32(1000), count=3)
+        assert [type(record.seed) for record in given] == [int] * 3
+        assert suite_csv(given) == suite_csv(run_suite(seed=1000, count=3))
 
     def test_different_seed_differs(self, records):
         other = run_suite(seed=1001, count=5)
